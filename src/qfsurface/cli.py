@@ -20,6 +20,7 @@ from .cocycles import darboux_residual, symplectic_gram
 from .config import SchemaError, config_to_json, parse_config
 from .limitset import cloud_to_csv, cloud_to_svg, limit_set
 from .moebius import NotLoxodromic
+from .presentation import MalformedGraph
 from .schwarzian import (
     cocycle_check,
     exp_sample,
@@ -99,7 +100,7 @@ def _cmd_lengths(args):
 
 def _gram_payload(config):
     graph = config.graph()
-    gram = symplectic_gram(graph, config.fn(graph), h=config.options["fd_step"])
+    gram = symplectic_gram(graph, config.fn(graph))
     residual = darboux_residual(gram)
     n = gram.size // 2
     labels = [f"l:{c}" for c in graph.curve_labels] + \
@@ -111,7 +112,6 @@ def _gram_payload(config):
         "matrix": matrix,
         "darboux_residual": residual,
         "raw_asymmetry": gram.raw_asymmetry,
-        "fd_step": gram.fd_step,
     }
 
 
@@ -130,8 +130,7 @@ def _cmd_darboux_check(args):
     passed = residual <= tol
     status = "PASS" if passed else "FAIL"
     sys.stdout.write(
-        f"{status} darboux residual {residual:.3e} (tolerance {tol:.1e}, "
-        f"fd_step {config.options['fd_step']:.1e})\n"
+        f"{status} darboux residual {residual:.3e} (tolerance {tol:.1e})\n"
     )
     return 0 if passed else 1
 
@@ -269,7 +268,8 @@ def main(argv=None):
     except SchemaError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except (DegenerateFN, BranchFailure, NotLoxodromic, UnknownGenerator) as exc:
+    except (DegenerateFN, BranchFailure, NotLoxodromic, UnknownGenerator,
+            MalformedGraph) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
 

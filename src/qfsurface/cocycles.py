@@ -4,7 +4,11 @@ A tangent vector to the representation variety at rho is recorded as a
 1-cocycle u: generators -> sl2(C), extended to words by the crossed
 homomorphism rule u(gh) = u(g) + Ad_rho(g) u(h).  Finite differences of the
 holonomy construction supply the cocycles for the Fenchel-Nielsen
-coordinate directions.
+coordinate directions: exact-step central differences at the working
+precision ``ASSEMBLY_DPS``.  The stencil points fn[k] +- h are formed in
+mpmath, so the step is exact, and no generator image or inverse passes
+through complex128 on the way.  The step is the constant ``STEP``, chosen
+so that truncation and roundoff both stay below complex128 resolution.
 
 The symplectic pairing of two cocycles evaluates the cup product with the
 trace form B(u, v) = tr(uv) on the fundamental class of the presentation
@@ -20,7 +24,7 @@ which every generator appears once with each sign; with the prefix used
 uniformly the pairing is well-defined only after antisymmetrization.
 
 Values along the relator walk grow like the squared norms of the prefix
-holonomies and cancel down to order one, so the pipeline runs in the same
+holonomies and cancel down to size one, so the pairing runs in the same
 arbitrary precision as the holonomy assembly.
 
 Two frozen normalization constants relate the raw trace-form value to the
@@ -56,6 +60,7 @@ __all__ = [
     "BaseMismatch",
     "PAIRING_SIGN",
     "COEFFICIENT_SCALE",
+    "STEP",
     "TangentCocycle",
     "fd_tangent_cocycle",
     "fd_basis_cocycles",
@@ -76,6 +81,12 @@ PAIRING_SIGN = -1.0
 # The bare trace form pairs the coordinate frame to half the canonical
 # symplectic form; see module docs.  Reported, never fitted.
 COEFFICIENT_SCALE = 2.0
+
+# Central-difference step.  Its truncation error goes like h^2, its roundoff
+# like eps * M / h, with eps = 1e-34 the working precision and M the largest
+# holonomy entry.  Steps from 1e-11 to 1e-10 leave both below complex128
+# resolution across the bundled configs; at 1e-12 roundoff already dominates.
+STEP = 1e-10
 
 
 class BaseMismatch(Exception):
@@ -127,87 +138,55 @@ class TangentCocycle:
             return total
 
     def scaled(self, factor):
-        factor = mp.mpc(factor)
-        return TangentCocycle(
-            self.rep, {g: m2.fscale(v, factor) for g, v in self.flat.items()}
-        )
+        with mp.workdps(ASSEMBLY_DPS):
+            factor = mp.mpc(factor)
+            table = {g: m2.fscale(v, factor) for g, v in self.flat.items()}
+        return TangentCocycle(self.rep, table)
 
     def plus(self, other):
         if other.rep is not self.rep:
             raise BaseMismatch("cocycles live over different representations")
-        return TangentCocycle(
-            self.rep,
-            {g: m2.fadd(self.flat[g], other.flat[g]) for g in self.flat},
-        )
+        with mp.workdps(ASSEMBLY_DPS):
+            table = {g: m2.fadd(self.flat[g], other.flat[g]) for g in self.flat}
+        return TangentCocycle(self.rep, table)
 
 
-def fd_tangent_cocycle(graph, fn, kind, index, h=1e-4, base=None, cache=None,
-                       order=2):
+def fd_tangent_cocycle(graph, fn, kind, index, h=STEP, base=None):
     """Finite-difference cocycle for the coordinate direction (kind, index).
 
-    kind is 'l' or 'tau'.  The value on a generator x is the derivative of
-    rho(x) against the coordinate, right-translated back to the identity,
+    kind is 'l' or 'tau'.  The value on a generator x is the central
+    difference of rho(x) against the coordinate, right-translated back to
+    the identity,
 
         [d rho(x)] rho(x)^(-1),
 
-    projected trace-free.  order=2 uses central differences (O(h^2)),
-    order=4 the five-point stencil (O(h^4), for large-coordinate regions
-    where the truncation of the central stencil is no longer negligible).
-    The holonomy entries are entire in the coordinates, so no stencil ever
-    straddles a branch cut.
+    projected trace-free.  The holonomy entries are entire in the
+    coordinates, so no stencil ever straddles a branch cut.
     """
     rep = base if base is not None else holonomy(graph, fn)
-
-    def rep_at(delta):
-        if cache is not None:
-            key = (kind, index, delta)
-            if key not in cache:
-                cache[key] = holonomy(graph, fn.shifted(index, kind, delta))
-            return cache[key]
-        return holonomy(graph, fn.shifted(index, kind, delta))
-
     with mp.workdps(ASSEMBLY_DPS):
-        if order == 2:
-            plus = rep_at(h)
-            minus = rep_at(-h)
-            inv_step = mp.mpf(1.0) / (2.0 * h)
-
-            def derivative(gen):
-                diff = m2.fadd(plus.mp_images[gen],
-                               m2.fscale(minus.mp_images[gen], -1))
-                return m2.fscale(diff, inv_step)
-        elif order == 4:
-            p1, m1 = rep_at(h), rep_at(-h)
-            p2, m4 = rep_at(2.0 * h), rep_at(-2.0 * h)
-            inv_step = mp.mpf(1.0) / (12.0 * h)
-
-            def derivative(gen):
-                acc = m2.fscale(p2.mp_images[gen], -1)
-                acc = m2.fadd(acc, m2.fscale(p1.mp_images[gen], 8))
-                acc = m2.fadd(acc, m2.fscale(m1.mp_images[gen], -8))
-                acc = m2.fadd(acc, m4.mp_images[gen])
-                return m2.fscale(acc, inv_step)
-        else:
-            raise ValueError(f"unsupported stencil order {order}")
-
+        # fn[k] +- h is formed at the working precision, so the two stencil
+        # points are exactly 2h apart
+        step = mp.mpf(h)
+        plus = holonomy(graph, fn.shifted(index, kind, step))
+        minus = holonomy(graph, fn.shifted(index, kind, -step))
+        inv_step = 1 / (2 * step)
         table = {}
         for gen, m0 in rep.mp_images.items():
-            table[gen] = m2.ftraceless(m2.fmul(derivative(gen), m2.fadj(m0)))
+            diff = m2.fadd(plus.mp_images[gen], m2.fscale(minus.mp_images[gen], -1))
+            derivative = m2.fscale(diff, inv_step)
+            table[gen] = m2.ftraceless(m2.fmul(derivative, m2.fadj(m0)))
     return TangentCocycle(rep, table)
 
 
-def fd_basis_cocycles(graph, fn, h=1e-4, base=None, order=2):
+def fd_basis_cocycles(graph, fn, h=STEP, base=None):
     """The 2N coordinate cocycles (all length, then all twist directions)."""
     rep = base if base is not None else holonomy(graph, fn)
-    cache = {}
-    n = len(fn)
-    cocycles = []
-    for kind in ("l", "tau"):
-        for index in range(n):
-            cocycles.append(
-                fd_tangent_cocycle(graph, fn, kind, index, h, base=rep,
-                                   cache=cache, order=order)
-            )
+    cocycles = [
+        fd_tangent_cocycle(graph, fn, kind, index, h, base=rep)
+        for kind in ("l", "tau")
+        for index in range(len(fn))
+    ]
     return rep, cocycles
 
 
@@ -260,23 +239,22 @@ def goldman_pairing(u, v, sign=None, coefficient_scale=None):
 class SymplecticGram:
     """Pairing matrix over the FN coordinate frame (l_1..l_N, tau_1..tau_N)."""
 
-    def __init__(self, matrix, raw_asymmetry, fd_step):
+    def __init__(self, matrix, raw_asymmetry):
         self.matrix = matrix
         self.raw_asymmetry = raw_asymmetry
-        self.fd_step = fd_step
 
     @property
     def size(self):
         return self.matrix.shape[0]
 
 
-def symplectic_gram(graph, fn, h=1e-4, order=2):
+def symplectic_gram(graph, fn, h=STEP):
     """Gram matrix of the pairing over the 2N coordinate directions.
 
     The returned matrix is antisymmetrized, (G - G^T)/2; the worst raw
     deviation from antisymmetry is reported separately.
     """
-    rep, cocycles = fd_basis_cocycles(graph, fn, h, order=order)
+    rep, cocycles = fd_basis_cocycles(graph, fn, h)
     dim = len(cocycles)
     raw = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
@@ -285,7 +263,7 @@ def symplectic_gram(graph, fn, h=1e-4, order=2):
             raw[b, a] = goldman_pairing(cocycles[b], cocycles[a])
     asymmetry = float(np.max(np.abs(raw + raw.T)))
     gram = (raw - raw.T) / 2.0
-    return SymplecticGram(gram, asymmetry, h)
+    return SymplecticGram(gram, asymmetry)
 
 
 def canonical_form(n):

@@ -10,7 +10,7 @@ The schema (UTF-8 JSON, one surface per document):
         ...
       ],
       "fn": {"alpha1": {"l": [2.0, 0.0], "tau": [0.3, 0.0]}, ...},
-      "options": {"fd_step": 1e-4, "tol": 1e-4, "word_length": 6}
+      "options": {"tol": 1e-4, "word_length": 6}
     }
 
 Validation failures carry a JSON-pointer-style path to the offending
@@ -34,7 +34,7 @@ __all__ = [
     "config_to_json",
 ]
 
-DEFAULT_OPTIONS = {"fd_step": 1e-4, "tol": 1e-4, "word_length": 6}
+DEFAULT_OPTIONS = {"tol": 1e-4, "word_length": 6}
 
 
 class SchemaError(Exception):

@@ -234,14 +234,12 @@ class _Node:
 class AssemblyPlan:
     """Everything the holonomy builder needs, computed once per graph."""
 
-    def __init__(self, graph, root, tree_gluings, nontree_gluings, presentation,
-                 curve_assembly_words):
+    def __init__(self, graph, root, tree_gluings, nontree_gluings, presentation):
         self.graph = graph
         self.root = root
         self.tree_gluings = tree_gluings        # (label, parent_end, child_end)
         self.nontree_gluings = nontree_gluings  # (label, s_end, t_end, z_symbol)
         self.presentation = presentation
-        self.curve_assembly_words = curve_assembly_words
 
 
 def _graph_center(graph):
@@ -354,8 +352,12 @@ def _build_plan(graph):
         entries[position:position + 1] = [first, second]
         tree_curve_nodes[label] = u_node
 
-    assert len(entries) == 2 * genus
-    assert multiply(*(node.word for node in entries)) == ()
+    if len(entries) != 2 * genus:
+        raise MalformedGraph(
+            f"tree gluing left {len(entries)} boundary loops, expected {2 * genus}"
+        )
+    if multiply(*(node.word for node in entries)) != ():
+        raise MalformedGraph("boundary loops of the planar surface do not multiply to 1")
 
     for index, node in enumerate(entries):
         node.c_index = index + 1
@@ -408,8 +410,12 @@ def _build_plan(graph):
     planar_word = tuple(range(1, 2 * genus + 1))
     relator_p1 = c_word_to_p1(planar_word)
     num_p1 = next_p1 - 1
-    assert num_p1 == 2 * genus
-    assert len(relator_p1) == 4 * genus
+    if num_p1 != 2 * genus:
+        raise MalformedGraph(f"{num_p1} generators after pairing, expected {2 * genus}")
+    if len(relator_p1) != 4 * genus:
+        raise MalformedGraph(
+            f"relator of length {len(relator_p1)} after pairing, expected {4 * genus}"
+        )
     _assert_surface_word(relator_p1, num_p1)
 
     # ---- stage 3: collect commutators ------------------------------------
@@ -419,11 +425,13 @@ def _build_plan(graph):
     collected = set()
     for _ in range(genus):
         pair = _find_interleaved_pair(word, collected)
-        assert pair is not None, "no interleaved pair in a surface word"
+        if pair is None:
+            raise MalformedGraph("no interleaved generator pair in the relator")
         word = _collect_pair(word, pair, phi, psi)
         collected.update(pair)
     blocks = _parse_commutator_blocks(word, genus)
-    assert blocks is not None, "collection did not reach commutator form"
+    if blocks is None:
+        raise MalformedGraph("collection did not reach commutator form")
 
     # ---- stage 4: rename block generators to a1, b1, ..., ag, bg --------
     rename = {}
@@ -452,12 +460,16 @@ def _build_plan(graph):
         standard.extend((a, b, -a, -b))
     standard = tuple(standard)
     renamed = apply_rename(word)
-    assert any(rotate(renamed, r) == standard for r in range(len(renamed)))
+    if not any(rotate(renamed, r) == standard for r in range(len(renamed))):
+        raise MalformedGraph("renamed relator is not a rotation of the standard one")
 
     # phi and psi must be mutually inverse free-basis changes
     for p1_gen in range(1, num_p1 + 1):
         image = apply_rename(phi[p1_gen])
-        assert _expand_via(final_psi, image) == (p1_gen,)
+        if _expand_via(final_psi, image) != (p1_gen,):
+            raise MalformedGraph(
+                f"basis changes are not mutually inverse on generator {p1_gen}"
+            )
 
     # ---- marking words ---------------------------------------------------
     def to_final(p1_word):
@@ -470,16 +482,14 @@ def _build_plan(graph):
         return apply_rename(out)
 
     marking = {}
-    curve_assembly_words = {}
     for label, node in tree_curve_nodes.items():
         marking[label] = to_final(c_word_to_p1(expr_in_c(node)))
-        curve_assembly_words[label] = node.word
     for label, s_end, t_end, _z in nontree_gluings:
         s_node = tag_to_node[s_end]
         marking[label] = to_final((p1_of_c[s_node.c_index],))
-        curve_assembly_words[label] = s_node.word
     for label in graph.curve_labels:
-        assert marking[label], f"empty marking word for curve {label!r}"
+        if not marking[label]:
+            raise MalformedGraph(f"empty marking word for curve {label!r}")
 
     # ---- generators as assembly words ------------------------------------
     def recipe_word(symbol):
@@ -520,18 +530,23 @@ def _build_plan(graph):
     presentation = SurfaceGroupPresentation(
         genus, standard, marking, generator_assembly_words
     )
-    return AssemblyPlan(graph, root, tree, nontree_gluings, presentation,
-                        curve_assembly_words)
+    return AssemblyPlan(graph, root, tree, nontree_gluings, presentation)
 
 
 def _assert_surface_word(word, num_generators):
     counts = {}
     for letter in word:
         counts.setdefault(abs(letter), []).append(letter > 0)
-    assert sorted(counts) == list(range(1, num_generators + 1))
+    if sorted(counts) != list(range(1, num_generators + 1)):
+        raise MalformedGraph(
+            f"surface word uses generators {sorted(counts)}, "
+            f"expected 1..{num_generators}"
+        )
     for gen, signs in counts.items():
-        assert len(signs) == 2 and signs[0] != signs[1], \
-            f"generator {gen} does not appear twice with opposite signs"
+        if len(signs) != 2 or signs[0] == signs[1]:
+            raise MalformedGraph(
+                f"generator {gen} does not appear twice with opposite signs"
+            )
 
 
 def _find_interleaved_pair(word, excluded):
@@ -570,14 +585,15 @@ def _expand_via(mapping, w):
 def _collect_pair(word, pair, phi, psi):
     x, y = pair
     # rotate the positive x occurrence to the front
-    pos = word.index(x) if x in word else None
-    assert pos is not None
-    w = rotate(word, pos)
+    if x not in word:
+        raise MalformedGraph(f"generator {x} does not occur positively in the relator")
+    w = rotate(word, word.index(x))
     px = w.index(-x)
     ys = [k for k, letter in enumerate(w) if abs(letter) == y]
     inside = [k for k in ys if 0 < k < px]
     outside = [k for k in ys if k > px]
-    assert len(inside) == 1 and len(outside) == 1
+    if len(inside) != 1 or len(outside) != 1:
+        raise MalformedGraph(f"generators {x} and {y} are not interleaved")
     if w[inside[0]] < 0:
         w = _flip_generator(w, y, phi, psi)
     j_in, j_out = inside[0], outside[0]
@@ -603,7 +619,8 @@ def _collect_pair(word, pair, phi, psi):
 
     new_word = substitute(substitute(w, x, e_x), y, e_y)
     new_word = cyclic_reduce(new_word)
-    assert len(new_word) == len(word), "cancellation during collection"
+    if len(new_word) != len(word):
+        raise MalformedGraph("cancellation during collection")
     return new_word
 
 

@@ -25,7 +25,6 @@ and only twist differences are meaningful.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import mpmath as mp
@@ -37,10 +36,8 @@ from .moebius import (
     MoebiusMap,
     NotLoxodromic,
     classify,
-    complex_displacement,
     displacement_from_trace,
     fixed_points,
-    normalize_complex_length,
 )
 from .pants import ReduciblePants, frame_entries, pants_entries, validate_pants
 from .presentation import PantsDecompositionGraph, build_presentation
@@ -63,8 +60,6 @@ __all__ = [
 # length no longer recovers the input coordinate.
 _IM_LENGTH_MARGIN = 1e-2
 
-_S = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
 
 class DegenerateFN(Exception):
     """Coordinates outside the admissible region (pants degenerate)."""
@@ -78,14 +73,24 @@ class UnknownGenerator(Exception):
     """A word refers to a generator the presentation does not have."""
 
 
+def _coordinate(value):
+    # mpmath values keep their precision, so a finite-difference step added
+    # at the working precision reaches the assembly exactly
+    return value if isinstance(value, mp.mpc) else complex(value)
+
+
 class FNCoordinates:
-    """Complex length/twist pairs, ordered like graph.curve_labels."""
+    """Complex length/twist pairs, ordered like graph.curve_labels.
+
+    Entries are Python complex numbers, or mpmath numbers where a caller
+    needs more than 53 bits (the finite-difference stencils).
+    """
 
     __slots__ = ("lengths", "twists")
 
     def __init__(self, lengths, twists):
-        self.lengths = tuple(complex(v) for v in lengths)
-        self.twists = tuple(complex(v) for v in twists)
+        self.lengths = tuple(_coordinate(v) for v in lengths)
+        self.twists = tuple(_coordinate(v) for v in twists)
         if len(self.lengths) != len(self.twists):
             raise ValueError("lengths and twists must have equal length")
         for l in self.lengths:
@@ -127,17 +132,9 @@ def twist_flow(fn, index, t):
     return fn.shifted(index, "tau", t)
 
 
-def _det2(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def _adj2(m):
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
-
-
 def _inv2(m):
     """Inverse of a unit-determinant matrix (adjugate)."""
-    return _adj2(m)
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
 
 
 # The assembly runs in arbitrary precision: holonomy entries grow like
@@ -149,30 +146,24 @@ ASSEMBLY_DPS = 34
 class Representation:
     """Images of the standard generators, evaluable on words.
 
-    Matrices are held in extended precision (clongdouble) for the analysis
-    methods, which hand out ordinary complex128 MoebiusMaps.  The
-    arbitrary-precision images from the assembly are kept alongside (as
-    flat (a, b, c, d) tuples of mpmath numbers) for the tangent-cocycle
+    The images from the assembly are held in the working precision (flat
+    (a, b, c, d) tuples of mpmath numbers) for the tangent-cocycle
     pipeline, whose intermediate quantities cancel catastrophically.
+    Extended-precision (clongdouble) copies serve the analysis methods,
+    which hand out ordinary complex128 MoebiusMaps.
     """
 
-    def __init__(self, graph, presentation, fn, images, mp_images=None):
+    def __init__(self, graph, presentation, fn, mp_images):
         self.graph = graph
         self.presentation = presentation
         self.fn = fn
-        self.images = {
-            gen: np.asarray(m, dtype=np.clongdouble) for gen, m in images.items()
-        }
-        self._inverses = {gen: _inv2(m) for gen, m in self.images.items()}
-        if mp_images is None:
-            # downgraded path (e.g. conjugated representations): seed the
-            # arbitrary-precision table from the stored matrices
-            mp_images = {
-                gen: m2.flat_from_array(m.astype(complex))
-                for gen, m in self.images.items()
-            }
         self.mp_images = mp_images
-        self.mp_inverses = {gen: m2.fadj(m) for gen, m in mp_images.items()}
+        with mp.workdps(ASSEMBLY_DPS):
+            self.mp_inverses = {gen: m2.fadj(m) for gen, m in mp_images.items()}
+            self.images = {
+                gen: m2.flat_to_clongdouble(m) for gen, m in mp_images.items()
+            }
+        self._inverses = {gen: _inv2(m) for gen, m in self.images.items()}
 
     def generator_flat(self, letter):
         """Arbitrary-precision image of a single signed generator letter."""
@@ -214,9 +205,9 @@ class Representation:
     def conjugated(self, mapping):
         """The representation g -> M g M^-1 (same marked structure)."""
         m = mapping.m if isinstance(mapping, MoebiusMap) else np.asarray(mapping)
-        m = m.astype(np.clongdouble)
-        minv = _adj2(m) / _det2(m)
-        images = {gen: m @ mat @ minv for gen, mat in self.images.items()}
+        with mp.workdps(ASSEMBLY_DPS):
+            unit = m2.frenorm(m2.flat_from_array(m))
+            images = {gen: m2.fconj(unit, x) for gen, x in self.mp_images.items()}
         return Representation(self.graph, self.presentation, self.fn, images)
 
 
@@ -303,8 +294,7 @@ def holonomy(graph, fn):
             gen: eval_symbols(word)
             for gen, word in plan.presentation.generator_assembly_words.items()
         }
-        images = {gen: m2.flat_to_clongdouble(m) for gen, m in mp_images.items()}
-    return Representation(graph, plan.presentation, fn, images, mp_images)
+    return Representation(graph, plan.presentation, fn, mp_images)
 
 
 def evaluate_word(rep, word):

@@ -1,9 +1,12 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
+from qfsurface import matrix2 as m2
 from qfsurface.cocycles import (
     BaseMismatch,
     COEFFICIENT_SCALE,
+    STEP,
     SymplecticGram,
     TangentCocycle,
     canonical_form,
@@ -18,7 +21,7 @@ from qfsurface.cocycles import (
 )
 from qfsurface.moebius import MoebiusMap
 from qfsurface.presentation import PantsDecompositionGraph
-from qfsurface.surface import FNCoordinates, holonomy
+from qfsurface.surface import ASSEMBLY_DPS, FNCoordinates, holonomy
 
 
 
@@ -119,6 +122,19 @@ def test_pairing_bilinearity(base):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+def test_scaling_and_sums_keep_working_precision(base):
+    _rep, cocycles = base
+    u = cocycles[0]
+    with mp.workdps(ASSEMBLY_DPS):
+        third = mp.mpf(1) / 3
+    once = u.scaled(third)
+    for back in (once.scaled(3), once.plus(once).plus(once)):
+        with mp.workdps(ASSEMBLY_DPS):
+            error = max(m2.fmax_abs(m2.fadd(back.flat[g], m2.fscale(u.flat[g], -1)))
+                        for g in u.flat)
+        assert error <= 1e-25 * cocycle_scale(u)
+
+
 def test_pairing_coboundary_invariance(base):
     rng = np.random.RandomState(3100 + 3)
     rep, cocycles = base
@@ -189,13 +205,17 @@ def test_gram_fd_convergence():
     coarse = darboux_residual(symplectic_gram(GRAPH, FN, h=1e-3))
     fine = darboux_residual(symplectic_gram(GRAPH, FN, h=1e-4))
     assert coarse / fine >= 50.0
+    # the verdict does not hinge on the step: the default and ten times it
+    # both sit far below any tolerance a config states
+    for h in (STEP, 10 * STEP):
+        assert darboux_residual(symplectic_gram(GRAPH, FN, h=h)) <= 1e-12
 
 
 def test_gram_corruption_detected():
     gram = symplectic_gram(GRAPH, FN, h=1e-4)
     swapped = gram.matrix.copy()
     swapped[:, [3, 4]] = swapped[:, [4, 3]]
-    assert darboux_residual(SymplecticGram(swapped, gram.raw_asymmetry, gram.fd_step)) >= 1.0
+    assert darboux_residual(SymplecticGram(swapped, gram.raw_asymmetry)) >= 1.0
 
 
 def test_gram_gauge_invariance():
@@ -219,15 +239,13 @@ def test_gram_gauge_invariance():
 
 def test_darboux_residual_random_box():
     rng = np.random.RandomState(3100 + 7)
-    # the five-point stencil kills the truncation term at the large-length
-    # corner of the box, where the central stencil alone cannot reach 1e-4
     for trial in range(20):
         real = trial % 2 == 0
         lengths = [rng.uniform(1.0, 4.0)
                    + (0.0 if real else 1j * rng.uniform(-0.3, 0.3)) for _ in range(3)]
         twists = [rng.uniform(-1.0, 1.0)
                   + (0.0 if real else 1j * rng.uniform(-0.3, 0.3)) for _ in range(3)]
-        gram = symplectic_gram(GRAPH, FNCoordinates(lengths, twists), h=2e-4, order=4)
+        gram = symplectic_gram(GRAPH, FNCoordinates(lengths, twists))
         assert darboux_residual(gram) <= 1e-4
 
 
@@ -237,16 +255,26 @@ def test_gram_other_graphs():
         ("alpha2", (0, 2), (1, 0)),
         ("alpha3", (1, 1), (1, 2)),
     ])
-    gram = symplectic_gram(separating, FN, h=3e-5)
-    assert darboux_residual(gram) <= 1e-4
+    gram = symplectic_gram(separating, FN)
+    assert darboux_residual(gram) <= 1e-10
     genus3 = PantsDecompositionGraph(4, [
         ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
         ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (3, 2)),
     ])
     fn3 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5],
                         [0.1, -0.2, 0.3, 0.0, 0.2, -0.1])
-    gram3 = symplectic_gram(genus3, fn3, h=3e-5)
-    assert darboux_residual(gram3) <= 1e-4
+    gram3 = symplectic_gram(genus3, fn3)
+    assert darboux_residual(gram3) <= 1e-10
+    # the genus-3 chain extended by two pants
+    genus4 = PantsDecompositionGraph(6, [
+        ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
+        ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (4, 0)),
+        ("c7", (3, 2), (4, 1)), ("c8", (4, 2), (5, 0)), ("c9", (5, 1), (5, 2)),
+    ])
+    fn4 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8],
+                        [0.1, -0.2, 0.3, 0.0, 0.2, -0.1, 0.4, -0.3, 0.15])
+    gram4 = symplectic_gram(genus4, fn4)
+    assert darboux_residual(gram4) <= 1e-10
 
 
 def test_canonical_form_shape():

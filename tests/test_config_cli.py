@@ -3,9 +3,12 @@ import subprocess
 import sys
 from importlib import resources
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from qfsurface import matrix2 as m2
+from qfsurface import presentation
 from qfsurface.config import (
     CountMismatch,
     DanglingCuff,
@@ -14,6 +17,11 @@ from qfsurface.config import (
     parse_config,
 )
 from qfsurface.cli import main as cli_main
+from qfsurface.presentation import MalformedGraph
+from qfsurface.surface import ASSEMBLY_DPS, holonomy
+
+BUNDLED = ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
+           "genus2_separating.json", "genus3.json")
 
 
 def bundled(name):
@@ -27,14 +35,21 @@ def bundled_path(name, tmp_path):
 
 
 def test_bundled_configs_parse():
-    for name in ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
-                 "genus2_separating.json", "genus3.json"):
+    for name in BUNDLED:
         config = parse_config(bundled(name))
         graph = config.graph()
         assert graph.num_curves == 3 * config.genus - 3
         assert graph.num_pants == 2 * config.genus - 2
         fn = config.fn(graph)
         assert len(fn) == graph.num_curves
+        # the relator holds to the working precision, not to complex128
+        rep = holonomy(graph, fn)
+        with mp.workdps(ASSEMBLY_DPS):
+            product = m2.FEYE
+            for letter in rep.presentation.relator:
+                product = m2.fmul(product, rep.generator_flat(letter))
+            residual = m2.fmax_abs(m2.fadd(product, m2.fscale(m2.FEYE, -1)))
+        assert residual <= 1e-25
 
 
 def test_count_mismatch_detected():
@@ -99,13 +114,11 @@ def test_cli_holonomy_and_lengths(tmp_path, capsys):
 
 
 def test_cli_darboux_check(tmp_path, capsys):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
-    assert cli_main(["darboux-check", path]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("PASS")
-
-    qf_path = bundled_path("genus2_quasifuchsian.json", tmp_path)
-    assert cli_main(["darboux-check", qf_path]) == 0
+    for name in BUNDLED:
+        assert cli_main(["darboux-check", bundled_path(name, tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS darboux residual ")
+        assert float(out.split()[3]) <= 1e-15
 
 
 def test_cli_gram_payload(tmp_path, capsys):
@@ -153,16 +166,23 @@ def test_cli_schwarzian_selftest(capsys, monkeypatch):
     assert "PASS" in out
 
 
-def test_cli_input_error_exit_code(tmp_path, capsys):
+def test_cli_input_error_exit_code(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"genus\": 2}")
     assert cli_main(["holonomy", str(bad)]) == 2
     assert cli_main(["holonomy", str(tmp_path / "missing.json")]) == 2
 
+    def broken_plan(graph):
+        raise MalformedGraph("collection did not reach commutator form")
+
+    monkeypatch.setattr(presentation, "_build_plan", broken_plan)
+    assert cli_main(["holonomy", bundled_path("genus2_fuchsian.json", tmp_path)]) == 2
+    assert "commutator form" in capsys.readouterr().err
+
 
 def test_cli_residual_failure_exit_code(tmp_path, capsys):
     doc = json.loads(bundled("genus2_fuchsian.json"))
-    doc["options"]["tol"] = 1e-12  # unreachably tight tolerance
+    doc["options"]["tol"] = 1e-300  # unreachably tight tolerance
     path = tmp_path / "tight.json"
     path.write_text(json.dumps(doc))
     assert cli_main(["darboux-check", str(path)]) == 1

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qfsurface
 
 from qfsurface.presentation import (
     MalformedGraph,
@@ -158,3 +165,19 @@ def test_malformed_graphs_rejected():
             ("e", (2, 2), (3, 0)),
             ("f", (3, 1), (3, 2)),
         ])  # two genus-2 components, disconnected
+    # the reducer's invariants raise a typed error even under python -O,
+    # which strips assert statements
+    check = (
+        "from qfsurface.presentation import MalformedGraph, _assert_surface_word\n"
+        "try:\n"
+        "    _assert_surface_word((1, 2, -1, 2), 2)\n"
+        "except MalformedGraph as exc:\n"
+        "    print('MalformedGraph:', exc)\n"
+    )
+    src = str(Path(qfsurface.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", check], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("MalformedGraph: generator 2 ")
