@@ -112,6 +112,7 @@ def _gram_payload(config):
         "matrix": matrix,
         "darboux_residual": residual,
         "raw_asymmetry": gram.raw_asymmetry,
+        "cocycle_residual": gram.cocycle_residual,
     }
 
 

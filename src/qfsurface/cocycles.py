@@ -23,9 +23,15 @@ the underlying bar-resolution 2-chain an honest cycle for a relator in
 which every generator appears once with each sign; with the prefix used
 uniformly the pairing is well-defined only after antisymmetrization.
 
-Values along the relator walk grow like the squared norms of the prefix
-holonomies and cancel down to size one, so the pairing runs in the same
-arbitrary precision as the holonomy assembly.
+One walk of the relator per cocycle u records, letter by letter, the
+running sum u(q_k) and the conjugated letter value Ad_rho(p_{k-1}) u(y_k),
+the latter transposed so that each trace is a dot product of flat entries;
+the prefixes are shared by every cocycle over the same representation.
+pairing(u, v) is then one ``fdot`` of u's sums with v's letter values, so a
+Gram matrix over n cocycles costs n walks, and each walk's final sum is the
+cocycle residual u(r).  Walk values grow like the squared norms of the
+prefix holonomies and cancel down to size one, so the walk and the
+contraction run at the working precision of the holonomy assembly.
 
 Two frozen normalization constants relate the raw trace-form value to the
 canonical symplectic form on the coordinate frame:
@@ -49,6 +55,8 @@ graph, every point, and every entry, so all structure in a Gram matrix
 """
 
 from __future__ import annotations
+
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -210,38 +218,65 @@ def cocycle_scale(u):
     return max(1.0, max(m2.fmax_abs(v) for v in u.flat.values()))
 
 
-def goldman_pairing(u, v, sign=None, coefficient_scale=None):
+def _relator_prefixes(rep):
+    """Prefix holonomies p_0 = 1, p_1, ..., p_{m-1} along the relator."""
+    prefixes = [m2.FEYE]
+    with mp.workdps(ASSEMBLY_DPS):
+        for letter in rep.presentation.relator[:-1]:
+            prefixes.append(m2.fmul(prefixes[-1], rep.generator_flat(letter)))
+    return prefixes
+
+
+def _relator_walk(u, prefixes):
+    """One walk of the relator for the cocycle u.
+
+    Returns (sums, letters, closing): the running sums each letter pairs
+    against and the conjugated letter values, each as one flat list of 4m
+    entries (letter values transposed, so that tr(AB) is the dot product of
+    A's entries with B's), and the final sum u(relator).
+    """
+    sums, letters = [], []
+    total = m2.FZERO
+    with mp.workdps(ASSEMBLY_DPS):
+        for letter, prefix in zip(u.rep.presentation.relator, prefixes):
+            step = m2.fconj(prefix, u.value(letter))
+            after = m2.fadd(total, step)
+            # inverse letters pair against the post-letter prefix; this is
+            # the boundary correction making the evaluation chain a 2-cycle
+            sums.extend(total if letter > 0 else after)
+            letters.extend((step[0], step[2], step[1], step[3]))
+            total = after
+    return sums, letters, total
+
+
+def _contract(sums, letters, coefficient_scale=COEFFICIENT_SCALE):
+    """Pairing value from one cocycle's sums and another's letter values."""
+    with mp.workdps(ASSEMBLY_DPS):
+        total = mp.fdot(sums, letters)
+    return complex(PAIRING_SIGN * coefficient_scale * complex(total))
+
+
+def goldman_pairing(u, v, coefficient_scale=COEFFICIENT_SCALE):
     """Cup-product pairing of two cocycles over the same representation."""
     if u.rep is not v.rep:
         raise BaseMismatch("cocycles live over different representations")
-    if sign is None:
-        sign = PAIRING_SIGN
-    if coefficient_scale is None:
-        coefficient_scale = COEFFICIENT_SCALE
-    rep = u.rep
-    with mp.workdps(ASSEMBLY_DPS):
-        total = mp.mpc(0.0)
-        u_prefix = m2.FZERO
-        prefix = m2.FEYE
-        for letter in rep.presentation.relator:
-            v_letter = m2.fconj(prefix, v.value(letter))
-            u_step = m2.fconj(prefix, u.value(letter))
-            u_next = m2.fadd(u_prefix, u_step)
-            # inverse letters pair against the post-letter prefix; this is
-            # the boundary correction making the evaluation chain a 2-cycle
-            u_used = u_prefix if letter > 0 else u_next
-            total += m2.ftrace(m2.fmul(u_used, v_letter))
-            u_prefix = u_next
-            prefix = m2.fmul(prefix, rep.generator_flat(letter))
-        return complex(sign * coefficient_scale * complex(total))
+    prefixes = _relator_prefixes(u.rep)
+    sums, _letters, _closing = _relator_walk(u, prefixes)
+    _sums, letters, _closing = _relator_walk(v, prefixes)
+    return _contract(sums, letters, coefficient_scale)
 
 
 class SymplecticGram:
-    """Pairing matrix over the FN coordinate frame (l_1..l_N, tau_1..tau_N)."""
+    """Pairing matrix over the FN coordinate frame (l_1..l_N, tau_1..tau_N).
 
-    def __init__(self, matrix, raw_asymmetry):
+    ``raw_asymmetry`` is the worst deviation of the raw pairings from
+    antisymmetry and ``cocycle_residual`` the worst basis cocycle residual.
+    """
+
+    def __init__(self, matrix, raw_asymmetry, cocycle_residual):
         self.matrix = matrix
         self.raw_asymmetry = raw_asymmetry
+        self.cocycle_residual = cocycle_residual
 
     @property
     def size(self):
@@ -252,18 +287,21 @@ def symplectic_gram(graph, fn, h=STEP):
     """Gram matrix of the pairing over the 2N coordinate directions.
 
     The returned matrix is antisymmetrized, (G - G^T)/2; the worst raw
-    deviation from antisymmetry is reported separately.
+    deviation from antisymmetry is reported separately.  Every raw entry
+    comes from its own contraction, so that deviation is measured, never
+    assumed away.
     """
     rep, cocycles = fd_basis_cocycles(graph, fn, h)
+    prefixes = _relator_prefixes(rep)
+    sums, letters, closings = zip(*(_relator_walk(u, prefixes) for u in cocycles))
     dim = len(cocycles)
     raw = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            raw[a, b] = goldman_pairing(cocycles[a], cocycles[b])
-            raw[b, a] = goldman_pairing(cocycles[b], cocycles[a])
+    for a, b in itertools.permutations(range(dim), 2):
+        raw[a, b] = _contract(sums[a], letters[b])
     asymmetry = float(np.max(np.abs(raw + raw.T)))
+    residual = max(m2.fmax_abs(closing) for closing in closings)
     gram = (raw - raw.T) / 2.0
-    return SymplecticGram(gram, asymmetry)
+    return SymplecticGram(gram, asymmetry, residual)
 
 
 def canonical_form(n):

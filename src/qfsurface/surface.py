@@ -25,6 +25,7 @@ and only twist differences are meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -158,12 +159,22 @@ class Representation:
         self.presentation = presentation
         self.fn = fn
         self.mp_images = mp_images
+
+    # The side tables are built on first use: the stencil builds of the
+    # tangent-cocycle pipeline read only ``mp_images``.
+    @functools.cached_property
+    def mp_inverses(self):
         with mp.workdps(ASSEMBLY_DPS):
-            self.mp_inverses = {gen: m2.fadj(m) for gen, m in mp_images.items()}
-            self.images = {
-                gen: m2.flat_to_clongdouble(m) for gen, m in mp_images.items()
-            }
-        self._inverses = {gen: _inv2(m) for gen, m in self.images.items()}
+            return {gen: m2.fadj(m) for gen, m in self.mp_images.items()}
+
+    @functools.cached_property
+    def images(self):
+        with mp.workdps(ASSEMBLY_DPS):
+            return {gen: m2.flat_to_clongdouble(m) for gen, m in self.mp_images.items()}
+
+    @functools.cached_property
+    def _inverses(self):
+        return {gen: _inv2(m) for gen, m in self.images.items()}
 
     def generator_flat(self, letter):
         """Arbitrary-precision image of a single signed generator letter."""

@@ -4,12 +4,20 @@ The hexagon oracle builds a real right-angled hexagon explicitly in the
 hyperboloid model of H^2 (Minkowski linear algebra plus one-dimensional
 root finding) and measures its sides as distances between vertices.  It
 shares no formulas with the solver under test.
+
+The pairing oracle is the per-pair relator walk that the batched Gram
+contraction replaced, kept verbatim as the reference it must reproduce.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
+
+from qfsurface import matrix2 as m2
+from qfsurface.cocycles import COEFFICIENT_SCALE, PAIRING_SIGN
+from qfsurface.surface import ASSEMBLY_DPS
 
 G = np.diag([1.0, 1.0, -1.0])
 
@@ -117,3 +125,28 @@ def real_hexagon_even_sides(a1, a3, a5):
         raise RuntimeError("hyperboloid construction found no closed hexagon")
     sides = best[1]
     return sides[1], sides[3], sides[5]
+
+
+def pairing_by_prefix_walk(u, v):
+    """Goldman pairing of two cocycles by one relator walk per pair.
+
+    The pre-batching reference: both cocycles are conjugated by the prefixes
+    again and the traces are summed letter by letter at the working
+    precision.
+    """
+    rep = u.rep
+    with mp.workdps(ASSEMBLY_DPS):
+        total = mp.mpc(0.0)
+        u_prefix = m2.FZERO
+        prefix = m2.FEYE
+        for letter in rep.presentation.relator:
+            v_letter = m2.fconj(prefix, v.value(letter))
+            u_step = m2.fconj(prefix, u.value(letter))
+            u_next = m2.fadd(u_prefix, u_step)
+            # inverse letters pair against the post-letter prefix; this is
+            # the boundary correction making the evaluation chain a 2-cycle
+            u_used = u_prefix if letter > 0 else u_next
+            total += m2.ftrace(m2.fmul(u_used, v_letter))
+            u_prefix = u_next
+            prefix = m2.fmul(prefix, rep.generator_flat(letter))
+        return complex(PAIRING_SIGN * COEFFICIENT_SCALE * complex(total))

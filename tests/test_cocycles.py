@@ -1,8 +1,11 @@
+from importlib import resources
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from qfsurface import matrix2 as m2
+from oracles import pairing_by_prefix_walk
 from qfsurface.cocycles import (
     BaseMismatch,
     COEFFICIENT_SCALE,
@@ -19,10 +22,10 @@ from qfsurface.cocycles import (
     goldman_pairing,
     symplectic_gram,
 )
+from qfsurface.config import parse_config
 from qfsurface.moebius import MoebiusMap
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import ASSEMBLY_DPS, FNCoordinates, holonomy
-
 
 
 def standard_graph():
@@ -35,6 +38,15 @@ def standard_graph():
 
 GRAPH = standard_graph()
 FN = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
+
+# the genus-3 chain of test_gram_other_graphs extended by two pants
+GENUS4_CHAIN = PantsDecompositionGraph(6, [
+    ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
+    ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (4, 0)),
+    ("c7", (3, 2), (4, 1)), ("c8", (4, 2), (5, 0)), ("c9", (5, 1), (5, 2)),
+])
+FN4 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8],
+                    [0.1, -0.2, 0.3, 0.0, 0.2, -0.1, 0.4, -0.3, 0.15])
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +227,8 @@ def test_gram_corruption_detected():
     gram = symplectic_gram(GRAPH, FN, h=1e-4)
     swapped = gram.matrix.copy()
     swapped[:, [3, 4]] = swapped[:, [4, 3]]
-    assert darboux_residual(SymplecticGram(swapped, gram.raw_asymmetry)) >= 1.0
+    corrupted = SymplecticGram(swapped, gram.raw_asymmetry, gram.cocycle_residual)
+    assert darboux_residual(corrupted) >= 1.0
 
 
 def test_gram_gauge_invariance():
@@ -265,16 +278,75 @@ def test_gram_other_graphs():
                         [0.1, -0.2, 0.3, 0.0, 0.2, -0.1])
     gram3 = symplectic_gram(genus3, fn3)
     assert darboux_residual(gram3) <= 1e-10
-    # the genus-3 chain extended by two pants
-    genus4 = PantsDecompositionGraph(6, [
-        ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
-        ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (4, 0)),
-        ("c7", (3, 2), (4, 1)), ("c8", (4, 2), (5, 0)), ("c9", (5, 1), (5, 2)),
-    ])
-    fn4 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8],
-                        [0.1, -0.2, 0.3, 0.0, 0.2, -0.1, 0.4, -0.3, 0.15])
-    gram4 = symplectic_gram(genus4, fn4)
+    gram4 = symplectic_gram(GENUS4_CHAIN, FN4)
     assert darboux_residual(gram4) <= 1e-10
+
+
+def oracle_raw(cocycles):
+    """Raw pairing matrix, one prefix walk per ordered pair."""
+    dim = len(cocycles)
+    raw = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            if a != b:
+                raw[a, b] = pairing_by_prefix_walk(cocycles[a], cocycles[b])
+    return raw
+
+
+def oracle_cases():
+    for name in ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
+                 "genus2_separating.json", "genus3.json"):
+        config = parse_config(
+            resources.files("qfsurface.data").joinpath(name).read_text())
+        graph = config.graph()
+        yield graph, config.fn(graph)
+    yield GENUS4_CHAIN, FN4
+
+
+def test_gram_matches_prefix_walk_oracle():
+    for graph, fn in oracle_cases():
+        _rep, cocycles = fd_basis_cocycles(graph, fn)
+        raw = oracle_raw(cocycles)
+        gram = symplectic_gram(graph, fn)
+        assert np.max(np.abs(gram.matrix - (raw - raw.T) / 2.0)) <= 1e-20
+        assert abs(gram.raw_asymmetry - np.max(np.abs(raw + raw.T))) <= 1e-20
+        dim = len(cocycles)
+        for a in range(dim):
+            for b in range(dim):
+                if a != b:
+                    assert abs(goldman_pairing(cocycles[a], cocycles[b])
+                               - raw[a, b]) <= 1e-20
+
+
+def test_raw_asymmetry_matches_oracle_at_coarse_step():
+    # at a coarse step the cocycle residuals are large and so is the raw
+    # asymmetry; a Gram that mirrored one triangle would read 0 here
+    gram = symplectic_gram(GRAPH, FN, h=1e-3)
+    _rep, cocycles = fd_basis_cocycles(GRAPH, FN, h=1e-3)
+    raw = oracle_raw(cocycles)
+    expected = float(np.max(np.abs(raw + raw.T)))
+    assert gram.raw_asymmetry > 1e-10
+    assert abs(gram.raw_asymmetry - expected) <= 1e-12 * expected
+
+
+def test_pairing_matches_oracle_on_combinations(base):
+    rng = np.random.RandomState(3100 + 8)
+    rep, cocycles = base
+    u, up, v = cocycles[0], cocycles[1], cocycles[4]
+    combo = u.scaled(0.7 - 0.2j).plus(up.scaled(-1.3 + 0.4j))
+    cb = coboundary(random_traceless(rng), rep)
+    shifted = cocycles[2].plus(coboundary(random_traceless(rng), rep))
+    for x, y in ((combo, v), (v, combo), (cb, v), (v, cb), (shifted, u),
+                 (cb, shifted)):
+        assert abs(goldman_pairing(x, y) - pairing_by_prefix_walk(x, y)) <= 1e-20
+
+
+def test_gram_reports_worst_cocycle_residual(base):
+    _rep, cocycles = base
+    gram = symplectic_gram(GRAPH, FN, h=1e-4)
+    worst = max(cocycle_residual(u) for u in cocycles)
+    assert worst > 0.0
+    assert abs(gram.cocycle_residual - worst) <= 1e-20 * worst
 
 
 def test_canonical_form_shape():

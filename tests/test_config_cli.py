@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -126,6 +127,8 @@ def test_cli_gram_payload(tmp_path, capsys):
     assert cli_main(["gram", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["darboux_residual"] <= 1e-4
+    for key in ("raw_asymmetry", "cocycle_residual"):
+        assert math.isfinite(payload[key])
     matrix = np.array([[complex(re, im) for re, im in row]
                        for row in payload["matrix"]])
     assert matrix.shape == (6, 6)
