@@ -149,9 +149,11 @@ def _cmd_twist(args):
 
 def _cmd_limitset(args):
     config = _load_config(args.config)
+    depth = config.options["word_length"] if args.depth is None else args.depth
+    if depth < 1:
+        raise SchemaError(f"--depth must be at least 1, got {depth}")
     graph = config.graph()
     rep = holonomy(graph, config.fn(graph))
-    depth = args.depth if args.depth else config.options["word_length"]
     cloud = limit_set(rep, depth)
     if args.format == "csv":
         _emit(cloud_to_csv(cloud), args.output)

@@ -1,174 +1,316 @@
-"""Limit-set point clouds from breadth-first word enumeration.
+"""Limit-set point clouds, one word length at a time.
 
-Enumerates freely reduced words up to a given length, keeps the attracting
-fixed point of every loxodromic image, and deduplicates projectively.  The
-point at infinity is a legitimate member of the cloud (the representations
-built here usually have a cuff axis through infinity); flat-file emission
-drops non-finite points.
+The cloud holds the attracting fixed point of every loxodromic image of a
+freely reduced word up to a given length, in the breadth-first word order
+of :func:`qfsurface.words.reduced_words_up_to`.  Words are processed as
+numpy batches: a level is an (M, 2, 2) stack of complex128 products, and the
+next level multiplies each parent by every generator letter that does not
+cancel its last letter, parents in order and letters in alphabet order.
+Only the previous level is kept, and long levels run in blocks of parents,
+so the working arrays stay small at any depth.
+
+Deduplication is greedy in word order: a point is kept iff no earlier kept
+point lies within chordal distance ``_DEDUP_TOL``.  A batch first drops
+every point near a point kept before it, then resolves the pairs inside
+the batch in word order.  Candidate pairs come from quantised sphere keys
+and are re-checked by exact distance.
+
+The point at infinity is a legitimate member of the cloud (the
+representations built here usually have a cuff axis through infinity);
+flat-file emission drops non-finite points.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
-from .moebius import ProjectivePoint
-from .words import reduced_words_up_to
+from .moebius import _POINT_TOL     # |w| at or below it is the point at infinity
 
 __all__ = ["LimitSetCloud", "limit_set", "cloud_to_csv", "cloud_to_svg",
            "cross_ratio_imag_spread"]
 
 _DEDUP_TOL = 1e-10
 _TRACE_TOL = 1e-9
+_RADIUS = 2.0 * _DEDUP_TOL  # chordal distance is half the sphere distance
+# With cells four radii wide, a ball of one radius meets at most the eight
+# cells nearest its centre, with a margin of a radius on every side.
+_CELL = 4.0 * _RADIUS
+_HASH = np.array([73856093, 19349663, 83492791], dtype=np.int64)
+_CORNERS = np.array(list(np.ndindex(2, 2, 2)))      # (8, 3) of 0/1
+_BLOCK = 1 << 16            # words per batch
 
 
-def _sphere_vector(point):
+def _complex(re, im):
+    """re + i im without the arithmetic of a complex sum (signed zeros, inf)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _abs(z):
+    """|z| as CPython's abs rounds it (numpy's complex abs may not)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _divide(num, den):
+    """num / den elementwise, rounded as CPython's complex division rounds.
+
+    numpy multiplies by a reciprocal of the denominator, which moves the
+    result by an ulp; this keeps the generators' fixed points equal to the
+    scalar formulas'.
+    """
+    nr, ni = num.real, num.imag
+    dr, di = np.real(den), np.imag(den)
+    by_re = np.abs(dr) >= np.abs(di)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_re, di / dr, dr / di)
+        scale = np.where(by_re, dr + di * ratio, dr * ratio + di)
+        re = np.where(by_re, nr + ni * ratio, nr * ratio + ni) / scale
+        im = np.where(by_re, ni - nr * ratio, ni * ratio - nr) / scale
+    return _complex(re, im)
+
+
+def _attracting_fixed_points(a, b, c, d):
+    """(z, w), scaled so max(|z|, |w|) = 1, of the attracting fixed points of
+    the loxodromic matrices among [[a, b], [c, d]], in their order."""
+    tr = a + d
+    # tr * tr on the parts: numpy's complex product may fuse a multiply-add
+    square = _complex(tr.real * tr.real - tr.imag * tr.imag - 4.0,
+                      tr.real * tr.imag + tr.imag * tr.real)
+    disc = np.sqrt(square)
+    lam = (tr + disc) / 2.0
+    lam = np.where(_abs(lam) < 1.0, (tr - disc) / 2.0, lam)
+    # identity-like and parabolic/elliptic-like words have none
+    lox = ~((np.abs(tr.imag) <= _TRACE_TOL) & (np.abs(tr.real) <= 2.0 + _TRACE_TOL))
+    lox &= ~(np.abs(_abs(lam) - 1.0) <= 1e-12)
+    a, b, c, d, lam = a[lox], b[lox], c[lox], d[lox], lam[lox]
+    finite = _abs(c) > 1e-14
+    # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
+    at_infinity = ~finite & (_abs(lam - a) <= _abs(lam - d))
+    z = np.where(finite, lam - d, np.where(at_infinity, 1.0, b))
+    w = np.where(finite, c, np.where(at_infinity, 0.0, d - a))
+    scale = np.maximum(_abs(z), _abs(w))
+    if not np.all(scale != 0.0):
+        raise ValueError("(0 : 0) is not a projective point")
+    return _divide(z, scale), _divide(w, scale)
+
+
+def _sphere_vectors(z, w):
     """Chordal embedding of the projective line as the unit sphere."""
-    z, w = point.z, point.w
-    norm = abs(z) ** 2 + abs(w) ** 2
+    zz = _abs(z) ** 2
+    ww = _abs(w) ** 2
+    norm = zz + ww
     cross = z * w.conjugate()
-    return (
-        2.0 * cross.real / norm,
-        2.0 * cross.imag / norm,
-        (abs(z) ** 2 - abs(w) ** 2) / norm,
-    )
+    return np.stack([2.0 * cross.real / norm, 2.0 * cross.imag / norm,
+                     (zz - ww) / norm], axis=1)
 
 
-class _SphereHash:
-    """Grid hash on the unit sphere for near-duplicate detection.
+def _hash(cells):
+    """int64 key of integer cell coordinates (..., 3); collisions only add
+    candidates, which the exact distance check then drops."""
+    h = cells.astype(np.int64) * _HASH
+    return h[..., 0] ^ h[..., 1] ^ h[..., 2]
 
-    The chordal distance between projective points equals half the
-    Euclidean distance between their sphere vectors, so a tolerance ball
-    maps to a bounded set of grid cells.
+
+def _own_keys(vectors):
+    """Key of the cell each vector lies in."""
+    return _hash(np.floor(vectors / _CELL))
+
+
+def _cell_keys(vectors):
+    """(n, 8) keys of the eight cells nearest each vector; column 0 is the
+    vector's own cell."""
+    scaled = vectors / _CELL
+    own = np.floor(scaled)
+    side = own + np.where(scaled - own >= 0.5, 1.0, -1.0)
+    return _hash(np.where(_CORNERS, side[:, None, :], own[:, None, :]))
+
+
+def _equal_keys(sorted_keys, queries):
+    """(query index, position in sorted_keys) for every pair of equal keys.
+    Sorted queries search fastest."""
+    lo = np.searchsorted(sorted_keys, queries, "left")
+    counts = np.searchsorted(sorted_keys, queries, "right") - lo
+    query = np.repeat(np.arange(len(queries)), counts)
+    start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return query, start + np.arange(len(query))
+
+
+def _greedy(n, later, earlier):
+    """Keep mask of the greedy pass in order over n points, where each pair
+    (later[k], earlier[k]) with earlier < later is a near pair.
+
+    Every round decides each point whose earlier neighbours are decided, so
+    the rounds are as many as the longest chain of near pairs.
+    """
+    kept = np.ones(n, dtype=bool)
+    open_ = np.zeros(n, dtype=bool)
+    open_[later] = True
+    while later.size:
+        settled = ~open_[earlier]
+        hit = np.zeros(n, dtype=bool)
+        hit[later[settled & kept[earlier]]] = True
+        waiting = np.zeros(n, dtype=bool)
+        waiting[later[~settled]] = True
+        decided = open_ & (hit | ~waiting)
+        kept[decided] = ~hit[decided]
+        open_[decided] = False
+        pending = open_[later]
+        later, earlier = later[pending], earlier[pending]
+    return kept
+
+
+class _Dedup:
+    """Points kept so far, indexed under the eight cells nearest each.
+
+    If two sphere vectors lie within _RADIUS, the cell of one is among the
+    eight nearest cells of the other, so one lookup of a query's own cell
+    finds every kept point near it.  The index is a few sorted runs, each at
+    least twice as long as the next, so adding a batch does not rewrite it.
     """
 
-    def __init__(self, tol):
-        self.tol = tol
-        self.cell = 4.0 * tol
-        self.buckets = {}
+    def __init__(self):
+        self.vectors = np.empty((0, 3))
+        self.runs = []          # (sorted keys, row of self.vectors) pairs
 
-    def _key(self, vec):
-        return tuple(int(math.floor(x / self.cell)) for x in vec)
+    def keep(self, vectors):
+        """Greedy-in-order keep mask of a batch that follows every point
+        seen so far; the kept points join the index."""
+        own = _own_keys(vectors)
+        order = np.argsort(own)
+        near = np.zeros(len(vectors), dtype=bool)
+        for keys, owners in self.runs:
+            query, pos = _equal_keys(keys, own[order])
+            query = order[query]
+            near[query[_within(vectors[query], self.vectors[owners[pos]])]] = True
 
-    def _near(self, vec, tol):
-        kx, ky, kz = self._key(vec)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for other in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                        dist = math.sqrt(
-                            (vec[0] - other[0]) ** 2
-                            + (vec[1] - other[1]) ** 2
-                            + (vec[2] - other[2]) ** 2
-                        )
-                        if dist <= 2.0 * tol:
-                            return True
-        return False
+        # near pairs inside the batch, among the points no kept point is near
+        fresh = np.flatnonzero(~near)
+        flat = _cell_keys(vectors[fresh]).ravel()
+        order = np.argsort(flat, kind="stable")
+        keys, rows = flat[order], order // 8
+        own_at = np.flatnonzero(order % 8 == 0)
+        later, pos = _equal_keys(keys, keys[own_at])
+        later, earlier = rows[own_at[later]], rows[pos]
+        pairs = earlier < later
+        later, earlier = later[pairs], earlier[pairs]
+        pairs = _within(vectors[fresh[later]], vectors[fresh[earlier]])
+        kept = _greedy(len(fresh), later[pairs], earlier[pairs])
 
-    def add_if_new(self, point):
-        vec = _sphere_vector(point)
-        if self._near(vec, self.tol):
-            return False
-        self.buckets.setdefault(self._key(vec), []).append(vec)
-        return True
+        # the kept points' keys, already sorted, join the index as a run
+        entries = kept[rows]
+        owners = len(self.vectors) + np.cumsum(kept)[rows[entries]] - 1
+        self._add_run(keys[entries], owners)
+        mask = np.zeros(len(vectors), dtype=bool)
+        mask[fresh[kept]] = True
+        self.vectors = np.concatenate([self.vectors, vectors[mask]])
+        return mask
 
-    def contains(self, point, tol):
-        return self._near(_sphere_vector(point), tol)
+    def _add_run(self, keys, owners):
+        self.runs.append((keys, owners))
+        while len(self.runs) > 1 and len(self.runs[-2][0]) < 2 * len(self.runs[-1][0]):
+            (k2, o2), (k1, o1) = self.runs.pop(), self.runs.pop()
+            at = np.searchsorted(k1, k2)
+            self.runs.append((np.insert(k1, at, k2), np.insert(o1, at, o2)))
+
+
+def _within(u, v):
+    """Rows of u and v no farther apart than _RADIUS."""
+    diff = u - v
+    return np.sqrt(np.sum(diff * diff, axis=1)) <= _RADIUS
 
 
 class LimitSetCloud:
-    """Deduplicated attracting fixed points with generating word lengths."""
+    """Deduplicated attracting fixed points, in word order, as arrays.
 
-    def __init__(self, points, depth, index=None):
-        self.points = points          # list of (ProjectivePoint, word_length)
+    ``z``, ``w``: homogeneous coordinates scaled so max(|z|, |w|) = 1;
+    ``word_length``: the length of the word each point came from;
+    ``vectors``: (n, 3) points on the unit sphere, where the Euclidean
+    distance is twice the chordal distance.
+    """
+
+    def __init__(self, z, w, word_length, vectors, depth):
+        self.z = z
+        self.w = w
+        self.word_length = word_length
+        self.vectors = vectors
         self.depth = depth
-        self._index = index
-        self._query_hash = None
 
     def __len__(self):
-        return len(self.points)
+        return len(self.z)
+
+    @property
+    def is_infinity(self):
+        return _abs(self.w) <= _POINT_TOL
 
     def finite_points(self):
-        """(complex, word_length) pairs, skipping the point at infinity."""
-        out = []
-        for point, length in self.points:
-            if not point.is_infinity:
-                out.append((point.as_complex(), length))
-        return out
+        """Affine coordinates and word lengths, skipping the point at infinity."""
+        finite = ~self.is_infinity
+        return _divide(self.z[finite], self.w[finite]), self.word_length[finite]
 
     def contains(self, point, tol=1e-8):
-        """Membership up to chordal distance tol."""
-        if self._query_hash is None or self._query_hash.tol != tol:
-            query = _SphereHash(tol)
-            for p, _ in self.points:
-                query.add_if_new(p)
-            self._query_hash = query
-        return self._query_hash.contains(point, tol)
+        """Membership of a ProjectivePoint up to chordal distance tol."""
+        gap = self.vectors - _sphere_vectors(np.array([point.z]), np.array([point.w]))
+        return bool(np.sqrt(np.min(np.sum(gap * gap, axis=1), initial=np.inf)) <= 2.0 * tol)
 
 
-def _attracting_fixed_point(matrix):
-    """Attracting fixed point of a loxodromic SL2 matrix, or None."""
-    a, b = matrix[0, 0], matrix[0, 1]
-    c, d = matrix[1, 0], matrix[1, 1]
-    tr = a + d
-    # skip identity-like and parabolic/elliptic-like words quickly
-    if abs(tr.imag) <= _TRACE_TOL and abs(tr.real) <= 2.0 + _TRACE_TOL:
-        return None
-    disc = cmath.sqrt(tr * tr - 4.0)
-    lam = (tr + disc) / 2.0
-    if abs(lam) < 1.0:
-        lam = (tr - disc) / 2.0
-    if abs(abs(lam) - 1.0) <= 1e-12:
-        return None
-    if abs(c) > 1e-14:
-        return ProjectivePoint(lam - d, c)
-    # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
-    if abs(lam - a) <= abs(lam - d):
-        return ProjectivePoint.infinity()
-    return ProjectivePoint(b, d - a)
+def _letter_matrices(rep):
+    """(2k, 2, 2) matrices of the letters 1, -1, 2, -2, ..., k."""
+    out = []
+    for g in range(1, rep.presentation.num_generators + 1):
+        (a, b), (c, d) = matrix = rep.images[g].astype(complex)
+        out += [matrix, np.array([[d, -b], [-c, a]])]
+    return np.array(out)
+
+
+def _children(parents, last, letters):
+    """Products parent @ letter for every letter not cancelling the parent's
+    last one, parents in order and letters in alphabet order.
+
+    One 2x2 matmul per word rounds as a single 2x2 product does.  One
+    (2M, 2) @ (2, 2) product per letter is about three times faster but may
+    round differently, and a word whose c is rounding noise can then take
+    the other fixed-point branch.
+    """
+    alphabet = np.arange(len(letters))
+    reduced = alphabet[None, :] != (last ^ 1)[:, None]   # letter 2i+1 inverts 2i
+    parent, letter = np.nonzero(reduced)
+    return np.matmul(parents[parent], letters[letter]), letter
 
 
 def limit_set(rep, depth):
-    """Attracting fixed points of all loxodromic words up to the depth."""
+    """Attracting fixed points of all loxodromic words up to the depth, in
+    word order, deduplicated greedily."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    num_gens = rep.presentation.num_generators
-    gen_matrices = {}
-    for g in range(1, num_gens + 1):
-        matrix = rep.images[g].astype(complex)
-        gen_matrices[g] = matrix
-        gen_matrices[-g] = np.array(
-            [[matrix[1, 1], -matrix[0, 1]], [-matrix[1, 0], matrix[0, 0]]]
-        )
+    letters = _letter_matrices(rep)
+    dedup = _Dedup()
+    z_parts, w_parts, length_parts = [], [], []
 
-    matrices = {(): np.eye(2, dtype=complex)}
-    points = []
-    index = _SphereHash(_DEDUP_TOL)
-    for word in reduced_words_up_to(num_gens, depth):
-        prefix = word[:-1]
-        matrix = matrices[prefix] @ gen_matrices[word[-1]]
-        if len(word) < depth:
-            matrices[word] = matrix
-        point = _attracting_fixed_point(matrix)
-        if point is None:
-            continue
-        if index.add_if_new(point):
-            points.append((point, len(word)))
-    return LimitSetCloud(points, depth, index)
+    def absorb(products, length):
+        z, w = _attracting_fixed_points(*products.reshape(-1, 4).T)
+        kept = dedup.keep(_sphere_vectors(z, w))
+        z_parts.append(z[kept])
+        w_parts.append(w[kept])
+        length_parts.append(np.full(np.count_nonzero(kept), length))
 
-
-def projective_cross_ratio(p1, p2, p3, p4):
-    """Cross ratio of four projective points via 2x2 determinants."""
-    def det(u, v):
-        return u.z * v.w - v.z * u.w
-
-    num = det(p1, p3) * det(p2, p4)
-    den = det(p1, p4) * det(p2, p3)
-    if abs(den) < 1e-30:
-        raise ZeroDivisionError("degenerate cross ratio")
-    return num / den
+    level, last = letters, np.arange(len(letters))
+    absorb(level, 1)
+    step = max(1, _BLOCK // (len(letters) - 1))
+    for length in range(2, depth + 1):
+        blocks = []
+        for start in range(0, len(level), step):
+            products, block_last = _children(level[start:start + step],
+                                             last[start:start + step], letters)
+            absorb(products, length)
+            if length < depth:
+                blocks.append((products, block_last))
+        if blocks:
+            level = np.concatenate([products for products, _ in blocks])
+            last = np.concatenate([block_last for _, block_last in blocks])
+    return LimitSetCloud(np.concatenate(z_parts), np.concatenate(w_parts),
+                         np.concatenate(length_parts), dedup.vectors, depth)
 
 
 def cross_ratio_imag_spread(cloud, trials, rng):
@@ -177,35 +319,34 @@ def cross_ratio_imag_spread(cloud, trials, rng):
     Zero (to numerics) iff the sampled points lie on a circle in the
     projective line, the Fuchsian signature.
     """
-    points = [p for p, _ in cloud.points]
-    if len(points) < 4:
+    if len(cloud) < 4:
         raise ValueError("need at least four points")
-    worst = 0.0
-    for _ in range(trials):
-        idx = rng.choice(len(points), size=4, replace=False)
-        try:
-            value = projective_cross_ratio(*(points[i] for i in idx))
-        except ZeroDivisionError:
-            continue
-        worst = max(worst, abs(value.imag))
-    return worst
+    idx = np.array([rng.choice(len(cloud), size=4, replace=False)
+                    for _ in range(trials)]).reshape(trials, 4)
+    z, w = cloud.z[idx], cloud.w[idx]
+
+    def det(i, j):
+        return z[:, i] * w[:, j] - z[:, j] * w[:, i]
+
+    num = det(0, 2) * det(1, 3)
+    den = det(0, 3) * det(1, 2)
+    usable = np.abs(den) >= 1e-30
+    return float(np.max(np.abs((num[usable] / den[usable]).imag), initial=0.0))
 
 
 def cloud_to_csv(cloud):
     """CSV with columns re,im,word_length (finite points only)."""
-    lines = ["re,im,word_length"]
-    for z, length in cloud.finite_points():
-        lines.append(f"{z.real:.17g},{z.imag:.17g},{length}")
-    return "\n".join(lines) + "\n"
+    z, lengths = cloud.finite_points()
+    rows = zip(z.real.tolist(), z.imag.tolist(), lengths.tolist())
+    return "re,im,word_length\n" + "".join(map("%.17g,%.17g,%d\n".__mod__, rows))
 
 
 def cloud_to_svg(cloud, width=800):
     """Scatter plot of the finite cloud points as an SVG document."""
-    finite = cloud.finite_points()
-    if not finite:
+    z, _lengths = cloud.finite_points()
+    if not len(z):
         return '<svg xmlns="http://www.w3.org/2000/svg"/>\n'
-    xs = [z.real for z, _ in finite]
-    ys = [z.imag for z, _ in finite]
+    xs, ys = z.real.tolist(), z.imag.tolist()
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span_x = max(x1 - x0, 1e-9)
@@ -214,13 +355,11 @@ def cloud_to_svg(cloud, width=800):
     margin_y = 0.05 * span_y
     view = (x0 - margin_x, y0 - margin_y, span_x + 2 * margin_x, span_y + 2 * margin_y)
     radius = 0.5 * max(view[2], view[3]) / width
+    circle = f'<circle cx="%.9g" cy="%.9g" r="{radius:.3g}"/>'
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'viewBox="{view[0]:.6g} {view[1]:.6g} {view[2]:.6g} {view[3]:.6g}">'
     ]
-    for z, _length in finite:
-        parts.append(
-            f'<circle cx="{z.real:.9g}" cy="{z.imag:.9g}" r="{radius:.3g}"/>'
-        )
+    parts.extend(map(circle.__mod__, zip(xs, ys)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

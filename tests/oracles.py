@@ -7,8 +7,13 @@ shares no formulas with the solver under test.
 
 The pairing oracle is the per-pair relator walk that the batched Gram
 contraction replaced, kept verbatim as the reference it must reproduce.
+
+The limit-set oracle is the per-word walk that the level-batched engine
+replaced: one 2x2 product, one scalar fixed point and one grid-hash lookup
+per word, and an f-string per CSV row, kept verbatim as the reference.
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -17,7 +22,9 @@ from scipy.optimize import brentq
 
 from qfsurface import matrix2 as m2
 from qfsurface.cocycles import COEFFICIENT_SCALE, PAIRING_SIGN
+from qfsurface.moebius import ProjectivePoint
 from qfsurface.surface import ASSEMBLY_DPS
+from qfsurface.words import reduced_words_up_to
 
 G = np.diag([1.0, 1.0, -1.0])
 
@@ -150,3 +157,123 @@ def pairing_by_prefix_walk(u, v):
             u_prefix = u_next
             prefix = m2.fmul(prefix, rep.generator_flat(letter))
         return complex(PAIRING_SIGN * COEFFICIENT_SCALE * complex(total))
+
+
+_DEDUP_TOL = 1e-10
+_TRACE_TOL = 1e-9
+
+
+def _sphere_vector(point):
+    """Chordal embedding of the projective line as the unit sphere."""
+    z, w = point.z, point.w
+    norm = abs(z) ** 2 + abs(w) ** 2
+    cross = z * w.conjugate()
+    return (
+        2.0 * cross.real / norm,
+        2.0 * cross.imag / norm,
+        (abs(z) ** 2 - abs(w) ** 2) / norm,
+    )
+
+
+class _SphereHash:
+    """Grid hash on the unit sphere for near-duplicate detection.
+
+    The chordal distance between projective points equals half the
+    Euclidean distance between their sphere vectors, so a tolerance ball
+    maps to a bounded set of grid cells.
+    """
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.cell = 4.0 * tol
+        self.buckets = {}
+
+    def _key(self, vec):
+        return tuple(int(math.floor(x / self.cell)) for x in vec)
+
+    def _near(self, vec, tol):
+        kx, ky, kz = self._key(vec)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for other in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
+                        dist = math.sqrt(
+                            (vec[0] - other[0]) ** 2
+                            + (vec[1] - other[1]) ** 2
+                            + (vec[2] - other[2]) ** 2
+                        )
+                        if dist <= 2.0 * tol:
+                            return True
+        return False
+
+    def add_if_new(self, point):
+        vec = _sphere_vector(point)
+        if self._near(vec, self.tol):
+            return False
+        self.buckets.setdefault(self._key(vec), []).append(vec)
+        return True
+
+
+def attracting_fixed_point(matrix):
+    """Attracting fixed point of a loxodromic SL2 matrix, or None."""
+    a, b = matrix[0, 0], matrix[0, 1]
+    c, d = matrix[1, 0], matrix[1, 1]
+    tr = a + d
+    # skip identity-like and parabolic/elliptic-like words quickly
+    if abs(tr.imag) <= _TRACE_TOL and abs(tr.real) <= 2.0 + _TRACE_TOL:
+        return None
+    disc = cmath.sqrt(tr * tr - 4.0)
+    lam = (tr + disc) / 2.0
+    if abs(lam) < 1.0:
+        lam = (tr - disc) / 2.0
+    if abs(abs(lam) - 1.0) <= 1e-12:
+        return None
+    if abs(c) > 1e-14:
+        return ProjectivePoint(lam - d, c)
+    # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
+    if abs(lam - a) <= abs(lam - d):
+        return ProjectivePoint.infinity()
+    return ProjectivePoint(b, d - a)
+
+
+def limit_set_by_word_walk(rep, depth):
+    """(ProjectivePoint, word_length) pairs of the per-word walk, in word order.
+
+    Every word's product is its prefix's product times one generator, and a
+    point is kept iff the grid hash holds no earlier kept point within
+    chordal distance _DEDUP_TOL.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    num_gens = rep.presentation.num_generators
+    gen_matrices = {}
+    for g in range(1, num_gens + 1):
+        matrix = rep.images[g].astype(complex)
+        gen_matrices[g] = matrix
+        gen_matrices[-g] = np.array(
+            [[matrix[1, 1], -matrix[0, 1]], [-matrix[1, 0], matrix[0, 0]]]
+        )
+
+    matrices = {(): np.eye(2, dtype=complex)}
+    points = []
+    index = _SphereHash(_DEDUP_TOL)
+    for word in reduced_words_up_to(num_gens, depth):
+        prefix = word[:-1]
+        matrix = matrices[prefix] @ gen_matrices[word[-1]]
+        if len(word) < depth:
+            matrices[word] = matrix
+        point = attracting_fixed_point(matrix)
+        if point is None:
+            continue
+        if index.add_if_new(point):
+            points.append((point, len(word)))
+    return points
+
+
+def csv_by_word_walk(finite_points):
+    """CSV with columns re,im,word_length from (complex, word_length) pairs,
+    one f-string per row."""
+    lines = ["re,im,word_length"]
+    for z, length in finite_points:
+        lines.append(f"{z.real:.17g},{z.imag:.17g},{length}")
+    return "\n".join(lines) + "\n"

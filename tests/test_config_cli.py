@@ -154,6 +154,26 @@ def test_cli_limitset_csv(tmp_path, capsys):
         float(re_s), float(im_s), int(length_s)
 
 
+def test_cli_limitset_depth_defaults_to_word_length(tmp_path, capsys):
+    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc["options"]["word_length"] = 2
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["limitset", str(path)]) == 0
+    lengths = {int(line.rsplit(",", 1)[1])
+               for line in capsys.readouterr().out.strip().split("\n")[1:]}
+    assert lengths == {1, 2}
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_cli_limitset_rejects_depth_below_one(tmp_path, capsys, depth):
+    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    assert cli_main(["limitset", path, "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--depth must be at least 1, got {depth}" in captured.err
+
+
 def test_cli_limitset_svg(tmp_path, capsys):
     path = bundled_path("genus2_fuchsian.json", tmp_path)
     assert cli_main(["limitset", path, "--depth", "3", "--format", "svg"]) == 0

@@ -1,11 +1,23 @@
-import numpy as np
+from collections import Counter
+from importlib import resources
 
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from oracles import (
+    attracting_fixed_point,
+    csv_by_word_walk,
+    limit_set_by_word_walk,
+)
+from qfsurface.config import parse_config
 from qfsurface.limitset import (
+    _DEDUP_TOL,
     cloud_to_csv,
     cross_ratio_imag_spread,
     limit_set,
 )
-from qfsurface.moebius import apply
+from qfsurface.moebius import ProjectivePoint
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import FNCoordinates, holonomy, twist_flow
 from qfsurface.words import reduce_word, reduced_words_up_to
@@ -19,7 +31,41 @@ def standard_graph():
     ])
 
 
+def separating_graph():
+    return PantsDecompositionGraph(2, [
+        ("alpha1", (0, 0), (0, 1)),
+        ("alpha2", (0, 2), (1, 0)),
+        ("alpha3", (1, 1), (1, 2)),
+    ])
+
+
 FN = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
+
+
+def bundled_rep(stem):
+    config = parse_config(
+        resources.files("qfsurface.data").joinpath(f"{stem}.json").read_text())
+    graph = config.graph()
+    return holonomy(graph, config.fn(graph))
+
+
+def chordal(z1, w1, z2, w2):
+    """Chordal distance between projective points, elementwise."""
+    return np.abs(z1 * w2 - z2 * w1) / (np.hypot(np.abs(z1), np.abs(w1))
+                                        * np.hypot(np.abs(z2), np.abs(w2)))
+
+
+def min_pair_chordal(cloud, block=512):
+    """Smallest chordal distance between two points of the cloud, all pairs."""
+    z, w = cloud.z, cloud.w
+    best = np.inf
+    for start in range(0, len(z), block):
+        rows = slice(start, start + block)
+        dist = chordal(z[rows, None], w[rows, None], z[None, start:], w[None, start:])
+        # drop each row's distance to itself and to the rows before it
+        dist[np.tril_indices(dist.shape[0], 0, dist.shape[1])] = np.inf
+        best = min(best, float(dist.min(initial=np.inf)))
+    return best
 
 
 def test_reduced_word_count():
@@ -63,7 +109,6 @@ def test_cloud_group_invariance():
     rep = holonomy(standard_graph(), FN)
     depth = 5
     cloud = limit_set(rep, depth)
-    from qfsurface.limitset import _attracting_fixed_point
 
     for letter in (1, -1, 2, 3):
         matrix = rep.images[abs(letter)].astype(complex)
@@ -76,12 +121,10 @@ def test_cloud_group_invariance():
             if len(conj) > depth:
                 continue
             m = rep.matrix_of_word(word).astype(complex)
-            point = _attracting_fixed_point(m)
+            point = attracting_fixed_point(m)
             if point is None:
                 continue
             vec = matrix @ np.array([point.z, point.w])
-            from qfsurface.moebius import ProjectivePoint
-
             moved = ProjectivePoint(vec[0], vec[1])
             assert cloud.contains(moved, 1e-8)
             checked += 1
@@ -90,11 +133,91 @@ def test_cloud_group_invariance():
 
 def test_cloud_deduplication_and_csv():
     rep = holonomy(standard_graph(), FN)
-    cloud = limit_set(rep, 4)
-    for i, (p, _) in enumerate(cloud.points):
-        for q, _ in cloud.points[i + 1:]:
-            assert p.chordal_distance(q) > 1e-10
+    cloud = limit_set(rep, 5)
+    assert len(cloud) > 2000
+    assert min_pair_chordal(cloud) > 1e-10
     text = cloud_to_csv(cloud)
     lines = text.strip().split("\n")
     assert lines[0] == "re,im,word_length"
-    assert len(lines) >= len(cloud.finite_points())
+    assert len(lines) >= len(cloud.finite_points()[0])
+
+
+ORACLE_CASES = {
+    "genus2_quasifuchsian": (lambda: bundled_rep("genus2_quasifuchsian"), 6),
+    "genus3": (lambda: bundled_rep("genus3"), 5),
+    "FN": (lambda: holonomy(standard_graph(), FN), 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_cloud_matches_word_walk_oracle(case):
+    build, depth = ORACLE_CASES[case]
+    rep = build()
+    cloud = limit_set(rep, depth)
+    walk = limit_set_by_word_walk(rep, depth)
+    lengths = np.array([length for _, length in walk])
+    assert Counter(cloud.word_length.tolist()) == Counter(lengths.tolist())
+    assert np.array_equal(cloud.word_length, lengths)   # same order by length
+    z = np.array([p.z for p, _ in walk])
+    w = np.array([p.w for p, _ in walk])
+    gap = chordal(cloud.z, cloud.w, z, w)
+    assert gap.max() <= 1e-12
+    assert gap[lengths == 1].max() <= 1e-15
+
+
+def test_csv_matches_fstring_formatter():
+    cloud = limit_set(bundled_rep("genus2_quasifuchsian"), 4)
+    assert cloud.is_infinity.sum() == 1
+    z, lengths = cloud.finite_points()
+    assert len(z) == len(cloud) - 1
+    pairs = [(complex(v), int(n)) for v, n in zip(z, lengths)]
+    assert cloud_to_csv(cloud) == csv_by_word_walk(pairs)
+
+
+def word_points(rep, depth):
+    """(word length, attracting fixed point or None) for every reduced word,
+    in the enumeration order, from per-word products and scalar formulas."""
+    gens = {}
+    for g in range(1, rep.presentation.num_generators + 1):
+        (a, b), (c, d) = gens[g] = rep.images[g].astype(complex)
+        gens[-g] = np.array([[d, -b], [-c, a]])
+    matrices = {(): np.eye(2, dtype=complex)}
+    out = []
+    for word in reduced_words_up_to(rep.presentation.num_generators, depth):
+        matrices[word] = matrices[word[:-1]] @ gens[word[-1]]
+        out.append((len(word), attracting_fixed_point(matrices[word])))
+    return out
+
+
+def complex_coordinate(real_lo, real_hi):
+    return st.builds(complex, st.floats(real_lo, real_hi), st.floats(-0.2, 0.2))
+
+
+# no shrink phase: one example costs about 0.3 s, and shrinking a failure
+# would take minutes; the failing draw is reported as drawn
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(graph=st.sampled_from([standard_graph, separating_graph]),
+       lengths=st.lists(complex_coordinate(1.5, 4.0), min_size=3, max_size=3),
+       twists=st.lists(complex_coordinate(-1.0, 1.0), min_size=3, max_size=3))
+def test_cloud_is_greedy_in_word_order(graph, lengths, twists):
+    depth = 4
+    rep = holonomy(graph(), FNCoordinates(lengths, twists))
+    cloud = limit_set(rep, depth)
+    walk = limit_set_by_word_walk(rep, depth)
+    assert Counter(cloud.word_length.tolist()) == Counter(n for _, n in walk)
+    assert min_pair_chordal(cloud) > _DEDUP_TOL
+
+    # walk the words in order: each one either is the next kept point or
+    # lies within the tolerance of a point kept before it
+    kept = 0
+    for length, point in word_points(rep, depth):
+        if point is None:
+            continue
+        gaps = chordal(cloud.z[:kept + 1], cloud.w[:kept + 1], point.z, point.w)
+        if (kept < len(cloud) and cloud.word_length[kept] == length
+                and gaps[kept] <= 1e-12):
+            kept += 1
+            continue
+        assert gaps[:kept].min(initial=np.inf) <= _DEDUP_TOL
+    assert kept == len(cloud)
