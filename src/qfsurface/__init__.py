@@ -14,10 +14,10 @@ from .cocycles import (
     SymplecticGram,
     TangentCocycle,
     coboundary,
+    cocycle_gram,
     cocycle_residual,
     darboux_residual,
     fd_basis_cocycles,
-    fd_tangent_cocycle,
     goldman_pairing,
     symplectic_gram,
 )

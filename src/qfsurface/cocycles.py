@@ -2,13 +2,14 @@
 
 A tangent vector to the representation variety at rho is recorded as a
 1-cocycle u: generators -> sl2(C), extended to words by the crossed
-homomorphism rule u(gh) = u(g) + Ad_rho(g) u(h).  Finite differences of the
-holonomy construction supply the cocycles for the Fenchel-Nielsen
-coordinate directions: exact-step central differences at the working
-precision ``ASSEMBLY_DPS``.  The stencil points fn[k] +- h are formed in
-mpmath, so the step is exact, and no generator image or inverse passes
-through complex128 on the way.  The step is the constant ``STEP``, chosen
-so that truncation and roundoff both stay below complex128 resolution.
+homomorphism rule u(gh) = u(g) + Ad_rho(g) u(h).  The cocycles of the
+Fenchel-Nielsen coordinate directions come from one forward-mode holonomy
+assembly: every coordinate enters as a jet (:class:`matrix2.Jet`) with unit
+derivative in its own direction, and every holonomy entry is an entire
+function of the coordinates, so each generator image carries its exact
+derivatives in all 2N directions at the working precision
+``ASSEMBLY_DPS``.  The cocycle of direction k on a generator x is
+d_k rho(x) rho(x)^(-1), projected trace-free.
 
 The symplectic pairing of two cocycles evaluates the cup product with the
 trace form B(u, v) = tr(uv) on the fundamental class of the presentation
@@ -62,21 +63,22 @@ import mpmath as mp
 import numpy as np
 
 from . import matrix2 as m2
-from .surface import ASSEMBLY_DPS, holonomy
+# ``holonomy`` stays bound here for qfsbench, whose tracer wraps it in every
+# module that binds it and whose tests look it up on this module
+from .surface import ASSEMBLY_DPS, Representation, assemble, holonomy  # noqa: F401
 
 __all__ = [
     "BaseMismatch",
     "PAIRING_SIGN",
     "COEFFICIENT_SCALE",
-    "STEP",
     "TangentCocycle",
-    "fd_tangent_cocycle",
     "fd_basis_cocycles",
     "coboundary",
     "cocycle_residual",
     "cocycle_scale",
     "goldman_pairing",
     "SymplecticGram",
+    "cocycle_gram",
     "symplectic_gram",
     "canonical_form",
     "darboux_residual",
@@ -89,12 +91,6 @@ PAIRING_SIGN = -1.0
 # The bare trace form pairs the coordinate frame to half the canonical
 # symplectic form; see module docs.  Reported, never fitted.
 COEFFICIENT_SCALE = 2.0
-
-# Central-difference step.  Its truncation error goes like h^2, its roundoff
-# like eps * M / h, with eps = 1e-34 the working precision and M the largest
-# holonomy entry.  Steps from 1e-11 to 1e-10 leave both below complex128
-# resolution across the bundled configs; at 1e-12 roundoff already dominates.
-STEP = 1e-10
 
 
 class BaseMismatch(Exception):
@@ -159,43 +155,29 @@ class TangentCocycle:
         return TangentCocycle(self.rep, table)
 
 
-def fd_tangent_cocycle(graph, fn, kind, index, h=STEP, base=None):
-    """Finite-difference cocycle for the coordinate direction (kind, index).
+def fd_basis_cocycles(graph, fn):
+    """The 2N coordinate cocycles (all length, then all twist directions).
 
-    kind is 'l' or 'tau'.  The value on a generator x is the central
-    difference of rho(x) against the coordinate, right-translated back to
-    the identity,
-
-        [d rho(x)] rho(x)^(-1),
-
-    projected trace-free.  The holonomy entries are entire in the
-    coordinates, so no stencil ever straddles a branch cut.
+    One jet assembly gives every generator image rho(x) with its exact
+    derivatives; the cocycle of direction k is [d_k rho(x)] adj(rho(x)),
+    projected trace-free.  The derivatives are exact, not finite
+    differences: the name is kept from the finite-difference pipeline this
+    replaced.
     """
-    rep = base if base is not None else holonomy(graph, fn)
     with mp.workdps(ASSEMBLY_DPS):
-        # fn[k] +- h is formed at the working precision, so the two stencil
-        # points are exactly 2h apart
-        step = mp.mpf(h)
-        plus = holonomy(graph, fn.shifted(index, kind, step))
-        minus = holonomy(graph, fn.shifted(index, kind, -step))
-        inv_step = 1 / (2 * step)
-        table = {}
-        for gen, m0 in rep.mp_images.items():
-            diff = m2.fadd(plus.mp_images[gen], m2.fscale(minus.mp_images[gen], -1))
-            derivative = m2.fscale(diff, inv_step)
-            table[gen] = m2.ftraceless(m2.fmul(derivative, m2.fadj(m0)))
-    return TangentCocycle(rep, table)
-
-
-def fd_basis_cocycles(graph, fn, h=STEP, base=None):
-    """The 2N coordinate cocycles (all length, then all twist directions)."""
-    rep = base if base is not None else holonomy(graph, fn)
-    cocycles = [
-        fd_tangent_cocycle(graph, fn, kind, index, h, base=rep)
-        for kind in ("l", "tau")
-        for index in range(len(fn))
-    ]
-    return rep, cocycles
+        presentation, jets = assemble(
+            graph, fn, lambda value, direction: m2.Jet(mp.mpc(value), {direction: 1}))
+        images = {}
+        tables = [{} for _direction in range(2 * len(fn))]
+        for gen, m in jets.items():
+            images[gen] = tuple(m2.value_of(x) for x in m)
+            inverse = m2.fadj(images[gen])
+            for direction, table in enumerate(tables):
+                derivative = tuple(m2.partial(x, direction) for x in m)
+                table[gen] = (m2.ftraceless(m2.fmul(derivative, inverse))
+                              if any(derivative) else m2.FZERO)
+    rep = Representation(graph, presentation, fn, images)
+    return rep, [TangentCocycle(rep, table) for table in tables]
 
 
 def coboundary(w, rep):
@@ -283,15 +265,16 @@ class SymplecticGram:
         return self.matrix.shape[0]
 
 
-def symplectic_gram(graph, fn, h=STEP):
-    """Gram matrix of the pairing over the 2N coordinate directions.
+def cocycle_gram(rep, cocycles):
+    """Gram matrix of the pairing over cocycles based at rep.
 
     The returned matrix is antisymmetrized, (G - G^T)/2; the worst raw
     deviation from antisymmetry is reported separately.  Every raw entry
     comes from its own contraction, so that deviation is measured, never
     assumed away.
     """
-    rep, cocycles = fd_basis_cocycles(graph, fn, h)
+    if any(u.rep is not rep for u in cocycles):
+        raise BaseMismatch("cocycles live over different representations")
     prefixes = _relator_prefixes(rep)
     sums, letters, closings = zip(*(_relator_walk(u, prefixes) for u in cocycles))
     dim = len(cocycles)
@@ -302,6 +285,11 @@ def symplectic_gram(graph, fn, h=STEP):
     residual = max(m2.fmax_abs(closing) for closing in closings)
     gram = (raw - raw.T) / 2.0
     return SymplecticGram(gram, asymmetry, residual)
+
+
+def symplectic_gram(graph, fn):
+    """Gram matrix of the pairing over the 2N coordinate directions."""
+    return cocycle_gram(*fd_basis_cocycles(graph, fn))
 
 
 def canonical_form(n):

@@ -85,7 +85,9 @@ def _attracting_fixed_points(a, b, c, d):
     lox = ~((np.abs(tr.imag) <= _TRACE_TOL) & (np.abs(tr.real) <= 2.0 + _TRACE_TOL))
     lox &= ~(np.abs(_abs(lam) - 1.0) <= 1e-12)
     a, b, c, d, lam = a[lox], b[lox], c[lox], d[lox], lam[lox]
-    finite = _abs(c) > 1e-14
+    # c is rounding noise below 1e-14 of the largest entry
+    finite = _abs(c) > 1e-14 * np.maximum(np.maximum(_abs(a), _abs(b)),
+                                          np.maximum(_abs(c), _abs(d)))
     # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
     at_infinity = ~finite & (_abs(lam - a) <= _abs(lam - d))
     z = np.where(finite, lam - d, np.where(at_infinity, 1.0, b))

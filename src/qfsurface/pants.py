@@ -8,8 +8,8 @@ tr(C_i) = -2 cosh(sigma_i), in a fixed normal form:
     C2 = [[0, zeta], [-1/zeta, t2]]    (zeta = -exp(s3))
     C3 = (C1 C2)^(-1)
 
-Every entry is an entire function of the sigma_i, so finite differences of
-assembled holonomies never cross a branch cut.  Real boundary data gives
+Every entry is an entire function of the sigma_i, so derivatives of
+assembled holonomies never meet a branch cut.  Real boundary data gives
 real matrices (a Fuchsian pair of pants).
 
 The module also exposes the cuff frames used to glue pants together: for
@@ -20,9 +20,10 @@ the determinant depend only on the cuff's own length, so gluing maps
 between frames of matching cuffs automatically have unit determinant.
 
 The entry formulas are written against an abstract scalar backend so the
-surface assembly can evaluate them in arbitrary precision; matrices are
-handed around as flat (a, b, c, d) tuples there and packed into numpy
-arrays only at the public boundary.
+surface assembly can evaluate them in arbitrary precision, on plain mpmath
+numbers or on jets that carry exact derivatives (:class:`matrix2.Jet`);
+matrices are handed around as flat (a, b, c, d) tuples there and packed
+into numpy arrays only at the public boundary.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ where twist(tau) = diag(exp(tau/2), exp(-tau/2)) translates by tau along
 the glued axis and S = [[0, 1], [-1, 0]] reverses the axis orientation, so
 the two cuff holonomies are exact inverses.  Edges outside the tree get a
 stable-letter matrix built from the same frame data.  All entries are
-entire functions of the coordinates: finite-difference stencils in l or tau
-never cross a branch cut.
+entire functions of the coordinates, so the same assembly run over jets
+(:class:`matrix2.Jet`, see :func:`assemble`) gives their exact derivatives
+in every l and tau direction, with no branch cut to cross.
 
 The zero-twist origin is the frame alignment itself; it is a convention,
 and only twist differences are meaningful.
@@ -51,6 +52,7 @@ __all__ = [
     "FNCoordinates",
     "Representation",
     "holonomy",
+    "assemble",
     "twist_flow",
     "evaluate_word",
     "complex_length_of_curve",
@@ -75,8 +77,8 @@ class UnknownGenerator(Exception):
 
 
 def _coordinate(value):
-    # mpmath values keep their precision, so a finite-difference step added
-    # at the working precision reaches the assembly exactly
+    # mpmath values keep their precision, so a shift added at the working
+    # precision reaches the assembly exactly
     return value if isinstance(value, mp.mpc) else complex(value)
 
 
@@ -84,7 +86,7 @@ class FNCoordinates:
     """Complex length/twist pairs, ordered like graph.curve_labels.
 
     Entries are Python complex numbers, or mpmath numbers where a caller
-    needs more than 53 bits (the finite-difference stencils).
+    needs more than 53 bits (a shift smaller than complex128 resolves).
     """
 
     __slots__ = ("lengths", "twists")
@@ -148,7 +150,7 @@ class Representation:
     """Images of the standard generators, evaluable on words.
 
     The images from the assembly are held in the working precision (flat
-    (a, b, c, d) tuples of mpmath numbers) for the tangent-cocycle
+    (a, b, c, d) tuples of mpmath numbers) for the cocycle and pairing
     pipeline, whose intermediate quantities cancel catastrophically.
     Extended-precision (clongdouble) copies serve the analysis methods,
     which hand out ordinary complex128 MoebiusMaps.
@@ -160,8 +162,8 @@ class Representation:
         self.fn = fn
         self.mp_images = mp_images
 
-    # The side tables are built on first use: the stencil builds of the
-    # tangent-cocycle pipeline read only ``mp_images``.
+    # The side tables are built on first use: a Gram reads only
+    # ``mp_images`` and ``mp_inverses``, never the extended-precision copies.
     @functools.cached_property
     def mp_inverses(self):
         with mp.workdps(ASSEMBLY_DPS):
@@ -224,9 +226,23 @@ class Representation:
 
 def holonomy(graph, fn):
     """Representation realizing the coordinates on the graph's curves."""
-    if len(fn) != graph.num_curves:
+    presentation, images = assemble(graph, fn, lambda value, _direction: mp.mpc(value))
+    return Representation(graph, presentation, fn, images)
+
+
+def assemble(graph, fn, lift):
+    """Presentation and generator images realizing the coordinates.
+
+    ``lift(value, direction)`` turns each coordinate into the scalar the
+    assembly computes with, inside the working precision; direction k < N
+    is length k and N + k is twist k.  ``holonomy`` lifts to plain mpmath
+    numbers, the tangent cocycles to jets (:class:`matrix2.Jet`).  Returns
+    the presentation and its images as flat tuples of those scalars.
+    """
+    n = len(fn)
+    if n != graph.num_curves:
         raise DegenerateFN(
-            f"{len(fn)} coordinate pairs for {graph.num_curves} curves"
+            f"{n} coordinate pairs for {graph.num_curves} curves"
         )
     for l in fn.lengths:
         if abs(l.imag) >= math.pi - _IM_LENGTH_MARGIN:
@@ -235,37 +251,36 @@ def holonomy(graph, fn):
             )
     plan = graph.plan()
     label_index = {label: k for k, label in enumerate(graph.curve_labels)}
-    cuff_curve = {}
+    cuff_index = {}
     for edge in graph.edges:
         for end in edge.ends():
-            cuff_curve[end] = edge.label
+            cuff_index[end] = label_index[edge.label]
 
-    def half_length(end):
-        return fn.lengths[label_index[cuff_curve[end]]] / 2.0
-
-    # Assemble in arbitrary precision, round the generator images to
-    # extended precision at the end.  Holonomy entries and the cancellation
-    # inside word products grow exponentially with lengths and tree depth;
-    # the working precision keeps relator and round-trip residuals at the
-    # representation floor across the desk-scale coordinate boxes.
+    # Assemble in arbitrary precision.  Holonomy entries and the
+    # cancellation inside word products grow exponentially with lengths and
+    # tree depth; the working precision keeps relator and round-trip
+    # residuals at the representation floor across the desk-scale
+    # coordinate boxes.
     with mp.workdps(ASSEMBLY_DPS):
+        lengths = [lift(l, k) for k, l in enumerate(fn.lengths)]
+        twists = [lift(tau, n + k) for k, tau in enumerate(fn.twists)]
         matrices = {}
         frames = {}
         for v in range(graph.num_pants):
-            sigmas = tuple(half_length((v, c)) for c in (0, 1, 2))
+            cuffs = tuple(cuff_index[(v, c)] for c in (0, 1, 2))
             try:
-                validate_pants(sigmas)
+                validate_pants(tuple(complex(fn.lengths[k]) / 2 for k in cuffs))
             except (ReduciblePants, ValueError) as exc:
                 raise DegenerateFN(str(exc)) from exc
-            sigmas_mp = tuple(mp.mpc(s) for s in sigmas)
-            matrices[v] = pants_entries(sigmas_mp, mp.cosh, mp.exp)
-            frames[v] = frame_entries(sigmas_mp, mp.cosh, mp.exp)
+            sigmas = tuple(lengths[k] / 2 for k in cuffs)
+            matrices[v] = pants_entries(sigmas, m2.cosh, m2.exp)
+            frames[v] = frame_entries(sigmas, m2.cosh, m2.exp)
 
         def gluing_map(label, from_end, to_end):
             # Frame determinants on both sides equal -2 sinh(length/2) of
             # the same curve, so this product has unit determinant by
             # construction; renormalization only polishes roundoff.
-            tau = mp.mpc(fn.twists[label_index[label]])
+            tau = twists[label_index[label]]
             v, i = from_end
             w, j = to_end
             gluing = m2.fmul(
@@ -301,11 +316,11 @@ def holonomy(graph, fn):
                 out = m2.fmul(out, m if letter > 0 else m2.fadj(m))
             return out
 
-        mp_images = {
+        images = {
             gen: eval_symbols(word)
             for gen, word in plan.presentation.generator_assembly_words.items()
         }
-    return Representation(graph, plan.presentation, fn, mp_images)
+    return plan.presentation, images
 
 
 def evaluate_word(rep, word):

@@ -8,6 +8,11 @@ shares no formulas with the solver under test.
 The pairing oracle is the per-pair relator walk that the batched Gram
 contraction replaced, kept verbatim as the reference it must reproduce.
 
+The finite-difference oracle is the central-difference cocycle pipeline
+that the forward-mode (jet) assembly replaced: two full holonomy builds per
+coordinate direction, kept verbatim as an independent check of the exact
+derivatives and of the FD convergence criteria.
+
 The limit-set oracle is the per-word walk that the level-batched engine
 replaced: one 2x2 product, one scalar fixed point and one grid-hash lookup
 per word, and an f-string per CSV row, kept verbatim as the reference.
@@ -21,9 +26,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from qfsurface import matrix2 as m2
-from qfsurface.cocycles import COEFFICIENT_SCALE, PAIRING_SIGN
+from qfsurface.cocycles import (
+    COEFFICIENT_SCALE,
+    PAIRING_SIGN,
+    TangentCocycle,
+    cocycle_gram,
+)
 from qfsurface.moebius import ProjectivePoint
-from qfsurface.surface import ASSEMBLY_DPS
+from qfsurface.surface import ASSEMBLY_DPS, holonomy
 from qfsurface.words import reduced_words_up_to
 
 G = np.diag([1.0, 1.0, -1.0])
@@ -159,6 +169,57 @@ def pairing_by_prefix_walk(u, v):
         return complex(PAIRING_SIGN * COEFFICIENT_SCALE * complex(total))
 
 
+# Central-difference step.  Its truncation error goes like h^2, its roundoff
+# like eps * M / h, with eps = 1e-34 the working precision and M the largest
+# holonomy entry.  Steps from 1e-11 to 1e-10 leave both below complex128
+# resolution across the bundled configs; at 1e-12 roundoff already dominates.
+STEP = 1e-10
+
+
+def fd_tangent_cocycle(graph, fn, kind, index, h=STEP, base=None):
+    """Finite-difference cocycle for the coordinate direction (kind, index).
+
+    kind is 'l' or 'tau'.  The value on a generator x is the central
+    difference of rho(x) against the coordinate, right-translated back to
+    the identity,
+
+        [d rho(x)] rho(x)^(-1),
+
+    projected trace-free.  The holonomy entries are entire in the
+    coordinates, so no stencil ever straddles a branch cut.
+    """
+    rep = base if base is not None else holonomy(graph, fn)
+    with mp.workdps(ASSEMBLY_DPS):
+        # fn[k] +- h is formed at the working precision, so the two stencil
+        # points are exactly 2h apart
+        step = mp.mpf(h)
+        plus = holonomy(graph, fn.shifted(index, kind, step))
+        minus = holonomy(graph, fn.shifted(index, kind, -step))
+        inv_step = 1 / (2 * step)
+        table = {}
+        for gen, m0 in rep.mp_images.items():
+            diff = m2.fadd(plus.mp_images[gen], m2.fscale(minus.mp_images[gen], -1))
+            derivative = m2.fscale(diff, inv_step)
+            table[gen] = m2.ftraceless(m2.fmul(derivative, m2.fadj(m0)))
+    return TangentCocycle(rep, table)
+
+
+def fd_basis_cocycles(graph, fn, h=STEP, base=None):
+    """The 2N coordinate cocycles (all length, then all twist directions)."""
+    rep = base if base is not None else holonomy(graph, fn)
+    cocycles = [
+        fd_tangent_cocycle(graph, fn, kind, index, h, base=rep)
+        for kind in ("l", "tau")
+        for index in range(len(fn))
+    ]
+    return rep, cocycles
+
+
+def fd_symplectic_gram(graph, fn, h=STEP):
+    """The production Gram contraction over the finite-difference cocycles."""
+    return cocycle_gram(*fd_basis_cocycles(graph, fn, h))
+
+
 _DEDUP_TOL = 1e-10
 _TRACE_TOL = 1e-9
 
@@ -228,7 +289,8 @@ def attracting_fixed_point(matrix):
         lam = (tr - disc) / 2.0
     if abs(abs(lam) - 1.0) <= 1e-12:
         return None
-    if abs(c) > 1e-14:
+    # c is rounding noise below 1e-14 of the largest entry
+    if abs(c) > 1e-14 * max(abs(a), abs(b), abs(c), abs(d)):
         return ProjectivePoint(lam - d, c)
     # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
     if abs(lam - a) <= abs(lam - d):

@@ -3,22 +3,25 @@ from importlib import resources
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+import oracles
+from qfsurface import cocycles as cocycles_module
 from qfsurface import matrix2 as m2
-from oracles import pairing_by_prefix_walk
+from qfsurface import surface
+from oracles import STEP, fd_symplectic_gram, fd_tangent_cocycle, pairing_by_prefix_walk
 from qfsurface.cocycles import (
     BaseMismatch,
     COEFFICIENT_SCALE,
-    STEP,
     SymplecticGram,
     TangentCocycle,
     canonical_form,
     coboundary,
+    cocycle_gram,
     cocycle_residual,
     cocycle_scale,
     darboux_residual,
     fd_basis_cocycles,
-    fd_tangent_cocycle,
     goldman_pairing,
     symplectic_gram,
 )
@@ -36,10 +39,24 @@ def standard_graph():
     ])
 
 
+def separating_graph():
+    return PantsDecompositionGraph(2, [
+        ("alpha1", (0, 0), (0, 1)),
+        ("alpha2", (0, 2), (1, 0)),
+        ("alpha3", (1, 1), (1, 2)),
+    ])
+
+
 GRAPH = standard_graph()
 FN = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
 
-# the genus-3 chain of test_gram_other_graphs extended by two pants
+GENUS3_CHAIN = PantsDecompositionGraph(4, [
+    ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
+    ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (3, 2)),
+])
+TWISTS3 = [0.1, -0.2, 0.3, 0.0, 0.2, -0.1]
+
+# the genus-3 chain extended by two pants
 GENUS4_CHAIN = PantsDecompositionGraph(6, [
     ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
     ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (4, 0)),
@@ -51,7 +68,7 @@ FN4 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8],
 
 @pytest.fixture(scope="module")
 def base():
-    rep, cocycles = fd_basis_cocycles(GRAPH, FN, h=1e-4)
+    rep, cocycles = oracles.fd_basis_cocycles(GRAPH, FN, h=1e-4)
     return rep, cocycles
 
 
@@ -97,15 +114,15 @@ def test_corrupted_cocycle_detected(base):
 
 
 def test_trace_variation_identities():
-    rep = holonomy(GRAPH, FN)
-    h = 3e-6
+    rep, cocycles = fd_basis_cocycles(GRAPH, FN)
+    n = len(FN)
     for i, label in enumerate(GRAPH.curve_labels):
         word = rep.curve_word(label)
         m = rep.matrix_of_word(word).astype(complex)
-        u_tau = fd_tangent_cocycle(GRAPH, FN, "tau", i, h, base=rep)
+        u_tau = cocycles[n + i]
         variation = np.trace(u_tau.evaluate(word).astype(complex) @ m)
         assert abs(variation) <= 1e-6
-        u_l = fd_tangent_cocycle(GRAPH, FN, "l", i, h, base=rep)
+        u_l = cocycles[i]
         variation_l = np.trace(u_l.evaluate(word).astype(complex) @ m)
         import cmath
         expected = -cmath.sinh(FN.lengths[i] / 2.0)  # d/dl of -2 cosh(l/2)
@@ -201,30 +218,30 @@ def test_gram_canonical_fuchsian_and_complex():
             [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.15j],
         ),
     ):
-        gram = symplectic_gram(GRAPH, fn, h=1e-4)
-        assert darboux_residual(gram) <= 1e-4
-        n = gram.size // 2
-        assert np.max(np.abs(gram.matrix[:n, :n])) <= 1e-4
-        assert np.max(np.abs(gram.matrix[n:, n:])) <= 1e-4
-        for i in range(n):
-            row = gram.matrix[n + i]
-            target = np.zeros(2 * n)
-            target[i] = -1.0
-            assert np.max(np.abs(row - target)) <= 1e-4
+        for gram in (symplectic_gram(GRAPH, fn), fd_symplectic_gram(GRAPH, fn, h=1e-4)):
+            assert darboux_residual(gram) <= 1e-4
+            n = gram.size // 2
+            assert np.max(np.abs(gram.matrix[:n, :n])) <= 1e-4
+            assert np.max(np.abs(gram.matrix[n:, n:])) <= 1e-4
+            for i in range(n):
+                row = gram.matrix[n + i]
+                target = np.zeros(2 * n)
+                target[i] = -1.0
+                assert np.max(np.abs(row - target)) <= 1e-4
 
 
 def test_gram_fd_convergence():
-    coarse = darboux_residual(symplectic_gram(GRAPH, FN, h=1e-3))
-    fine = darboux_residual(symplectic_gram(GRAPH, FN, h=1e-4))
+    coarse = darboux_residual(fd_symplectic_gram(GRAPH, FN, h=1e-3))
+    fine = darboux_residual(fd_symplectic_gram(GRAPH, FN, h=1e-4))
     assert coarse / fine >= 50.0
     # the verdict does not hinge on the step: the default and ten times it
     # both sit far below any tolerance a config states
     for h in (STEP, 10 * STEP):
-        assert darboux_residual(symplectic_gram(GRAPH, FN, h=h)) <= 1e-12
+        assert darboux_residual(fd_symplectic_gram(GRAPH, FN, h=h)) <= 1e-12
 
 
 def test_gram_corruption_detected():
-    gram = symplectic_gram(GRAPH, FN, h=1e-4)
+    gram = fd_symplectic_gram(GRAPH, FN, h=1e-4)
     swapped = gram.matrix.copy()
     swapped[:, [3, 4]] = swapped[:, [4, 3]]
     corrupted = SymplecticGram(swapped, gram.raw_asymmetry, gram.cocycle_residual)
@@ -233,10 +250,9 @@ def test_gram_corruption_detected():
 
 def test_gram_gauge_invariance():
     rng = np.random.RandomState(3100 + 6)
-    gram = symplectic_gram(GRAPH, FN, h=1e-4)
     m = MoebiusMap(rng.randn(2, 2) + 1j * rng.randn(2, 2))
 
-    rep, cocycles = fd_basis_cocycles(GRAPH, FN, h=1e-4)
+    rep, cocycles = oracles.fd_basis_cocycles(GRAPH, FN, h=1e-4)
     conj = rep.conjugated(m)
     tables = [
         {g: m.m @ u.table[g] @ np.linalg.inv(m.m) for g in u.table}
@@ -263,20 +279,10 @@ def test_darboux_residual_random_box():
 
 
 def test_gram_other_graphs():
-    separating = PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (0, 1)),
-        ("alpha2", (0, 2), (1, 0)),
-        ("alpha3", (1, 1), (1, 2)),
-    ])
-    gram = symplectic_gram(separating, FN)
+    gram = symplectic_gram(separating_graph(), FN)
     assert darboux_residual(gram) <= 1e-10
-    genus3 = PantsDecompositionGraph(4, [
-        ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
-        ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (3, 2)),
-    ])
-    fn3 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5],
-                        [0.1, -0.2, 0.3, 0.0, 0.2, -0.1])
-    gram3 = symplectic_gram(genus3, fn3)
+    fn3 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5], TWISTS3)
+    gram3 = symplectic_gram(GENUS3_CHAIN, fn3)
     assert darboux_residual(gram3) <= 1e-10
     gram4 = symplectic_gram(GENUS4_CHAIN, FN4)
     assert darboux_residual(gram4) <= 1e-10
@@ -321,8 +327,8 @@ def test_gram_matches_prefix_walk_oracle():
 def test_raw_asymmetry_matches_oracle_at_coarse_step():
     # at a coarse step the cocycle residuals are large and so is the raw
     # asymmetry; a Gram that mirrored one triangle would read 0 here
-    gram = symplectic_gram(GRAPH, FN, h=1e-3)
-    _rep, cocycles = fd_basis_cocycles(GRAPH, FN, h=1e-3)
+    gram = fd_symplectic_gram(GRAPH, FN, h=1e-3)
+    _rep, cocycles = oracles.fd_basis_cocycles(GRAPH, FN, h=1e-3)
     raw = oracle_raw(cocycles)
     expected = float(np.max(np.abs(raw + raw.T)))
     assert gram.raw_asymmetry > 1e-10
@@ -342,11 +348,102 @@ def test_pairing_matches_oracle_on_combinations(base):
 
 
 def test_gram_reports_worst_cocycle_residual(base):
-    _rep, cocycles = base
-    gram = symplectic_gram(GRAPH, FN, h=1e-4)
+    rep, cocycles = base
+    gram = cocycle_gram(rep, cocycles)
     worst = max(cocycle_residual(u) for u in cocycles)
     assert worst > 0.0
     assert abs(gram.cocycle_residual - worst) <= 1e-20 * worst
+
+
+def test_jet_derivatives_match_mpmath_diff():
+    # a composite of every jet operation, against mpmath's own differentiation
+    def f(x, y, cosh, exp, sqrt):
+        return sqrt(cosh(x) * y - 1 / (exp(-x / 2) + y)) / (2 - x * y) + (3 - y) * x
+
+    def plain(x, y):
+        return f(x, y, mp.cosh, mp.exp, mp.sqrt)
+
+    with mp.workdps(ASSEMBLY_DPS):
+        x0, y0 = mp.mpc(0.7, 0.2), mp.mpc(1.3, -0.4)
+        jet = f(m2.Jet(x0, {0: 1}), m2.Jet(y0, {1: 1}), m2.cosh, m2.exp, m2.sqrt)
+        assert jet.value == plain(x0, y0)
+        for direction, orders in ((0, (1, 0)), (1, (0, 1))):
+            expected = mp.diff(plain, (x0, y0), orders)
+            assert abs(m2.partial(jet, direction) - expected) <= 1e-25
+        assert m2.partial(jet, 2) == 0
+        # constants carry no gradient, and the constant 0 stays a plain zero
+        assert m2.partial(x0, 0) == 0 and m2.value_of(x0) is x0
+        assert not isinstance(m2.Jet(x0, {0: 1}) * 0, m2.Jet)
+
+
+def test_jet_images_equal_holonomy():
+    # the basis assembly computes the same values, in the same order, as
+    # holonomy; only the gradients come on top
+    for graph, fn in oracle_cases():
+        rep, _cocycles = fd_basis_cocycles(graph, fn)
+        assert rep.mp_images == holonomy(graph, fn).mp_images
+
+
+def test_jet_gram_matches_fd_oracle():
+    for graph, fn in oracle_cases():
+        gram = symplectic_gram(graph, fn)
+        fd = fd_symplectic_gram(graph, fn)
+        if graph is GENUS4_CHAIN:
+            # the FD oracle's own error there is 1.4e-12
+            assert darboux_residual(gram) <= 1e-18
+            assert np.max(np.abs(gram.matrix - fd.matrix)) <= 1e-11
+        else:
+            assert darboux_residual(gram) <= 1e-20
+            assert np.max(np.abs(gram.matrix - fd.matrix)) <= 1e-12
+        assert gram.raw_asymmetry <= 1e-18
+        assert gram.cocycle_residual <= 1e-18
+
+
+def test_gram_runs_one_holonomy_assembly(monkeypatch):
+    config = parse_config(
+        resources.files("qfsurface.data").joinpath("genus3.json").read_text())
+    graph = config.graph()
+    fn = config.fn(graph)
+    calls = []
+    assemble = surface.assemble
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    # every binding of the assembly body: holonomy calls it through the
+    # surface module, the cocycle basis through its own import
+    monkeypatch.setattr(surface, "assemble", counted)
+    monkeypatch.setattr(cocycles_module, "assemble", counted)
+    gram = symplectic_gram(graph, fn)
+    assert len(calls) == 1
+    assert gram.size == 2 * len(fn)
+
+
+def test_darboux_at_genus3_lengths_12():
+    # 34 digits held the FD oracle to 2.4e-4 here, over the 1e-4 tolerance;
+    # exact derivatives leave room to spare
+    gram = symplectic_gram(GENUS3_CHAIN, FNCoordinates([12.0] * 6, TWISTS3))
+    assert darboux_residual(gram) <= 1e-8
+
+
+def complex_coordinate(real_lo, real_hi):
+    return st.builds(complex, st.floats(real_lo, real_hi), st.floats(-0.3, 0.3))
+
+
+# no shrink phase: the FD oracle costs about 0.1 s per draw, and shrinking a
+# failure would take minutes; the failing draw is reported as drawn
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(graph=st.sampled_from([standard_graph, separating_graph]),
+       lengths=st.lists(complex_coordinate(1.0, 4.0), min_size=3, max_size=3),
+       twists=st.lists(complex_coordinate(-1.0, 1.0), min_size=3, max_size=3))
+def test_jet_gram_over_genus2_box(graph, lengths, twists):
+    fn = FNCoordinates(lengths, twists)
+    gram = symplectic_gram(graph(), fn)
+    assert darboux_residual(gram) <= 1e-18
+    fd = fd_symplectic_gram(graph(), fn)
+    assert np.max(np.abs(gram.matrix - fd.matrix)) <= 1e-12
 
 
 def test_canonical_form_shape():

@@ -1,6 +1,8 @@
+import cmath
 from collections import Counter
 from importlib import resources
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -10,6 +12,7 @@ from oracles import (
     csv_by_word_walk,
     limit_set_by_word_walk,
 )
+from qfsurface import matrix2 as m2
 from qfsurface.config import parse_config
 from qfsurface.limitset import (
     _DEDUP_TOL,
@@ -19,7 +22,7 @@ from qfsurface.limitset import (
 )
 from qfsurface.moebius import ProjectivePoint
 from qfsurface.presentation import PantsDecompositionGraph
-from qfsurface.surface import FNCoordinates, holonomy, twist_flow
+from qfsurface.surface import ASSEMBLY_DPS, FNCoordinates, holonomy, twist_flow
 from qfsurface.words import reduce_word, reduced_words_up_to
 
 
@@ -103,6 +106,38 @@ def test_bent_cloud_is_not_round_but_traces_fixed():
         tr_base = base.evaluate(base.curve_word(label)).trace()
         tr_bent = rep.evaluate(rep.curve_word(label)).trace()
         assert abs(tr_base - tr_bent) <= 1e-10
+
+
+def test_cloud_drops_rounding_noise_fixed_point():
+    # g4 g3 g4^-1 of the bundled QF config fixes infinity: its lower-left
+    # entry is 1e-29 at the working precision but 1e-14 in complex128, where
+    # (lambda - d) / c divides noise by noise
+    rep = bundled_rep("genus2_quasifuchsian")
+    with mp.workdps(ASSEMBLY_DPS):
+        exact = m2.FEYE
+        for letter in (4, 3, -4):
+            exact = m2.fmul(exact, rep.generator_flat(letter))
+        ea, eb, ec, ed = exact
+        assert abs(ec) <= 1e-25 and abs(ed) > abs(ea)
+        # upper triangular: the attracting eigenvalue d has eigenvector b/(d-a)
+        true = ProjectivePoint(complex(eb), complex(ed - ea))
+    gens = {}
+    for g in (3, 4):
+        (a, b), (c, d) = gens[g] = rep.images[g].astype(complex)
+        gens[-g] = np.array([[d, -b], [-c, a]])
+    matrix = gens[4] @ gens[3] @ gens[-4]
+    (a, b), (c, d) = matrix
+    assert abs(c) > 1e-14   # an absolute threshold would divide by it
+    tr = a + d
+    disc = cmath.sqrt(tr * tr - 4.0)
+    lam = (tr + disc) / 2.0 if abs(tr + disc) >= 2.0 else (tr - disc) / 2.0
+    spurious = ProjectivePoint(lam - d, c)
+    assert spurious.chordal_distance(true) > 0.05
+
+    assert attracting_fixed_point(matrix).chordal_distance(true) <= 1e-12
+    cloud = limit_set(rep, 3)
+    assert cloud.contains(true, 1e-12)
+    assert not cloud.contains(spurious, 1e-3)
 
 
 def test_cloud_group_invariance():
