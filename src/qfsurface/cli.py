@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -142,6 +143,8 @@ def _cmd_twist(args):
         re_part, im_part = (float(x) for x in args.t.split(","))
     except ValueError:
         raise SchemaError(f"--t expects 're,im', got {args.t!r}") from None
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise SchemaError(f"--t expects finite 're,im', got {args.t!r}")
     moved = config.with_twist(args.curve, complex(re_part, im_part))
     _emit(config_to_json(moved), args.output)
     return 0

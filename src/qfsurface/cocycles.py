@@ -7,8 +7,8 @@ Fenchel-Nielsen coordinate directions come from one forward-mode holonomy
 assembly: every coordinate enters as a jet (:class:`matrix2.Jet`) with unit
 derivative in its own direction, and every holonomy entry is an entire
 function of the coordinates, so each generator image carries its exact
-derivatives in all 2N directions at the working precision
-``ASSEMBLY_DPS``.  The cocycle of direction k on a generator x is
+derivatives in all 2N directions at the working precision, the fixed-point
+scalar :class:`matrix2.Fixed`.  The cocycle of direction k on a generator x is
 d_k rho(x) rho(x)^(-1), projected trace-free.
 
 The symplectic pairing of two cocycles evaluates the cup product with the
@@ -28,11 +28,12 @@ One walk of the relator per cocycle u records, letter by letter, the
 running sum u(q_k) and the conjugated letter value Ad_rho(p_{k-1}) u(y_k),
 the latter transposed so that each trace is a dot product of flat entries;
 the prefixes are shared by every cocycle over the same representation.
-pairing(u, v) is then one ``fdot`` of u's sums with v's letter values, so a
-Gram matrix over n cocycles costs n walks, and each walk's final sum is the
+pairing(u, v) is then one dot product of u's sums with v's letter values, so
+a Gram matrix over n cocycles costs n walks, and each walk's final sum is the
 cocycle residual u(r).  Walk values grow like the squared norms of the
-prefix holonomies and cancel down to size one, so the walk and the
-contraction run at the working precision of the holonomy assembly.
+prefix holonomies and cancel down to size one, so the walk runs at the
+working precision of the holonomy assembly and the dot product is exact:
+a sum of Gaussian-integer products, rounded once to complex128.
 
 Two frozen normalization constants relate the raw trace-form value to the
 canonical symplectic form on the coordinate frame:
@@ -58,14 +59,14 @@ graph, every point, and every entry, so all structure in a Gram matrix
 from __future__ import annotations
 
 import itertools
+import operator
 
-import mpmath as mp
 import numpy as np
 
 from . import matrix2 as m2
 # ``holonomy`` stays bound here for qfsbench, whose tracer wraps it in every
 # module that binds it and whose tests look it up on this module
-from .surface import ASSEMBLY_DPS, Representation, assemble, holonomy  # noqa: F401
+from .surface import Representation, assemble, holonomy  # noqa: F401
 
 __all__ = [
     "BaseMismatch",
@@ -100,8 +101,9 @@ class BaseMismatch(Exception):
 class TangentCocycle:
     """Generator table of sl2(C) values over a base representation.
 
-    Tables are kept as flat arbitrary-precision matrices; ``table`` exposes
-    complex128 copies for inspection.
+    Tables are kept as flat working-precision matrices (of
+    :class:`matrix2.Fixed`); ``table`` exposes complex128 copies for
+    inspection.
     """
 
     def __init__(self, rep, table):
@@ -133,25 +135,22 @@ class TangentCocycle:
     def evaluate_flat(self, word):
         if isinstance(word, str):
             word = self.rep.presentation.word_from_string(word)
-        with mp.workdps(ASSEMBLY_DPS):
-            total = m2.FZERO
-            prefix = m2.FEYE
-            for letter in word:
-                total = m2.fadd(total, m2.fconj(prefix, self.value(letter)))
-                prefix = m2.fmul(prefix, self.rep.generator_flat(letter))
-            return total
+        total = m2.FZERO
+        prefix = m2.FEYE
+        for letter in word:
+            total = m2.fadd(total, m2.fconj(prefix, self.value(letter)))
+            prefix = m2.fmul(prefix, self.rep.generator_flat(letter))
+        return total
 
     def scaled(self, factor):
-        with mp.workdps(ASSEMBLY_DPS):
-            factor = mp.mpc(factor)
-            table = {g: m2.fscale(v, factor) for g, v in self.flat.items()}
+        factor = m2.lift(factor)
+        table = {g: m2.fscale(v, factor) for g, v in self.flat.items()}
         return TangentCocycle(self.rep, table)
 
     def plus(self, other):
         if other.rep is not self.rep:
             raise BaseMismatch("cocycles live over different representations")
-        with mp.workdps(ASSEMBLY_DPS):
-            table = {g: m2.fadd(self.flat[g], other.flat[g]) for g in self.flat}
+        table = {g: m2.fadd(self.flat[g], other.flat[g]) for g in self.flat}
         return TangentCocycle(self.rep, table)
 
 
@@ -164,29 +163,28 @@ def fd_basis_cocycles(graph, fn):
     differences: the name is kept from the finite-difference pipeline this
     replaced.
     """
-    with mp.workdps(ASSEMBLY_DPS):
-        presentation, jets = assemble(
-            graph, fn, lambda value, direction: m2.Jet(mp.mpc(value), {direction: 1}))
-        images = {}
-        tables = [{} for _direction in range(2 * len(fn))]
-        for gen, m in jets.items():
-            images[gen] = tuple(m2.value_of(x) for x in m)
-            inverse = m2.fadj(images[gen])
-            for direction, table in enumerate(tables):
-                derivative = tuple(m2.partial(x, direction) for x in m)
-                table[gen] = (m2.ftraceless(m2.fmul(derivative, inverse))
-                              if any(derivative) else m2.FZERO)
+    unit = m2.lift(1)
+    presentation, jets = assemble(
+        graph, fn, lambda value, direction: m2.Jet(m2.lift(value), {direction: unit}))
+    images = {}
+    tables = [{} for _direction in range(2 * len(fn))]
+    for gen, m in jets.items():
+        images[gen] = tuple(m2.value_of(x) for x in m)
+        inverse = m2.fadj(images[gen])
+        for direction, table in enumerate(tables):
+            derivative = tuple(m2.partial(x, direction) for x in m)
+            table[gen] = (m2.ftraceless(m2.fmul(derivative, inverse))
+                          if any(derivative) else m2.FZERO)
     rep = Representation(graph, presentation, fn, images)
     return rep, [TangentCocycle(rep, table) for table in tables]
 
 
 def coboundary(w, rep):
     """The principal cocycle x -> Ad_rho(x) w - w (an exact cocycle)."""
-    flat_w = m2.flat_from_array(np.asarray(w, dtype=complex))
-    with mp.workdps(ASSEMBLY_DPS):
-        table = {}
-        for gen, m in rep.mp_images.items():
-            table[gen] = m2.fadd(m2.fconj(m, flat_w), m2.fscale(flat_w, -1))
+    flat_w = m2.flat_from_array(w)
+    table = {}
+    for gen, m in rep.mp_images.items():
+        table[gen] = m2.fadd(m2.fconj(m, flat_w), m2.fscale(flat_w, -1))
     return TangentCocycle(rep, table)
 
 
@@ -201,11 +199,10 @@ def cocycle_scale(u):
 
 
 def _relator_prefixes(rep):
-    """Prefix holonomies p_0 = 1, p_1, ..., p_{m-1} along the relator."""
+    """Prefix holonomies p_0 = 1, p_1, ..., p_m along the relator."""
     prefixes = [m2.FEYE]
-    with mp.workdps(ASSEMBLY_DPS):
-        for letter in rep.presentation.relator[:-1]:
-            prefixes.append(m2.fmul(prefixes[-1], rep.generator_flat(letter)))
+    for letter in rep.presentation.relator:
+        prefixes.append(m2.fmul(prefixes[-1], rep.generator_flat(letter)))
     return prefixes
 
 
@@ -213,29 +210,47 @@ def _relator_walk(u, prefixes):
     """One walk of the relator for the cocycle u.
 
     Returns (sums, letters, closing): the running sums each letter pairs
-    against and the conjugated letter values, each as one flat list of 4m
-    entries (letter values transposed, so that tr(AB) is the dot product of
-    A's entries with B's), and the final sum u(relator).
+    against and the conjugated letter values, each as the (re, im) int lists
+    of 4m fixed-point entries (letter values transposed, so that tr(AB) is
+    the dot product of A's entries with B's), and the final sum u(relator).
     """
     sums, letters = [], []
     total = m2.FZERO
-    with mp.workdps(ASSEMBLY_DPS):
-        for letter, prefix in zip(u.rep.presentation.relator, prefixes):
-            step = m2.fconj(prefix, u.value(letter))
-            after = m2.fadd(total, step)
-            # inverse letters pair against the post-letter prefix; this is
-            # the boundary correction making the evaluation chain a 2-cycle
-            sums.extend(total if letter > 0 else after)
-            letters.extend((step[0], step[2], step[1], step[3]))
-            total = after
-    return sums, letters, total
+    for j, letter in enumerate(u.rep.presentation.relator):
+        if letter > 0:
+            step = m2.fconj(prefixes[j], u.flat[letter])
+        else:
+            # Ad(p_j) u(g^-1) = -Ad(p_j g^-1) u(g), and p_j g^-1 = p_{j+1}
+            step = m2.fscale(m2.fconj(prefixes[j + 1], u.flat[-letter]), -1)
+        after = m2.fadd(total, step)
+        # inverse letters pair against the post-letter prefix; this is
+        # the boundary correction making the evaluation chain a 2-cycle
+        sums.extend(total if letter > 0 else after)
+        letters.extend((step[0], step[2], step[1], step[3]))
+        total = after
+    return _parts(sums), _parts(letters), total
+
+
+def _parts(entries):
+    return [x.re for x in entries], [x.im for x in entries]
+
+
+# the scale of a product of two fixed-point numbers
+_PRODUCT_SCALE = 1 << (2 * m2.FRAC_BITS)
 
 
 def _contract(sums, letters, coefficient_scale=COEFFICIENT_SCALE):
-    """Pairing value from one cocycle's sums and another's letter values."""
-    with mp.workdps(ASSEMBLY_DPS):
-        total = mp.fdot(sums, letters)
-    return complex(PAIRING_SIGN * coefficient_scale * complex(total))
+    """Pairing value from one cocycle's sums and another's letter values.
+
+    The dot product is exact in Gaussian integers and rounds once, to
+    complex128.
+    """
+    (a, b), (c, d) = sums, letters
+    mul = operator.mul
+    re = sum(map(mul, a, c)) - sum(map(mul, b, d))
+    im = sum(map(mul, a, d)) + sum(map(mul, b, c))
+    total = complex(re / _PRODUCT_SCALE, im / _PRODUCT_SCALE)
+    return PAIRING_SIGN * coefficient_scale * total
 
 
 def goldman_pairing(u, v, coefficient_scale=COEFFICIENT_SCALE):

@@ -21,6 +21,7 @@ field.  Counts are checked against the closed-surface relations
 from __future__ import annotations
 
 import json
+import math
 
 from .presentation import MalformedGraph, PantsDecompositionGraph
 from .surface import FNCoordinates
@@ -49,10 +50,20 @@ class DanglingCuff(SchemaError):
     """A cuff is glued twice or not at all."""
 
 
+def _is_int(x):
+    # JSON true and false load as bool, which is an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x):
+    """A JSON number that is not NaN or infinite (json reads both)."""
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
 def _complex_pair(value, path):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
-        raise SchemaError(f"{path}: expected [re, im] pair, got {value!r}")
+            or not all(_is_finite_number(x) for x in value)):
+        raise SchemaError(f"{path}: expected a finite [re, im] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
 
 
@@ -114,7 +125,7 @@ def parse_config(text):
         raise SchemaError("/: expected a JSON object")
 
     genus = doc.get("genus")
-    if not isinstance(genus, int) or genus < 2:
+    if not _is_int(genus) or genus < 2:
         raise SchemaError(f"/genus: expected an integer >= 2, got {genus!r}")
 
     pants = doc.get("pants")
@@ -160,7 +171,7 @@ def parse_config(text):
         for j, end in enumerate(ends):
             end_path = f"{path}/ends/{j}"
             if (not isinstance(end, list) or len(end) != 2
-                    or not all(isinstance(x, int) for x in end)):
+                    or not all(_is_int(x) for x in end)):
                 raise SchemaError(f"{end_path}: expected [pantsIndex, cuffIndex]")
             p, c = end
             if not 0 <= p < len(pants_ids):
@@ -213,10 +224,10 @@ def parse_config(text):
         if key not in DEFAULT_OPTIONS:
             raise SchemaError(f"/options/{key}: unknown option")
         if key == "word_length":
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise SchemaError(f"/options/{key}: expected a positive integer")
-        elif not isinstance(value, (int, float)) or value <= 0:
-            raise SchemaError(f"/options/{key}: expected a positive number")
+        elif not _is_finite_number(value) or value <= 0:
+            raise SchemaError(f"/options/{key}: expected a finite positive number")
         options[key] = value
 
     config = SurfaceConfig(genus, pants_ids, gluings, fn_table, options)

@@ -1,28 +1,192 @@
-"""Flat 2x2 matrix helpers over mpmath scalars and their jets.
+"""A fixed-point complex scalar, its jets, and flat 2x2 matrix helpers.
 
 Matrices are (a, b, c, d) tuples.  Used by the holonomy assembly and the
 cocycle pipeline, where intermediate products cancel catastrophically and
-fixed precision is not enough.
+complex128 is not enough.
 
-An entry may also be a :class:`Jet`, an mpmath value carrying its first
-derivatives along (forward-mode differentiation).  The helpers here and the
-scalar functions ``exp``, ``cosh`` and ``sqrt`` accept both, so one
-evaluation of an entire function gives its value and its exact derivatives
-at the working precision.
+The working scalar is :class:`Fixed`: a complex number held as two Python
+ints at the scale 2^-FRAC_BITS.  Sums are exact and every product or
+quotient rounds once, so the error is absolute, the same 2^-FRAC_BITS at
+every magnitude: the large holonomy entries of long curves cost no digits
+below the binary point, where the cancellations they feed end up.
+
+An entry may also be a :class:`Jet`, a scalar carrying its first derivatives
+along (forward-mode differentiation).  The helpers here and the scalar
+functions ``exp``, ``cosh`` and ``sqrt`` accept both, so one evaluation of
+an entire function gives its value and its exact derivatives at the working
+precision.
 """
 
 from __future__ import annotations
 
-import mpmath as mp
-import numpy as np
+import math
 
-FEYE = (1, 0, 0, 1)
-FZERO = (0, 0, 0, 0)
-FS = (0, 1, -1, 0)
+import numpy as np
+from mpmath import libmp
+
+# Bits below the binary point.  Holonomy entries reach 2^36 at lengths 20
+# and their cancellations lose about three times that many bits; 128 bits
+# leave lengths 20 at 2e-10, 192 bits at 1e-29.
+FRAC_BITS = 192
+_ONE = 1 << FRAC_BITS
+# Bits evaluated beyond FRAC_BITS in the transcendental functions.
+_GUARD_BITS = 16
+
+
+class Fixed:
+    """A complex number re + i im, held as the ints (re, im) * 2^FRAC_BITS.
+
+    ``+`` and ``-`` are exact; ``*`` and ``/`` do exact integer work and
+    round once (toward minus infinity).  Python ints mix in exactly, floats
+    and complex numbers are lifted first (see :func:`lift`); anything else
+    must be lifted by the caller.
+    """
+
+    __slots__ = ("re", "im")
+    # numpy scalars defer to the reflected operators instead of converting
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __repr__(self):
+        return f"Fixed({complex(self)!r})"
+
+    def __complex__(self):
+        return complex(self.re / _ONE, self.im / _ONE)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __neg__(self):
+        return Fixed(-self.re, -self.im)
+
+    def __add__(self, other):
+        if type(other) is not Fixed:
+            if type(other) is int:
+                return Fixed(self.re + (other << FRAC_BITS), self.im)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return Fixed(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not Fixed:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return Fixed(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return Fixed(other.re - self.re, other.im - self.im)
+
+    def __mul__(self, other):
+        if type(other) is not Fixed:
+            if type(other) is int:
+                return Fixed(self.re * other, self.im * other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Fixed((a * c - b * d) >> FRAC_BITS, (a * d + b * c) >> FRAC_BITS)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not Fixed:
+            if type(other) is int:
+                return Fixed(self.re // other, self.im // other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return _divide(self.re, self.im, other)
+
+    def __rtruediv__(self, other):
+        if type(other) is int:
+            return _divide(other << FRAC_BITS, 0, self)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _divide(other.re, other.im, self)
+
+
+def _divide(a, b, other):
+    """(a + i b) 2^-FRAC_BITS / other, floored."""
+    c, d = other.re, other.im
+    norm = c * c + d * d
+    return Fixed(((a * c + b * d) << FRAC_BITS) // norm,
+                 ((b * c - a * d) << FRAC_BITS) // norm)
+
+
+def _fixed_of_float(x):
+    # exact when the double's last bit is at or above 2^-FRAC_BITS, that is
+    # for magnitudes from 2^(52 - FRAC_BITS) up; finer bits are cut off
+    return int(math.ldexp(x, FRAC_BITS))
+
+
+def lift(x):
+    """x as a Fixed.
+
+    Exact for ints, for doubles of magnitude 2^(52 - FRAC_BITS) and up, and
+    for mpmath numbers with no bits below 2^-FRAC_BITS; finer bits are cut
+    off.
+    """
+    if type(x) is Fixed:
+        return x
+    if hasattr(x, "_mpc_"):
+        re, im = x._mpc_
+        return Fixed(libmp.to_fixed(re, FRAC_BITS), libmp.to_fixed(im, FRAC_BITS))
+    if hasattr(x, "_mpf_"):
+        return Fixed(libmp.to_fixed(x._mpf_, FRAC_BITS), 0)
+    if isinstance(x, int):
+        return Fixed(int(x) << FRAC_BITS, 0)
+    z = complex(x)
+    return Fixed(_fixed_of_float(z.real), _fixed_of_float(z.imag))
+
+
+def _operand(x):
+    """x as a Fixed for mixed arithmetic, or None where Fixed must defer."""
+    if type(x) is Fixed:
+        return x
+    if isinstance(x, (int, float, complex)):
+        return lift(x)
+    return None
+
+
+def _raw(n):
+    return libmp.from_man_exp(n, -FRAC_BITS)
+
+
+def _transcendental(function, x, magnitude_bits):
+    """function(x) rounded to a Fixed, for a result below 2^magnitude_bits.
+
+    x converts to mpmath exactly, and the function is evaluated with enough
+    bits to resolve FRAC_BITS below the binary point at that magnitude.
+    """
+    prec = FRAC_BITS + max(0, magnitude_bits) + _GUARD_BITS
+    re, im = function((_raw(x.re), _raw(x.im)), prec)
+    return Fixed(libmp.to_fixed(re, FRAC_BITS), libmp.to_fixed(im, FRAC_BITS))
+
+
+def _exp_bits(re):
+    # |exp(z)| = e^Re(z) < 2^(1.5 floor(Re z) + 2) for Re z >= 0
+    return (re >> FRAC_BITS) * 3 // 2 + 2
 
 
 class Jet:
-    """An mpmath value with a sparse gradient {direction: derivative}.
+    """A scalar value with a sparse gradient {direction: derivative}.
 
     Directions missing from ``grad`` have derivative zero.  A product with
     the constant 0 is the plain number 0 again, so the zeros of the normal
@@ -95,23 +259,34 @@ def _chain(x, value, slope):
 
 
 def exp(x):
-    if not isinstance(x, Jet):
-        return mp.exp(x)
-    value = mp.exp(x.value)
-    return _chain(x, value, value)
+    if isinstance(x, Jet):
+        value = exp(x.value)
+        return _chain(x, value, value)
+    x = lift(x)
+    return _transcendental(libmp.mpc_exp, x, _exp_bits(x.re))
 
 
 def cosh(x):
-    if not isinstance(x, Jet):
-        return mp.cosh(x)
-    return _chain(x, mp.cosh(x.value), mp.sinh(x.value))
+    if isinstance(x, Jet):
+        return _chain(x, cosh(x.value), sinh(x.value))
+    x = lift(x)
+    return _transcendental(libmp.mpc_cosh, x, _exp_bits(abs(x.re)))
+
+
+def sinh(x):
+    if isinstance(x, Jet):
+        return _chain(x, sinh(x.value), cosh(x.value))
+    x = lift(x)
+    return _transcendental(libmp.mpc_sinh, x, _exp_bits(abs(x.re)))
 
 
 def sqrt(x):
-    if not isinstance(x, Jet):
-        return mp.sqrt(x)
-    value = mp.sqrt(x.value)
-    return _chain(x, value, 1 / (2 * value))
+    if isinstance(x, Jet):
+        value = sqrt(x.value)
+        return _chain(x, value, 1 / (2 * value))
+    x = lift(x)
+    bits = max(abs(x.re), abs(x.im)).bit_length() - FRAC_BITS
+    return _transcendental(libmp.mpc_sqrt, x, bits // 2 + 1)
 
 
 def value_of(x):
@@ -122,6 +297,13 @@ def value_of(x):
 def partial(x, direction):
     """The derivative of a jet in one direction; 0 for a plain number."""
     return x.grad.get(direction, 0) if isinstance(x, Jet) else 0
+
+
+_ZERO = Fixed(0, 0)
+_UNIT = Fixed(_ONE, 0)
+FEYE = (_UNIT, _ZERO, _ZERO, _UNIT)
+FZERO = (_ZERO, _ZERO, _ZERO, _ZERO)
+FS = (_ZERO, _UNIT, -_UNIT, _ZERO)
 
 
 def fmul(x, y):
@@ -178,18 +360,19 @@ def fconj(p, x):
     return fmul(fmul(p, x), fadj(p))
 
 
-def longdouble_of(x):
-    hi = float(x)
-    lo = float(x - mp.mpf(hi))
+def _longdouble(n):
+    """n 2^-FRAC_BITS as a longdouble, from a double and its remainder."""
+    hi = n / _ONE
+    lo = (n - _fixed_of_float(hi)) / _ONE
     return np.longdouble(hi) + np.longdouble(lo)
 
 
 def flat_to_clongdouble(flat):
     out = np.empty((2, 2), dtype=np.clongdouble)
     for k, z in enumerate(flat):
-        z = mp.mpc(z)
-        out[k // 2, k % 2] = np.clongdouble(longdouble_of(z.real)) \
-            + np.clongdouble(1j) * np.clongdouble(longdouble_of(z.imag))
+        z = lift(z)
+        out[k // 2, k % 2] = np.clongdouble(_longdouble(z.re)) \
+            + np.clongdouble(1j) * np.clongdouble(_longdouble(z.im))
     return out
 
 
@@ -201,9 +384,8 @@ def flat_to_complex(flat):
 
 
 def flat_from_array(m):
-    m = np.asarray(m)
-    return (mp.mpc(complex(m[0, 0])), mp.mpc(complex(m[0, 1])),
-            mp.mpc(complex(m[1, 0])), mp.mpc(complex(m[1, 1])))
+    m = np.asarray(m, dtype=complex)
+    return (lift(m[0, 0]), lift(m[0, 1]), lift(m[1, 0]), lift(m[1, 1]))
 
 
 def fmax_abs(flat):

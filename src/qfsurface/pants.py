@@ -19,11 +19,13 @@ F_k^(-1) C_k F_k = diag(-exp(sigma_k), -exp(-sigma_k)).  The scaling makes
 the determinant depend only on the cuff's own length, so gluing maps
 between frames of matching cuffs automatically have unit determinant.
 
-The entry formulas are written against an abstract scalar backend so the
-surface assembly can evaluate them in arbitrary precision, on plain mpmath
-numbers or on jets that carry exact derivatives (:class:`matrix2.Jet`);
-matrices are handed around as flat (a, b, c, d) tuples there and packed
-into numpy arrays only at the public boundary.
+The entry formulas take h_k = exp(sigma_k / 2), the one transcendental per
+cuff, and derive every cosh and exponential from it by arithmetic alone.  So
+the surface assembly evaluates them on any scalar with the four operations:
+on fixed-point numbers (:class:`matrix2.Fixed`) or on jets that carry exact
+derivatives (:class:`matrix2.Jet`); matrices are handed around as flat
+(a, b, c, d) tuples there and packed into numpy arrays only at the public
+boundary.
 """
 
 from __future__ import annotations
@@ -75,27 +77,28 @@ def _validate(sigmas):
             raise ReduciblePants(f"degenerate boundary (sinh ~ 0) at {s}")
 
 
-def pants_entries(sigmas, cosh, exp):
-    """Boundary matrices as flat (a, b, c, d) tuples over a scalar backend."""
-    s1, s2, s3 = sigmas
-    t1 = -2 * cosh(s1)
-    t2 = -2 * cosh(s2)
-    zeta = -exp(s3)
+def _cuff_terms(halves):
+    """exp(sigma_1), exp(sigma_2), t1, t2 and zeta from h_k = exp(sigma_k/2)."""
+    h1, h2, h3 = halves
+    e1, e2 = h1 * h1, h2 * h2
+    return e1, e2, -(e1 + 1 / e1), -(e2 + 1 / e2), -(h3 * h3)
+
+
+def pants_entries(halves):
+    """Boundary matrices as flat (a, b, c, d) tuples, from h_k = exp(sigma_k/2)."""
+    _e1, _e2, t1, t2, zeta = _cuff_terms(halves)
     c1 = (t1, -1, 1, 0)
     c2 = (0, zeta, -1 / zeta, t2)
     c3 = (zeta, -(t1 * zeta - t2), 0, 1 / zeta)
     return c1, c2, c3
 
 
-def frame_entries(sigmas, cosh, exp):
+def frame_entries(halves):
     """Cuff frames as flat tuples; columns = attracting, repelling vector."""
-    s1, s2, s3 = sigmas
-    t1 = -2 * cosh(s1)
-    t2 = -2 * cosh(s2)
-    zeta = -exp(s3)
-    mu = -exp(s1)
-    lam = -exp(s2)
-    scale = exp(-s3 / 2)
+    e1, e2, t1, t2, zeta = _cuff_terms(halves)
+    mu = -e1
+    lam = -e2
+    scale = 1 / halves[2]
     f1 = (mu, 1 / mu, 1, 1)
     f2 = (zeta * scale, zeta * scale, lam * scale, scale / lam)
     f3 = (1, t1 * zeta - t2, 0, zeta - 1 / zeta)
@@ -107,20 +110,20 @@ def _pack(entries, dtype):
     return np.array([[a, b], [c, d]], dtype=dtype)
 
 
-def _scalars(sigmas, dtype):
-    return tuple(np.asarray(complex(s), dtype=dtype)[()] for s in sigmas)
+def _halves(sigmas, dtype):
+    return tuple(np.exp(np.asarray(complex(s), dtype=dtype)[()] / 2) for s in sigmas)
 
 
 def pants_matrices(sigmas, dtype=complex):
     """The three boundary matrices as 2x2 arrays of the given dtype."""
     _validate(sigmas)
-    triple = pants_entries(_scalars(sigmas, dtype), np.cosh, np.exp)
+    triple = pants_entries(_halves(sigmas, dtype))
     return tuple(_pack(m, dtype) for m in triple)
 
 
 def cuff_frames(sigmas, dtype=complex):
     """Frame matrices (F1, F2, F3) as 2x2 arrays of the given dtype."""
-    triple = frame_entries(_scalars(sigmas, dtype), np.cosh, np.exp)
+    triple = frame_entries(_halves(sigmas, dtype))
     return tuple(_pack(m, dtype) for m in triple)
 
 

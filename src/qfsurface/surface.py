@@ -26,10 +26,10 @@ and only twist differences are meaningful.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
-import mpmath as mp
 import numpy as np
 
 from . import matrix2 as m2
@@ -77,16 +77,22 @@ class UnknownGenerator(Exception):
 
 
 def _coordinate(value):
-    # mpmath values keep their precision, so a shift added at the working
-    # precision reaches the assembly exactly
-    return value if isinstance(value, mp.mpc) else complex(value)
+    # working-precision values keep their bits, so a shift added at the
+    # working precision reaches the assembly exactly
+    if isinstance(value, m2.Fixed):
+        return value
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DegenerateFN(f"coordinate {value} is not finite")
+    return value
 
 
 class FNCoordinates:
     """Complex length/twist pairs, ordered like graph.curve_labels.
 
-    Entries are Python complex numbers, or mpmath numbers where a caller
-    needs more than 53 bits (a shift smaller than complex128 resolves).
+    Entries are Python complex numbers, or working-precision scalars
+    (:class:`matrix2.Fixed`) where a caller needs more than 53 bits (a shift
+    smaller than complex128 resolves).
     """
 
     __slots__ = ("lengths", "twists")
@@ -97,7 +103,7 @@ class FNCoordinates:
         if len(self.lengths) != len(self.twists):
             raise ValueError("lengths and twists must have equal length")
         for l in self.lengths:
-            if l.real <= 0.0:
+            if complex(l).real <= 0.0:
                 raise DegenerateFN(f"length {l} has nonpositive real part")
 
     @classmethod
@@ -140,18 +146,15 @@ def _inv2(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
 
 
-# The assembly runs in arbitrary precision: holonomy entries grow like
-# exp(length x tree depth) and the intermediate products inside generator
-# words cancel catastrophically, so fixed precision loses many digits.
-ASSEMBLY_DPS = 34
-
-
 class Representation:
     """Images of the standard generators, evaluable on words.
 
-    The images from the assembly are held in the working precision (flat
-    (a, b, c, d) tuples of mpmath numbers) for the cocycle and pairing
-    pipeline, whose intermediate quantities cancel catastrophically.
+    ``mp_images`` and ``mp_inverses`` hold the images and their inverses at
+    the working precision, as flat (a, b, c, d) tuples of
+    :class:`matrix2.Fixed` scalars, for the cocycle and pairing pipeline,
+    whose intermediate quantities cancel catastrophically.  Holonomy entries
+    grow like exp(length x tree depth), so the absolute 2^-FRAC_BITS
+    resolution of that scalar is what keeps those cancellations exact enough.
     Extended-precision (clongdouble) copies serve the analysis methods,
     which hand out ordinary complex128 MoebiusMaps.
     """
@@ -166,20 +169,18 @@ class Representation:
     # ``mp_images`` and ``mp_inverses``, never the extended-precision copies.
     @functools.cached_property
     def mp_inverses(self):
-        with mp.workdps(ASSEMBLY_DPS):
-            return {gen: m2.fadj(m) for gen, m in self.mp_images.items()}
+        return {gen: m2.fadj(m) for gen, m in self.mp_images.items()}
 
     @functools.cached_property
     def images(self):
-        with mp.workdps(ASSEMBLY_DPS):
-            return {gen: m2.flat_to_clongdouble(m) for gen, m in self.mp_images.items()}
+        return {gen: m2.flat_to_clongdouble(m) for gen, m in self.mp_images.items()}
 
     @functools.cached_property
     def _inverses(self):
         return {gen: _inv2(m) for gen, m in self.images.items()}
 
     def generator_flat(self, letter):
-        """Arbitrary-precision image of a single signed generator letter."""
+        """Working-precision image of a single signed generator letter."""
         table = self.mp_images if letter > 0 else self.mp_inverses
         gen = abs(letter)
         if gen not in table:
@@ -218,15 +219,14 @@ class Representation:
     def conjugated(self, mapping):
         """The representation g -> M g M^-1 (same marked structure)."""
         m = mapping.m if isinstance(mapping, MoebiusMap) else np.asarray(mapping)
-        with mp.workdps(ASSEMBLY_DPS):
-            unit = m2.frenorm(m2.flat_from_array(m))
-            images = {gen: m2.fconj(unit, x) for gen, x in self.mp_images.items()}
+        unit = m2.frenorm(m2.flat_from_array(m))
+        images = {gen: m2.fconj(unit, x) for gen, x in self.mp_images.items()}
         return Representation(self.graph, self.presentation, self.fn, images)
 
 
 def holonomy(graph, fn):
     """Representation realizing the coordinates on the graph's curves."""
-    presentation, images = assemble(graph, fn, lambda value, _direction: mp.mpc(value))
+    presentation, images = assemble(graph, fn, lambda value, _direction: m2.lift(value))
     return Representation(graph, presentation, fn, images)
 
 
@@ -234,10 +234,11 @@ def assemble(graph, fn, lift):
     """Presentation and generator images realizing the coordinates.
 
     ``lift(value, direction)`` turns each coordinate into the scalar the
-    assembly computes with, inside the working precision; direction k < N
-    is length k and N + k is twist k.  ``holonomy`` lifts to plain mpmath
-    numbers, the tangent cocycles to jets (:class:`matrix2.Jet`).  Returns
-    the presentation and its images as flat tuples of those scalars.
+    assembly computes with; direction k < N is length k and N + k is twist
+    k.  ``holonomy`` lifts to plain working-precision scalars
+    (:class:`matrix2.Fixed`), the tangent cocycles to jets over them
+    (:class:`matrix2.Jet`).  Returns the presentation and its images as flat
+    tuples of those scalars.
     """
     n = len(fn)
     if n != graph.num_curves:
@@ -245,9 +246,9 @@ def assemble(graph, fn, lift):
             f"{n} coordinate pairs for {graph.num_curves} curves"
         )
     for l in fn.lengths:
-        if abs(l.imag) >= math.pi - _IM_LENGTH_MARGIN:
+        if abs(complex(l).imag) >= math.pi - _IM_LENGTH_MARGIN:
             raise BranchFailure(
-                f"Im(length) = {l.imag} too close to the +-pi seam"
+                f"Im(length) = {complex(l).imag} too close to the +-pi seam"
             )
     plan = graph.plan()
     label_index = {label: k for k, label in enumerate(graph.curve_labels)}
@@ -256,70 +257,70 @@ def assemble(graph, fn, lift):
         for end in edge.ends():
             cuff_index[end] = label_index[edge.label]
 
-    # Assemble in arbitrary precision.  Holonomy entries and the
-    # cancellation inside word products grow exponentially with lengths and
-    # tree depth; the working precision keeps relator and round-trip
-    # residuals at the representation floor across the desk-scale
-    # coordinate boxes.
-    with mp.workdps(ASSEMBLY_DPS):
-        lengths = [lift(l, k) for k, l in enumerate(fn.lengths)]
-        twists = [lift(tau, n + k) for k, tau in enumerate(fn.twists)]
-        matrices = {}
-        frames = {}
-        for v in range(graph.num_pants):
-            cuffs = tuple(cuff_index[(v, c)] for c in (0, 1, 2))
-            try:
-                validate_pants(tuple(complex(fn.lengths[k]) / 2 for k in cuffs))
-            except (ReduciblePants, ValueError) as exc:
-                raise DegenerateFN(str(exc)) from exc
-            sigmas = tuple(lengths[k] / 2 for k in cuffs)
-            matrices[v] = pants_entries(sigmas, m2.cosh, m2.exp)
-            frames[v] = frame_entries(sigmas, m2.cosh, m2.exp)
+    pants_cuffs = [tuple(cuff_index[(v, c)] for c in (0, 1, 2))
+                   for v in range(graph.num_pants)]
+    for cuffs in pants_cuffs:
+        try:
+            validate_pants(tuple(complex(fn.lengths[k]) / 2 for k in cuffs))
+        except (ReduciblePants, ValueError, OverflowError) as exc:
+            raise DegenerateFN(str(exc)) from exc
 
-        def gluing_map(label, from_end, to_end):
-            # Frame determinants on both sides equal -2 sinh(length/2) of
-            # the same curve, so this product has unit determinant by
-            # construction; renormalization only polishes roundoff.
-            tau = twists[label_index[label]]
-            v, i = from_end
-            w, j = to_end
-            gluing = m2.fmul(
-                m2.fmul(m2.fmul(frames[v][i], m2.ftwist(tau)), m2.FS),
-                m2.finv(frames[w][j]),
-            )
-            return m2.frenorm(gluing)
+    lengths = [lift(l, k) for k, l in enumerate(fn.lengths)]
+    twists = [lift(tau, n + k) for k, tau in enumerate(fn.twists)]
+    # exp(sigma / 2) of each curve's half-length sigma = l / 2, shared by the
+    # two cuffs it glues; the pants formulas derive the rest by arithmetic
+    halves = [m2.exp(l / 4) for l in lengths]
+    matrices = {}
+    frames = {}
+    for v, cuffs in enumerate(pants_cuffs):
+        cuff_halves = tuple(halves[k] for k in cuffs)
+        matrices[v] = pants_entries(cuff_halves)
+        frames[v] = frame_entries(cuff_halves)
 
-        conj = {plan.root: m2.FEYE}
-        for label, parent_end, child_end in plan.tree_gluings:
-            conj[child_end[0]] = m2.fmul(
-                conj[parent_end[0]], gluing_map(label, parent_end, child_end)
-            )
+    def gluing_map(label, from_end, to_end):
+        # Frame determinants on both sides equal -2 sinh(length/2) of the
+        # same curve, so this product has unit determinant by construction;
+        # renormalization only polishes roundoff.
+        tau = twists[label_index[label]]
+        v, i = from_end
+        w, j = to_end
+        gluing = m2.fmul(
+            m2.fmul(m2.fmul(frames[v][i], m2.ftwist(tau)), m2.FS),
+            m2.finv(frames[w][j]),
+        )
+        return m2.frenorm(gluing)
 
-        symbol_matrix = {}
-        for v in range(graph.num_pants):
-            m = conj[v]
-            minv = m2.fadj(m)
-            symbol_matrix[graph.symbol_a(v)] = m2.fmul(m2.fmul(m, matrices[v][0]), minv)
-            symbol_matrix[graph.symbol_b(v)] = m2.fmul(m2.fmul(m, matrices[v][1]), minv)
+    conj = {plan.root: m2.FEYE}
+    for label, parent_end, child_end in plan.tree_gluings:
+        conj[child_end[0]] = m2.fmul(
+            conj[parent_end[0]], gluing_map(label, parent_end, child_end)
+        )
 
-        for label, s_end, t_end, z_symbol in plan.nontree_gluings:
-            v, w = s_end[0], t_end[0]
-            forward = m2.fmul(
-                m2.fmul(conj[v], gluing_map(label, s_end, t_end)), m2.fadj(conj[w])
-            )
-            symbol_matrix[z_symbol] = m2.fadj(forward)
+    symbol_matrix = {}
+    for v in range(graph.num_pants):
+        m = conj[v]
+        minv = m2.fadj(m)
+        symbol_matrix[graph.symbol_a(v)] = m2.fmul(m2.fmul(m, matrices[v][0]), minv)
+        symbol_matrix[graph.symbol_b(v)] = m2.fmul(m2.fmul(m, matrices[v][1]), minv)
 
-        def eval_symbols(word):
-            out = m2.FEYE
-            for letter in word:
-                m = symbol_matrix[abs(letter)]
-                out = m2.fmul(out, m if letter > 0 else m2.fadj(m))
-            return out
+    for label, s_end, t_end, z_symbol in plan.nontree_gluings:
+        v, w = s_end[0], t_end[0]
+        forward = m2.fmul(
+            m2.fmul(conj[v], gluing_map(label, s_end, t_end)), m2.fadj(conj[w])
+        )
+        symbol_matrix[z_symbol] = m2.fadj(forward)
 
-        images = {
-            gen: eval_symbols(word)
-            for gen, word in plan.presentation.generator_assembly_words.items()
-        }
+    def eval_symbols(word):
+        out = m2.FEYE
+        for letter in word:
+            m = symbol_matrix[abs(letter)]
+            out = m2.fmul(out, m if letter > 0 else m2.fadj(m))
+        return out
+
+    images = {
+        gen: eval_symbols(word)
+        for gen, word in plan.presentation.generator_assembly_words.items()
+    }
     return plan.presentation, images
 
 

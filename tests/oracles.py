@@ -21,7 +21,6 @@ per word, and an f-string per CSV row, kept verbatim as the reference.
 import cmath
 import math
 
-import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
 
@@ -33,7 +32,7 @@ from qfsurface.cocycles import (
     cocycle_gram,
 )
 from qfsurface.moebius import ProjectivePoint
-from qfsurface.surface import ASSEMBLY_DPS, holonomy
+from qfsurface.surface import holonomy
 from qfsurface.words import reduced_words_up_to
 
 G = np.diag([1.0, 1.0, -1.0])
@@ -152,27 +151,26 @@ def pairing_by_prefix_walk(u, v):
     precision.
     """
     rep = u.rep
-    with mp.workdps(ASSEMBLY_DPS):
-        total = mp.mpc(0.0)
-        u_prefix = m2.FZERO
-        prefix = m2.FEYE
-        for letter in rep.presentation.relator:
-            v_letter = m2.fconj(prefix, v.value(letter))
-            u_step = m2.fconj(prefix, u.value(letter))
-            u_next = m2.fadd(u_prefix, u_step)
-            # inverse letters pair against the post-letter prefix; this is
-            # the boundary correction making the evaluation chain a 2-cycle
-            u_used = u_prefix if letter > 0 else u_next
-            total += m2.ftrace(m2.fmul(u_used, v_letter))
-            u_prefix = u_next
-            prefix = m2.fmul(prefix, rep.generator_flat(letter))
-        return complex(PAIRING_SIGN * COEFFICIENT_SCALE * complex(total))
+    total = m2.lift(0)
+    u_prefix = m2.FZERO
+    prefix = m2.FEYE
+    for letter in rep.presentation.relator:
+        v_letter = m2.fconj(prefix, v.value(letter))
+        u_step = m2.fconj(prefix, u.value(letter))
+        u_next = m2.fadd(u_prefix, u_step)
+        # inverse letters pair against the post-letter prefix; this is
+        # the boundary correction making the evaluation chain a 2-cycle
+        u_used = u_prefix if letter > 0 else u_next
+        total += m2.ftrace(m2.fmul(u_used, v_letter))
+        u_prefix = u_next
+        prefix = m2.fmul(prefix, rep.generator_flat(letter))
+    return complex(PAIRING_SIGN * COEFFICIENT_SCALE * complex(total))
 
 
 # Central-difference step.  Its truncation error goes like h^2, its roundoff
-# like eps * M / h, with eps = 1e-34 the working precision and M the largest
-# holonomy entry.  Steps from 1e-11 to 1e-10 leave both below complex128
-# resolution across the bundled configs; at 1e-12 roundoff already dominates.
+# like eps * M / h, with eps = 2^-FRAC_BITS the absolute resolution of the
+# working scalar and M the growth of the entries along the assembly.  At
+# 1e-10 both sit below complex128 resolution across the bundled configs.
 STEP = 1e-10
 
 
@@ -189,18 +187,17 @@ def fd_tangent_cocycle(graph, fn, kind, index, h=STEP, base=None):
     coordinates, so no stencil ever straddles a branch cut.
     """
     rep = base if base is not None else holonomy(graph, fn)
-    with mp.workdps(ASSEMBLY_DPS):
-        # fn[k] +- h is formed at the working precision, so the two stencil
-        # points are exactly 2h apart
-        step = mp.mpf(h)
-        plus = holonomy(graph, fn.shifted(index, kind, step))
-        minus = holonomy(graph, fn.shifted(index, kind, -step))
-        inv_step = 1 / (2 * step)
-        table = {}
-        for gen, m0 in rep.mp_images.items():
-            diff = m2.fadd(plus.mp_images[gen], m2.fscale(minus.mp_images[gen], -1))
-            derivative = m2.fscale(diff, inv_step)
-            table[gen] = m2.ftraceless(m2.fmul(derivative, m2.fadj(m0)))
+    # fn[k] +- h is formed at the working precision, so the two stencil
+    # points are exactly 2h apart
+    step = m2.lift(h)
+    plus = holonomy(graph, fn.shifted(index, kind, step))
+    minus = holonomy(graph, fn.shifted(index, kind, -step))
+    inv_step = 1 / (2 * step)
+    table = {}
+    for gen, m0 in rep.mp_images.items():
+        diff = m2.fadd(plus.mp_images[gen], m2.fscale(minus.mp_images[gen], -1))
+        derivative = m2.fscale(diff, inv_step)
+        table[gen] = m2.ftraceless(m2.fmul(derivative, m2.fadj(m0)))
     return TangentCocycle(rep, table)
 
 

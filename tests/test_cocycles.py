@@ -25,10 +25,11 @@ from qfsurface.cocycles import (
     goldman_pairing,
     symplectic_gram,
 )
-from qfsurface.config import parse_config
+from qfsurface.cli import main as cli_main
+from qfsurface.config import SurfaceConfig, config_to_json, parse_config
 from qfsurface.moebius import MoebiusMap
 from qfsurface.presentation import PantsDecompositionGraph
-from qfsurface.surface import ASSEMBLY_DPS, FNCoordinates, holonomy
+from qfsurface.surface import FNCoordinates, holonomy
 
 
 def standard_graph():
@@ -50,10 +51,11 @@ def separating_graph():
 GRAPH = standard_graph()
 FN = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
 
-GENUS3_CHAIN = PantsDecompositionGraph(4, [
+GENUS3_CHAIN_EDGES = [
     ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
     ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (3, 2)),
-])
+]
+GENUS3_CHAIN = PantsDecompositionGraph(4, GENUS3_CHAIN_EDGES)
 TWISTS3 = [0.1, -0.2, 0.3, 0.0, 0.2, -0.1]
 
 # the genus-3 chain extended by two pants
@@ -154,13 +156,11 @@ def test_pairing_bilinearity(base):
 def test_scaling_and_sums_keep_working_precision(base):
     _rep, cocycles = base
     u = cocycles[0]
-    with mp.workdps(ASSEMBLY_DPS):
-        third = mp.mpf(1) / 3
+    third = m2.lift(1) / 3
     once = u.scaled(third)
     for back in (once.scaled(3), once.plus(once).plus(once)):
-        with mp.workdps(ASSEMBLY_DPS):
-            error = max(m2.fmax_abs(m2.fadd(back.flat[g], m2.fscale(u.flat[g], -1)))
-                        for g in u.flat)
+        error = max(m2.fmax_abs(m2.fadd(back.flat[g], m2.fscale(u.flat[g], -1)))
+                    for g in u.flat)
         assert error <= 1e-25 * cocycle_scale(u)
 
 
@@ -355,25 +355,33 @@ def test_gram_reports_worst_cocycle_residual(base):
     assert abs(gram.cocycle_residual - worst) <= 1e-20 * worst
 
 
+def to_mpc(x):
+    """A fixed-point scalar as an mpmath number, exactly at 80 digits."""
+    scale = mp.mpf(2) ** -m2.FRAC_BITS
+    return mp.mpc(mp.mpf(x.re) * scale, mp.mpf(x.im) * scale)
+
+
 def test_jet_derivatives_match_mpmath_diff():
     # a composite of every jet operation, against mpmath's own differentiation
     def f(x, y, cosh, exp, sqrt):
         return sqrt(cosh(x) * y - 1 / (exp(-x / 2) + y)) / (2 - x * y) + (3 - y) * x
 
     def plain(x, y):
-        return f(x, y, mp.cosh, mp.exp, mp.sqrt)
+        return f(x, y, m2.cosh, m2.exp, m2.sqrt)
 
-    with mp.workdps(ASSEMBLY_DPS):
-        x0, y0 = mp.mpc(0.7, 0.2), mp.mpc(1.3, -0.4)
-        jet = f(m2.Jet(x0, {0: 1}), m2.Jet(y0, {1: 1}), m2.cosh, m2.exp, m2.sqrt)
-        assert jet.value == plain(x0, y0)
+    x0, y0 = m2.lift(0.7 + 0.2j), m2.lift(1.3 - 0.4j)
+    unit = m2.lift(1)
+    jet = f(m2.Jet(x0, {0: unit}), m2.Jet(y0, {1: unit}), m2.cosh, m2.exp, m2.sqrt)
+    assert jet.value == plain(x0, y0)
+    with mp.workdps(80):
         for direction, orders in ((0, (1, 0)), (1, (0, 1))):
-            expected = mp.diff(plain, (x0, y0), orders)
-            assert abs(m2.partial(jet, direction) - expected) <= 1e-25
-        assert m2.partial(jet, 2) == 0
-        # constants carry no gradient, and the constant 0 stays a plain zero
-        assert m2.partial(x0, 0) == 0 and m2.value_of(x0) is x0
-        assert not isinstance(m2.Jet(x0, {0: 1}) * 0, m2.Jet)
+            expected = mp.diff(lambda x, y: f(x, y, mp.cosh, mp.exp, mp.sqrt),
+                               (to_mpc(x0), to_mpc(y0)), orders)
+            assert abs(to_mpc(m2.partial(jet, direction)) - expected) <= 1e-50
+    assert m2.partial(jet, 2) == 0
+    # constants carry no gradient, and the constant 0 stays a plain zero
+    assert m2.partial(x0, 0) == 0 and m2.value_of(x0) is x0
+    assert not isinstance(m2.Jet(x0, {0: unit}) * 0, m2.Jet)
 
 
 def test_jet_images_equal_holonomy():
@@ -420,11 +428,54 @@ def test_gram_runs_one_holonomy_assembly(monkeypatch):
     assert gram.size == 2 * len(fn)
 
 
-def test_darboux_at_genus3_lengths_12():
-    # 34 digits held the FD oracle to 2.4e-4 here, over the 1e-4 tolerance;
-    # exact derivatives leave room to spare
-    gram = symplectic_gram(GENUS3_CHAIN, FNCoordinates([12.0] * 6, TWISTS3))
-    assert darboux_residual(gram) <= 1e-8
+def test_darboux_at_genus3_lengths_12(tmp_path):
+    # 34-digit mpmath held the FD oracle to 2.4e-4 at lengths 12, and its
+    # exact-derivative Gram to 5.5e-5 at lengths 16 and 2.7e4 at lengths 20;
+    # an absolute 2^-192 leaves room to spare at all three
+    labels = [label for label, _end_a, _end_b in GENUS3_CHAIN_EDGES]
+    for length in (12.0, 16.0, 20.0):
+        fn = FNCoordinates([length] * 6, TWISTS3)
+        assert darboux_residual(symplectic_gram(GENUS3_CHAIN, fn)) <= 1e-12
+        config = SurfaceConfig(
+            3, [f"P{k}" for k in range(4)], GENUS3_CHAIN_EDGES,
+            {label: (length, tau) for label, tau in zip(labels, TWISTS3)},
+            {"tol": 1e-12, "word_length": 6})
+        path = tmp_path / f"chain_{length:g}.json"
+        path.write_text(config_to_json(config))
+        assert cli_main(["darboux-check", str(path)]) == 0
+
+
+def test_gram_makes_no_mpmath_arithmetic(monkeypatch):
+    # the working scalar is fixed point: mpmath only evaluates the
+    # transcendental functions, on its raw number tuples
+    from mpmath.ctx_mp_python import _mpc, _mpf
+
+    calls = []
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+        return wrapper
+
+    operators = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__",
+                 "__pos__", "__abs__"}
+    for cls in (_mpf, _mpc):
+        for name in operators & set(vars(cls)):
+            monkeypatch.setattr(cls, name, counted(vars(cls)[name]))
+    monkeypatch.setattr(mp, "fdot", counted(mp.fdot))
+    # the counters see mpmath arithmetic where there is some
+    mp.fdot([mp.mpc(1) * 2], [mp.mpf(3) + 1])
+    assert len(calls) == 3
+    calls.clear()
+
+    config = parse_config(
+        resources.files("qfsurface.data").joinpath("genus3.json").read_text())
+    graph = config.graph()
+    gram = symplectic_gram(graph, config.fn(graph))
+    assert darboux_residual(gram) <= 1e-40
+    assert calls == []
 
 
 def complex_coordinate(real_lo, real_hi):

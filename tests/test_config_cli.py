@@ -4,7 +4,6 @@ import subprocess
 import sys
 from importlib import resources
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,7 +18,7 @@ from qfsurface.config import (
 )
 from qfsurface.cli import main as cli_main
 from qfsurface.presentation import MalformedGraph
-from qfsurface.surface import ASSEMBLY_DPS, holonomy
+from qfsurface.surface import holonomy
 
 BUNDLED = ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
            "genus2_separating.json", "genus3.json")
@@ -45,11 +44,10 @@ def test_bundled_configs_parse():
         assert len(fn) == graph.num_curves
         # the relator holds to the working precision, not to complex128
         rep = holonomy(graph, fn)
-        with mp.workdps(ASSEMBLY_DPS):
-            product = m2.FEYE
-            for letter in rep.presentation.relator:
-                product = m2.fmul(product, rep.generator_flat(letter))
-            residual = m2.fmax_abs(m2.fadd(product, m2.fscale(m2.FEYE, -1)))
+        product = m2.FEYE
+        for letter in rep.presentation.relator:
+            product = m2.fmul(product, rep.generator_flat(letter))
+        residual = m2.fmax_abs(m2.fadd(product, m2.fscale(m2.FEYE, -1)))
         assert residual <= 1e-25
 
 
@@ -201,6 +199,39 @@ def test_cli_input_error_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(presentation, "_build_plan", broken_plan)
     assert cli_main(["holonomy", bundled_path("genus2_fuchsian.json", tmp_path)]) == 2
     assert "commutator form" in capsys.readouterr().err
+
+
+def _set_fn(part, value):
+    def mutate(doc):
+        doc["fn"]["alpha1"][part] = value
+    return mutate
+
+
+def _set_tol(doc):
+    doc["options"]["tol"] = math.inf
+
+
+# json reads NaN, Infinity, true and false, and bool is an int
+@pytest.mark.parametrize("command, mutate, path", [
+    (["lengths"], _set_fn("l", [math.nan, 0.0]), "/fn/alpha1/l"),
+    (["gram"], _set_fn("l", [2.0, math.inf]), "/fn/alpha1/l"),
+    (["gram"], _set_fn("tau", [-math.inf, 0.0]), "/fn/alpha1/tau"),
+    (["gram"], _set_fn("tau", [True, 0.0]), "/fn/alpha1/tau"),
+    (["darboux-check"], _set_tol, "/options/tol"),
+    (["twist", "--curve", "alpha1", "--t", "nan,0"], None, "--t"),
+], ids=["lengths-nan-l", "gram-inf-l", "gram-inf-tau", "gram-bool-tau",
+        "darboux-check-inf-tol", "twist-nan"])
+def test_cli_rejects_non_finite_and_boolean_input(tmp_path, capsys, command, mutate, path):
+    doc = json.loads(bundled("genus2_fuchsian.json"))
+    if mutate is not None:
+        mutate(doc)
+    config = tmp_path / "input.json"
+    config.write_text(json.dumps(doc))
+    argv = [command[0], str(config), *command[1:]]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert path in captured.err
 
 
 def test_cli_residual_failure_exit_code(tmp_path, capsys):

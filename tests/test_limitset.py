@@ -2,7 +2,6 @@ import cmath
 from collections import Counter
 from importlib import resources
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -22,7 +21,7 @@ from qfsurface.limitset import (
 )
 from qfsurface.moebius import ProjectivePoint
 from qfsurface.presentation import PantsDecompositionGraph
-from qfsurface.surface import ASSEMBLY_DPS, FNCoordinates, holonomy, twist_flow
+from qfsurface.surface import FNCoordinates, holonomy, twist_flow
 from qfsurface.words import reduce_word, reduced_words_up_to
 
 
@@ -110,17 +109,16 @@ def test_bent_cloud_is_not_round_but_traces_fixed():
 
 def test_cloud_drops_rounding_noise_fixed_point():
     # g4 g3 g4^-1 of the bundled QF config fixes infinity: its lower-left
-    # entry is 1e-29 at the working precision but 1e-14 in complex128, where
-    # (lambda - d) / c divides noise by noise
+    # entry is rounding noise at the working precision but 1e-14 in
+    # complex128, where (lambda - d) / c divides noise by noise
     rep = bundled_rep("genus2_quasifuchsian")
-    with mp.workdps(ASSEMBLY_DPS):
-        exact = m2.FEYE
-        for letter in (4, 3, -4):
-            exact = m2.fmul(exact, rep.generator_flat(letter))
-        ea, eb, ec, ed = exact
-        assert abs(ec) <= 1e-25 and abs(ed) > abs(ea)
-        # upper triangular: the attracting eigenvalue d has eigenvector b/(d-a)
-        true = ProjectivePoint(complex(eb), complex(ed - ea))
+    exact = m2.FEYE
+    for letter in (4, 3, -4):
+        exact = m2.fmul(exact, rep.generator_flat(letter))
+    ea, eb, ec, ed = exact
+    assert abs(complex(ec)) <= 1e-25 and abs(complex(ed)) > abs(complex(ea))
+    # upper triangular: the attracting eigenvalue d has eigenvector b/(d-a)
+    true = ProjectivePoint(complex(eb), complex(ed - ea))
     gens = {}
     for g in (3, 4):
         (a, b), (c, d) = gens[g] = rep.images[g].astype(complex)

@@ -1,0 +1,88 @@
+"""The fixed-point scalar against mpmath at 100 digits.
+
+Errors are counted in units of 2^-FRAC_BITS, per real component, and the
+bounds are fixed by how each operation rounds:
+
+* ``+`` and ``-`` are exact: 0 units;
+* ``*`` and ``/`` do exact integer work and floor once: the result lies in
+  (exact - 1, exact];
+* ``exp``, ``cosh`` and ``sqrt`` floor a value evaluated to 2^-16 units or
+  better: within 2 units.
+
+The reference's own rounding at 100 digits is below 1e-20 units for every
+drawn magnitude, far inside each bound.
+"""
+
+import mpmath as mp
+from hypothesis import given, settings, strategies as st
+
+from qfsurface import matrix2 as m2
+
+UNIT = mp.mpf(2) ** -m2.FRAC_BITS
+REFERENCE_SLACK = 1e-20
+
+# each component zero or of magnitude 1e-6 to 1e12, either sign
+components = st.one_of(
+    st.just(0.0),
+    st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+              st.floats(-6.0, 12.0), st.sampled_from([1.0, -1.0])))
+magnitudes = st.builds(complex, components, components).filter(bool)
+# arguments of exp and cosh: results up to e^40, phases from 1e-6 to 1e3
+exponents = st.builds(complex, st.floats(-40.0, 40.0),
+                      st.one_of(st.floats(-1e3, -1e-6), st.floats(1e-6, 1e3)))
+
+fixed_settings = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def exact(x):
+    return mp.mpc(mp.mpf(x.re) * UNIT, mp.mpf(x.im) * UNIT)
+
+
+def error_units(result, reference):
+    """Signed errors (reference - result) of both components, in units."""
+    return (reference.real / UNIT - result.re, reference.imag / UNIT - result.im)
+
+
+def assert_floored(result, reference):
+    for error in error_units(result, reference):
+        assert -REFERENCE_SLACK <= error < 1 + REFERENCE_SLACK
+
+
+def assert_within(result, reference, units):
+    for error in error_units(result, reference):
+        assert abs(error) <= units
+
+
+@fixed_settings
+@given(x=magnitudes, y=magnitudes)
+def test_arithmetic_rounds_once(x, y):
+    # lifted doubles end in zero bits, so their products are exact; thirds
+    # and sevenths fill all FRAC_BITS
+    a, b = m2.lift(x) / 3, m2.lift(y) / 7
+    with mp.workdps(100):
+        ea, eb = exact(a), exact(b)
+        assert_within(a + b, ea + eb, 0)
+        assert_within(a - b, ea - eb, 0)
+        assert_floored(a * b, ea * eb)
+        assert_floored(a / b, ea / eb)
+
+
+@fixed_settings
+@given(x=magnitudes, z=exponents)
+def test_transcendentals_within_two_units(x, z):
+    a, w = m2.lift(x), m2.lift(z)
+    with mp.workdps(100):
+        assert_within(m2.sqrt(a), mp.sqrt(exact(a)), 2)
+        assert_within(m2.exp(w), mp.exp(exact(w)), 2)
+        assert_within(m2.cosh(w), mp.cosh(exact(w)), 2)
+
+
+@fixed_settings
+@given(x=magnitudes)
+def test_complex128_round_trip_is_exact(x):
+    assert complex(m2.lift(x)) == x
+    # the lift is exact, so mpmath sees the same number, and mpmath
+    # numbers lift exactly too
+    with mp.workdps(100):
+        assert exact(m2.lift(x)) == mp.mpc(x)
+        assert m2.lift(mp.mpc(x)) == m2.lift(x)

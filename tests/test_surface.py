@@ -171,11 +171,20 @@ def test_fuchsian_residual_conjugation_stable():
 def test_fn_validation_and_branch_guard():
     with pytest.raises(DegenerateFN):
         FNCoordinates([-1.0, 2.0, 2.0], [0.0, 0.0, 0.0])
+    # a fixed-point lift holds no NaN or infinity
+    for bad in (math.nan, complex(2.0, math.inf)):
+        with pytest.raises(DegenerateFN):
+            FNCoordinates([2.0, bad, 2.0], [0.0, 0.0, 0.0])
+        with pytest.raises(DegenerateFN):
+            FNCoordinates([2.0, 2.0, 2.0], [0.0, 0.0, bad])
     graph = standard_graph()
     with pytest.raises(BranchFailure):
         holonomy(graph, FNCoordinates([2.0 + 3.14j, 2.0, 2.0], [0.0, 0.0, 0.0]))
     with pytest.raises(DegenerateFN):
         holonomy(graph, FNCoordinates([2.0, 2.0], [0.0, 0.0]))
+    # cosh of the half-length overflows complex128 in the pants check
+    with pytest.raises(DegenerateFN):
+        holonomy(graph, FNCoordinates([2000.0, 2.0, 2.0], [0.0, 0.0, 0.0]))
 
 
 def test_entries_entire_in_coordinates():
