@@ -11,6 +11,7 @@ from .cocycles import (
     BaseMismatch,
     COEFFICIENT_SCALE,
     PAIRING_SIGN,
+    PrecisionExhausted,
     SymplecticGram,
     TangentCocycle,
     coboundary,

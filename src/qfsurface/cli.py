@@ -2,14 +2,16 @@
 
 Commands read a JSON surface configuration (see :mod:`qfsurface.config`)
 and emit JSON, CSV, or SVG on stdout unless --output is given.  Exit codes:
-0 success / checks passed, 1 a verification failed its tolerance, 2 bad
-input.  Property-test subcommands seed their RNG from the QFS_SEED
-environment variable (default 0).
+0 success / checks passed, 1 a verification failed its tolerance (also
+``PrecisionExhausted``: a FAIL line names the stage and the quantity, such
+as a Gram's cocycle_residual), 2 bad input.  Property-test subcommands seed
+their RNG from the QFS_SEED environment variable (default 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -17,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .cocycles import darboux_residual, symplectic_gram
+from .cocycles import PrecisionExhausted, darboux_residual, symplectic_gram
 from .config import SchemaError, config_to_json, parse_config
 from .limitset import cloud_to_csv, cloud_to_svg, limit_set
 from .moebius import NotLoxodromic
@@ -29,7 +31,13 @@ from .schwarzian import (
     polynomial_sample,
     schwarzian_at,
 )
-from .surface import BranchFailure, DegenerateFN, UnknownGenerator, holonomy
+from .surface import (
+    BranchFailure,
+    DegenerateFN,
+    UnknownGenerator,
+    complex_length_of_curve,
+    holonomy,
+)
 
 __all__ = ["main"]
 
@@ -61,9 +69,7 @@ def _cmd_holonomy(args):
     rep = holonomy(graph, config.fn(graph))
     generators = {}
     for gen_id, name in enumerate(rep.presentation.generator_names, start=1):
-        matrix = rep.images[gen_id].astype(complex)
-        generators[name] = [[_complex_json(matrix[i, j]) for j in range(2)]
-                            for i in range(2)]
+        generators[name] = [[_complex_json(z) for z in row] for row in rep.images[gen_id]]
     payload = {
         "genus": graph.genus,
         "generators": generators,
@@ -81,8 +87,6 @@ def _cmd_lengths(args):
     config = _load_config(args.config)
     graph = config.graph()
     rep = holonomy(graph, config.fn(graph))
-    from .surface import complex_length_of_curve
-
     lengths = {}
     if args.word:
         word = rep.presentation.word_from_string(args.word)
@@ -102,6 +106,11 @@ def _cmd_lengths(args):
 def _gram_payload(config):
     graph = config.graph()
     gram = symplectic_gram(graph, config.fn(graph))
+    # basis cocycles that do not vanish on the relator pair to garbage
+    tol = config.options["tol"]
+    if not gram.cocycle_residual <= tol:
+        raise PrecisionExhausted(f"cocycle_gram: cocycle_residual "
+                                 f"{gram.cocycle_residual:.3e} exceeds {tol:.1e}")
     residual = darboux_residual(gram)
     n = gram.size // 2
     labels = [f"l:{c}" for c in graph.curve_labels] + \
@@ -266,11 +275,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except PrecisionExhausted as exc:
+        sys.stdout.write(f"FAIL {exc}\n")
+        return 1
     except SchemaError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

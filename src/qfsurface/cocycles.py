@@ -66,10 +66,11 @@ import numpy as np
 from . import matrix2 as m2
 # ``holonomy`` stays bound here for qfsbench, whose tracer wraps it in every
 # module that binds it and whose tests look it up on this module
-from .surface import Representation, assemble, holonomy  # noqa: F401
+from .surface import Representation, assemble, complex128_stage, holonomy  # noqa: F401
 
 __all__ = [
     "BaseMismatch",
+    "PrecisionExhausted",
     "PAIRING_SIGN",
     "COEFFICIENT_SCALE",
     "TangentCocycle",
@@ -96,6 +97,10 @@ COEFFICIENT_SCALE = 2.0
 
 class BaseMismatch(Exception):
     """Cocycles based at different representations cannot be paired."""
+
+
+class PrecisionExhausted(Exception):
+    """A stage's own health measure exceeds the tolerance of its result."""
 
 
 class TangentCocycle:
@@ -260,7 +265,8 @@ def goldman_pairing(u, v, coefficient_scale=COEFFICIENT_SCALE):
     prefixes = _relator_prefixes(u.rep)
     sums, _letters, _closing = _relator_walk(u, prefixes)
     _sums, letters, _closing = _relator_walk(v, prefixes)
-    return _contract(sums, letters, coefficient_scale)
+    with complex128_stage("goldman_pairing"):
+        return _contract(sums, letters, coefficient_scale)
 
 
 class SymplecticGram:
@@ -294,10 +300,11 @@ def cocycle_gram(rep, cocycles):
     sums, letters, closings = zip(*(_relator_walk(u, prefixes) for u in cocycles))
     dim = len(cocycles)
     raw = np.zeros((dim, dim), dtype=complex)
-    for a, b in itertools.permutations(range(dim), 2):
-        raw[a, b] = _contract(sums[a], letters[b])
+    with complex128_stage("cocycle_gram"):
+        for a, b in itertools.permutations(range(dim), 2):
+            raw[a, b] = _contract(sums[a], letters[b])
+        residual = max(m2.fmax_abs(closing) for closing in closings)
     asymmetry = float(np.max(np.abs(raw + raw.T)))
-    residual = max(m2.fmax_abs(closing) for closing in closings)
     gram = (raw - raw.T) / 2.0
     return SymplecticGram(gram, asymmetry, residual)
 

@@ -1,8 +1,10 @@
 """A fixed-point complex scalar, its jets, and flat 2x2 matrix helpers.
 
-Matrices are (a, b, c, d) tuples.  Used by the holonomy assembly and the
-cocycle pipeline, where intermediate products cancel catastrophically and
-complex128 is not enough.
+Matrices are (a, b, c, d) tuples.  This is the one precision layer of the
+package: the holonomy assembly, the cocycle pipeline and the relator,
+curve-length and word checks all compute here, where intermediate products
+cancel catastrophically and complex128 is not enough, and round to
+complex128 once, at the end (:func:`flat_to_complex`).
 
 The working scalar is :class:`Fixed`: a complex number held as two Python
 ints at the scale 2^-FRAC_BITS.  Sums are exact and every product or
@@ -336,11 +338,6 @@ def finv(x):
     return (x[3] / d, -x[1] / d, -x[2] / d, x[0] / d)
 
 
-def frenorm(x):
-    s = sqrt(fdet(x))
-    return (x[0] / s, x[1] / s, x[2] / s, x[3] / s)
-
-
 def ftrace(x):
     return x[0] + x[3]
 
@@ -360,27 +357,8 @@ def fconj(p, x):
     return fmul(fmul(p, x), fadj(p))
 
 
-def _longdouble(n):
-    """n 2^-FRAC_BITS as a longdouble, from a double and its remainder."""
-    hi = n / _ONE
-    lo = (n - _fixed_of_float(hi)) / _ONE
-    return np.longdouble(hi) + np.longdouble(lo)
-
-
-def flat_to_clongdouble(flat):
-    out = np.empty((2, 2), dtype=np.clongdouble)
-    for k, z in enumerate(flat):
-        z = lift(z)
-        out[k // 2, k % 2] = np.clongdouble(_longdouble(z.re)) \
-            + np.clongdouble(1j) * np.clongdouble(_longdouble(z.im))
-    return out
-
-
 def flat_to_complex(flat):
-    return np.array(
-        [[complex(flat[0]), complex(flat[1])], [complex(flat[2]), complex(flat[3])]],
-        dtype=complex,
-    )
+    return np.array([complex(x) for x in flat]).reshape(2, 2)
 
 
 def flat_from_array(m):

@@ -27,17 +27,16 @@ and only twist differences are meaningful.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
-
-import numpy as np
 
 from . import matrix2 as m2
 
 from .moebius import (
+    _CLASSIFY_TOL,
     MoebiusMap,
     NotLoxodromic,
-    classify,
     displacement_from_trace,
     fixed_points,
 )
@@ -141,9 +140,15 @@ def twist_flow(fn, index, t):
     return fn.shifted(index, "tau", t)
 
 
-def _inv2(m):
-    """Inverse of a unit-determinant matrix (adjugate)."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
+@contextlib.contextmanager
+def complex128_stage(stage):
+    """Working-precision values past 2^1024 (long curves) as DegenerateFN."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise DegenerateFN(
+            f"{stage}: entries exceed complex128 (a length is too large)"
+        ) from exc
 
 
 class Representation:
@@ -151,12 +156,12 @@ class Representation:
 
     ``mp_images`` and ``mp_inverses`` hold the images and their inverses at
     the working precision, as flat (a, b, c, d) tuples of
-    :class:`matrix2.Fixed` scalars, for the cocycle and pairing pipeline,
-    whose intermediate quantities cancel catastrophically.  Holonomy entries
-    grow like exp(length x tree depth), so the absolute 2^-FRAC_BITS
-    resolution of that scalar is what keeps those cancellations exact enough.
-    Extended-precision (clongdouble) copies serve the analysis methods,
-    which hand out ordinary complex128 MoebiusMaps.
+    :class:`matrix2.Fixed` scalars.  Every check runs on them: holonomy
+    entries grow like exp(length x tree depth), and the relator, curve-length
+    and cocycle computations cancel them back down to size one, which the
+    absolute 2^-FRAC_BITS resolution of that scalar keeps exact enough.
+    Results are rounded to complex128 once, at the end.  ``images`` holds
+    complex128 copies of the generators for bulk work (limit sets, output).
     """
 
     def __init__(self, graph, presentation, fn, mp_images):
@@ -166,18 +171,15 @@ class Representation:
         self.mp_images = mp_images
 
     # The side tables are built on first use: a Gram reads only
-    # ``mp_images`` and ``mp_inverses``, never the extended-precision copies.
+    # ``mp_images`` and ``mp_inverses``, never the complex128 copies.
     @functools.cached_property
     def mp_inverses(self):
         return {gen: m2.fadj(m) for gen, m in self.mp_images.items()}
 
     @functools.cached_property
     def images(self):
-        return {gen: m2.flat_to_clongdouble(m) for gen, m in self.mp_images.items()}
-
-    @functools.cached_property
-    def _inverses(self):
-        return {gen: _inv2(m) for gen, m in self.images.items()}
+        with complex128_stage("holonomy"):
+            return {gen: m2.flat_to_complex(m) for gen, m in self.mp_images.items()}
 
     def generator_flat(self, letter):
         """Working-precision image of a single signed generator letter."""
@@ -187,28 +189,26 @@ class Representation:
             raise UnknownGenerator(f"generator id {gen}")
         return table[gen]
 
-    def generator_matrix(self, letter):
-        table = self.images if letter > 0 else self._inverses
-        gen = abs(letter)
-        if gen not in table:
-            raise UnknownGenerator(f"generator id {gen}")
-        return table[gen]
+    def flat_of_word(self, word):
+        """Working-precision image of a word, as a flat tuple."""
+        return functools.reduce(m2.fmul, map(self.generator_flat, word), m2.FEYE)
 
     def matrix_of_word(self, word):
-        out = np.eye(2, dtype=np.clongdouble)
-        for letter in word:
-            out = out @ self.generator_matrix(letter)
-        return out
+        """Image of a word, rounded once to a complex128 matrix."""
+        with complex128_stage("evaluate"):
+            return m2.flat_to_complex(self.flat_of_word(word))
 
     def evaluate(self, word):
         if isinstance(word, str):
             word = self.presentation.word_from_string(word)
         word = reduce_word(word)
-        return MoebiusMap(self.matrix_of_word(word).astype(complex), normalize=False)
+        return MoebiusMap(self.matrix_of_word(word), normalize=False)
 
     def relator_residual(self):
-        m = self.matrix_of_word(self.presentation.relator)
-        return float(np.max(np.abs(m - np.eye(2))))
+        """Largest entry of rho(relator) - 1, at the working precision."""
+        a, b, c, d = self.flat_of_word(self.presentation.relator)
+        with complex128_stage("relator_residual"):
+            return m2.fmax_abs((a - 1, b, c, d - 1))
 
     def curve_word(self, label):
         try:
@@ -218,9 +218,9 @@ class Representation:
 
     def conjugated(self, mapping):
         """The representation g -> M g M^-1 (same marked structure)."""
-        m = mapping.m if isinstance(mapping, MoebiusMap) else np.asarray(mapping)
-        unit = m2.frenorm(m2.flat_from_array(m))
-        images = {gen: m2.fconj(unit, x) for gen, x in self.mp_images.items()}
+        m = m2.flat_from_array(mapping.m if isinstance(mapping, MoebiusMap) else mapping)
+        inverse = m2.finv(m)
+        images = {gen: m2.fmul(m2.fmul(m, x), inverse) for gen, x in self.mp_images.items()}
         return Representation(self.graph, self.presentation, self.fn, images)
 
 
@@ -279,16 +279,15 @@ def assemble(graph, fn, lift):
 
     def gluing_map(label, from_end, to_end):
         # Frame determinants on both sides equal -2 sinh(length/2) of the
-        # same curve, so this product has unit determinant by construction;
-        # renormalization only polishes roundoff.
+        # same curve, so this product has unit determinant by construction,
+        # to the working precision; it is used as it is.
         tau = twists[label_index[label]]
         v, i = from_end
         w, j = to_end
-        gluing = m2.fmul(
+        return m2.fmul(
             m2.fmul(m2.fmul(frames[v][i], m2.ftwist(tau)), m2.FS),
             m2.finv(frames[w][j]),
         )
-        return m2.frenorm(gluing)
 
     conj = {plan.root: m2.FEYE}
     for label, parent_end, child_end in plan.tree_gluings:
@@ -311,11 +310,8 @@ def assemble(graph, fn, lift):
         symbol_matrix[z_symbol] = m2.fadj(forward)
 
     def eval_symbols(word):
-        out = m2.FEYE
-        for letter in word:
-            m = symbol_matrix[abs(letter)]
-            out = m2.fmul(out, m if letter > 0 else m2.fadj(m))
-        return out
+        factors = (symbol_matrix[x] if x > 0 else m2.fadj(symbol_matrix[-x]) for x in word)
+        return functools.reduce(m2.fmul, factors, m2.FEYE)
 
     images = {
         gen: eval_symbols(word)
@@ -333,17 +329,18 @@ def complex_length_of_curve(rep, word):
     """Complex displacement of the word's holonomy, normalized.
 
     The length of a curve only depends on its free-homotopy class, so the
-    word is cyclically reduced first; the trace is then taken in extended
-    precision before the arccosh.
+    word is cyclically reduced first.  The trace is taken at the working
+    precision and rounded once, before the arccosh; the word is classified
+    from it.
     """
     if isinstance(word, str):
         word = rep.presentation.word_from_string(word)
-    matrix = rep.matrix_of_word(cyclic_reduce(word))
-    mapping = MoebiusMap(matrix.astype(complex), normalize=False)
-    kind = classify(mapping)
-    if kind in ("identity", "parabolic"):
-        raise NotLoxodromic(f"holonomy of the word is {kind}")
-    return displacement_from_trace(complex(matrix[0, 0] + matrix[1, 1]))
+    a, _b, _c, d = rep.flat_of_word(cyclic_reduce(word))
+    with complex128_stage("complex_length_of_curve"):
+        trace = complex(a + d)
+    if abs(trace * trace - 4.0) <= _CLASSIFY_TOL:
+        raise NotLoxodromic("holonomy of the word is parabolic or the identity")
+    return displacement_from_trace(trace)
 
 
 def fuchsian_residual(rep):
@@ -375,7 +372,6 @@ def fuchsian_residual(rep):
         raise DegenerateFN("no independent fixed point to pin a frame")
     frame = MoebiusMap.from_three_points(axis.repelling, axis.attracting, third)
     normalized = rep.conjugated(frame.inverse())
-    residual = 0.0
-    for mat in normalized.images.values():
-        residual = max(residual, float(np.max(np.abs(mat.astype(complex).imag))))
-    return residual
+    with complex128_stage("fuchsian_residual"):
+        return max(abs(complex(x).imag)
+                   for m in normalized.mp_images.values() for x in m)

@@ -445,6 +445,26 @@ def test_darboux_at_genus3_lengths_12(tmp_path):
         assert cli_main(["darboux-check", str(path)]) == 0
 
 
+def test_gram_past_its_precision_fails_typed(tmp_path, capsys):
+    # at lengths 40 the basis cocycles miss the relator by about 0.1, so
+    # their Gram is garbage: both commands name the stage and the quantity
+    # and exit 1 instead of printing it; at lengths 20 they pass
+    labels = [label for label, _end_a, _end_b in GENUS3_CHAIN_EDGES]
+    for length, code in ((20.0, 0), (40.0, 1)):
+        config = SurfaceConfig(
+            3, [f"P{k}" for k in range(4)], GENUS3_CHAIN_EDGES,
+            {label: (length, tau) for label, tau in zip(labels, TWISTS3)},
+            {"tol": 1e-4, "word_length": 6})
+        path = tmp_path / f"chain_{length:g}.json"
+        path.write_text(config_to_json(config))
+        for command in ("gram", "darboux-check"):
+            assert cli_main([command, str(path)]) == code
+            out = capsys.readouterr().out
+            if code:
+                assert out.startswith("FAIL cocycle_gram: cocycle_residual ")
+                assert out.count("\n") == 1
+
+
 def test_gram_makes_no_mpmath_arithmetic(monkeypatch):
     # the working scalar is fixed point: mpmath only evaluates the
     # transcendental functions, on its raw number tuples

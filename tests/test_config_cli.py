@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfsurface
+from qfsurface import cli
 from qfsurface import matrix2 as m2
 from qfsurface import presentation
 from qfsurface.config import (
@@ -251,3 +255,56 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "alpha1" in result.stdout
+
+
+def test_cli_overflow_past_complex128_is_input_error(tmp_path, capsys):
+    # at Re l = 1000 the working-precision values pass 2^1024, the range of
+    # complex128; each command names the stage where they are rounded
+    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc["fn"]["alpha1"]["l"] = [1000.0, 0.0]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    output = str(tmp_path / "out")
+    for command, stage in (("lengths", "complex_length_of_curve"),
+                           ("holonomy", "holonomy"),
+                           ("gram", "cocycle_gram"),
+                           ("limitset", "holonomy")):
+        assert cli_main([command, str(path), "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {stage}: ")
+        assert "exceed complex128" in captured.err
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    for k in range(2):
+        argv = ["twist", path, "--curve", "alpha1", "--t", f"0.{k},0",
+                "--output", str(tmp_path / f"twisted{k}.json")]
+        assert cli_main(argv) == 0
+    assert len(calls) <= 1
+
+
+def test_cli_checks_hold_under_optimize(tmp_path):
+    # the checks are computations, not asserts: -O strips nothing they need
+    path = bundled_path("genus3.json", tmp_path)
+    src = Path(qfsurface.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for command, key in (("lengths", "relator_residual"),
+                         ("gram", "cocycle_residual")):
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "qfsurface.cli", command, path],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload[key] <= 1e-40

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfsurface.moebius import MoebiusMap, classify, normalize_complex_length
+from qfsurface.moebius import MoebiusMap, NotLoxodromic, classify, normalize_complex_length
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import (
     BranchFailure,
@@ -94,6 +95,31 @@ def test_bending_keeps_trace_identities():
     for k, label in enumerate(graph.curve_labels):
         got = complex_length_of_curve(rep, rep.curve_word(label))
         assert abs(got - bent.lengths[k]) <= 1e-9
+
+
+def complex_coordinate(real_lo, real_hi):
+    return st.builds(complex, st.floats(real_lo, real_hi), st.floats(-0.3, 0.3))
+
+
+# up to lengths 20 the entries reach about 1e11 and their cancellations in
+# the relator and the curve traces still hold at the working precision
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(graph=st.sampled_from([standard_graph, separating_graph, genus3_graph]),
+       lengths=st.lists(complex_coordinate(1.0, 20.0), min_size=6, max_size=6),
+       twists=st.lists(complex_coordinate(-1.0, 1.0), min_size=6, max_size=6))
+def test_relator_and_round_trip_up_to_lengths_20(graph, lengths, twists):
+    graph = graph()
+    n = graph.num_curves
+    try:
+        fn = FNCoordinates(lengths[:n], twists[:n])
+        rep = holonomy(graph, fn)
+        residual = rep.relator_residual()
+        errors = [abs(complex_length_of_curve(rep, rep.curve_word(label)) - fn.lengths[k])
+                  for k, label in enumerate(graph.curve_labels)]
+    except (DegenerateFN, BranchFailure, NotLoxodromic):
+        return
+    assert residual <= 1e-9
+    assert max(errors) <= 1e-9
 
 
 def test_twist_flow_additivity_and_identity():
