@@ -4,8 +4,9 @@ Commands read a JSON surface configuration (see :mod:`qfsurface.config`)
 and emit JSON, CSV, or SVG on stdout unless --output is given.  Exit codes:
 0 success / checks passed, 1 a verification failed its tolerance (also
 ``PrecisionExhausted``: a FAIL line names the stage and the quantity, such
-as a Gram's cocycle_residual), 2 bad input.  Property-test subcommands seed
-their RNG from the QFS_SEED environment variable (default 0).
+as a Gram's cocycle_residual or a holonomy's relator_residual), 2 bad input.
+Property-test subcommands seed their RNG from the QFS_SEED environment
+variable (default 0).
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
+def _relator_residual(rep, config):
+    """The relator residual, checked against the config's tolerance: a
+    representation that misses its own relator has no trustworthy output."""
+    residual = rep.relator_residual()
+    tol = config.options["tol"]
+    if not residual <= tol:
+        raise PrecisionExhausted(f"holonomy: relator_residual {residual:.3e} "
+                                 f"exceeds {tol:.1e}")
+    return residual
+
+
 def _cmd_holonomy(args):
     config = _load_config(args.config)
     graph = config.graph()
@@ -73,7 +85,7 @@ def _cmd_holonomy(args):
     payload = {
         "genus": graph.genus,
         "generators": generators,
-        "relator_residual": rep.relator_residual(),
+        "relator_residual": _relator_residual(rep, config),
         "marking": {
             label: rep.presentation.word_to_string(word)
             for label, word in sorted(rep.presentation.marking.items())
@@ -98,7 +110,7 @@ def _cmd_lengths(args):
                 raise SchemaError(f"no decomposition curve {label!r}")
             word = rep.curve_word(label)
             lengths[label] = _complex_json(complex_length_of_curve(rep, word))
-    payload = {"lengths": lengths, "relator_residual": rep.relator_residual()}
+    payload = {"lengths": lengths, "relator_residual": _relator_residual(rep, config)}
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
@@ -166,6 +178,9 @@ def _cmd_limitset(args):
         raise SchemaError(f"--depth must be at least 1, got {depth}")
     graph = config.graph()
     rep = holonomy(graph, config.fn(graph))
+    # checked first: far past the tolerance the word products overflow, and
+    # the non-finite points all share one dedup cell, whose pairs grow as n^2
+    _relator_residual(rep, config)
     cloud = limit_set(rep, depth)
     if args.format == "csv":
         _emit(cloud_to_csv(cloud), args.output)

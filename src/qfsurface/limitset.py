@@ -6,14 +6,17 @@ of :func:`qfsurface.words.reduced_words_up_to`.  Words are processed as
 numpy batches: a level is an (M, 2, 2) stack of complex128 products, and the
 next level multiplies each parent by every generator letter that does not
 cancel its last letter, parents in order and letters in alphabet order.
-Only the previous level is kept, and long levels run in blocks of parents,
-so the working arrays stay small at any depth.
+Each letter takes one matrix product over the whole stack, which rounds
+every word as the word's own 2x2 product does.  Only the previous level is
+kept, and long levels run in blocks of parents, so the working arrays stay
+small at any depth.
 
 Deduplication is greedy in word order: a point is kept iff no earlier kept
 point lies within chordal distance ``_DEDUP_TOL``.  A batch first drops
 every point near a point kept before it, then resolves the pairs inside
-the batch in word order.  Candidate pairs come from quantised sphere keys
-and are re-checked by exact distance.
+the batch in word order.  Candidate pairs come from quantised sphere keys,
+looked up in sorted int64 entries that pack a key with a row, and are
+re-checked by exact distance.
 
 The point at infinity is a legitimate member of the cloud (the
 representations built here usually have a cuff axis through infinity);
@@ -36,8 +39,14 @@ _RADIUS = 2.0 * _DEDUP_TOL  # chordal distance is half the sphere distance
 # cells nearest its centre, with a margin of a radius on every side.
 _CELL = 4.0 * _RADIUS
 _HASH = np.array([73856093, 19349663, 83492791], dtype=np.int64)
-_CORNERS = np.array(list(np.ndindex(2, 2, 2)))      # (8, 3) of 0/1
-_BLOCK = 1 << 16            # words per batch
+# An index entry is one nonnegative int64: a cell key of _KEY_BITS bits above
+# a position (a row) of _POSITION_BITS bits, so sorting entries sorts them by
+# key and then by row.  Keys are kept shifted into place, positions zero.
+_KEY_BITS = 39
+_POSITION_BITS = 63 - _KEY_BITS
+_KEY_MASK = (1 << _KEY_BITS) - 1
+_POSITION_MASK = (1 << _POSITION_BITS) - 1
+_BLOCK = 1 << 16            # words per batch; 8 keys each fit the positions
 
 
 def _complex(re, im):
@@ -71,6 +80,13 @@ def _divide(num, den):
     return _complex(re, im)
 
 
+def _divide_real(num, den):
+    """num / den for real den, rounded as CPython divides by complex(den, 0),
+    whose zero imaginary part still enters the products (signed zeros)."""
+    return _complex((num.real + num.imag * 0.0) / den,
+                    (num.imag - num.real * 0.0) / den)
+
+
 def _attracting_fixed_points(a, b, c, d):
     """(z, w), scaled so max(|z|, |w|) = 1, of the attracting fixed points of
     the loxodromic matrices among [[a, b], [c, d]], in their order."""
@@ -88,14 +104,16 @@ def _attracting_fixed_points(a, b, c, d):
     # c is rounding noise below 1e-14 of the largest entry
     finite = _abs(c) > 1e-14 * np.maximum(np.maximum(_abs(a), _abs(b)),
                                           np.maximum(_abs(c), _abs(d)))
-    # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
-    at_infinity = ~finite & (_abs(lam - a) <= _abs(lam - d))
-    z = np.where(finite, lam - d, np.where(at_infinity, 1.0, b))
-    w = np.where(finite, c, np.where(at_infinity, 0.0, d - a))
+    z, w = lam - d, c
+    if not finite.all():
+        # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
+        at_infinity = _abs(lam - a) <= _abs(lam - d)
+        z = np.where(finite, z, np.where(at_infinity, 1.0, b))
+        w = np.where(finite, w, np.where(at_infinity, 0.0, d - a))
     scale = np.maximum(_abs(z), _abs(w))
     if not np.all(scale != 0.0):
         raise ValueError("(0 : 0) is not a projective point")
-    return _divide(z, scale), _divide(w, scale)
+    return _divide_real(z, scale), _divide_real(w, scale)
 
 
 def _sphere_vectors(z, w):
@@ -103,16 +121,20 @@ def _sphere_vectors(z, w):
     zz = _abs(z) ** 2
     ww = _abs(w) ** 2
     norm = zz + ww
-    cross = z * w.conjugate()
-    return np.stack([2.0 * cross.real / norm, 2.0 * cross.imag / norm,
+    # z * conj(w) on the parts: numpy's complex product may fuse a
+    # multiply-add, depending on the array's size and alignment, which would
+    # make a point's vector depend on the batch it came in
+    cross_re = z.real * w.real + z.imag * w.imag
+    cross_im = z.imag * w.real - z.real * w.imag
+    return np.stack([2.0 * cross_re / norm, 2.0 * cross_im / norm,
                      (zz - ww) / norm], axis=1)
 
 
 def _hash(cells):
-    """int64 key of integer cell coordinates (..., 3); collisions only add
+    """Keys of integer cell coordinates (..., 3); collisions only add
     candidates, which the exact distance check then drops."""
     h = cells.astype(np.int64) * _HASH
-    return h[..., 0] ^ h[..., 1] ^ h[..., 2]
+    return ((h[..., 0] ^ h[..., 1] ^ h[..., 2]) & _KEY_MASK) << _POSITION_BITS
 
 
 def _own_keys(vectors):
@@ -126,17 +148,40 @@ def _cell_keys(vectors):
     scaled = vectors / _CELL
     own = np.floor(scaled)
     side = own + np.where(scaled - own >= 0.5, 1.0, -1.0)
-    return _hash(np.where(_CORNERS, side[:, None, :], own[:, None, :]))
+    # the per-axis parts of the keys, for the own and the side cell
+    parts = ((np.stack([own, side], axis=1).astype(np.int64) * _HASH)
+             & _KEY_MASK) << _POSITION_BITS                     # (n, 2, 3)
+    keys = (parts[:, :, None, None, 0] ^ parts[:, None, :, None, 1]
+            ^ parts[:, None, None, :, 2])
+    return keys.reshape(-1, 8)
 
 
-def _equal_keys(sorted_keys, queries):
-    """(query index, position in sorted_keys) for every pair of equal keys.
-    Sorted queries search fastest."""
-    lo = np.searchsorted(sorted_keys, queries, "left")
-    counts = np.searchsorted(sorted_keys, queries, "right") - lo
-    query = np.repeat(np.arange(len(queries)), counts)
-    start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return query, start + np.arange(len(query))
+def _sorted_entries(keys):
+    """The keys with their positions in the array filled in, sorted: a plain
+    sort orders them as a stable argsort of the keys would, at a fraction of
+    its cost."""
+    entries = keys | np.arange(len(keys))
+    entries.sort()
+    return entries
+
+
+def _equal_keys(entries, queries):
+    """(query index, position in entries) of every entry under a query's
+    key, in no particular order.  Sorted queries search fastest."""
+    pos = np.searchsorted(entries, queries)
+    query = np.arange(len(queries))
+    found = []
+    # keys repeat only a few times, so walking each run of equal keys costs
+    # less than a second search for its end
+    while True:
+        inside = pos < len(entries)
+        query, pos = query[inside], pos[inside]
+        equal = entries[pos] - queries[query] <= _POSITION_MASK
+        query, pos = query[equal], pos[equal]
+        found.append((query, pos))
+        if not len(query):
+            return tuple(map(np.concatenate, zip(*found)))
+        pos = pos + 1
 
 
 def _greedy(n, later, earlier):
@@ -163,64 +208,83 @@ def _greedy(n, later, earlier):
     return kept
 
 
+def _fresh_keep(vectors, first):
+    """Greedy-in-order keep mask of points that no earlier point is near,
+    with the sorted entries of the kept points' eight cells, whose positions
+    number the kept points from row ``first`` on."""
+    entries = _sorted_entries(_cell_keys(vectors).ravel())
+    position = entries & _POSITION_MASK
+    keys = entries - position
+    own_at = np.flatnonzero(position & 7 == 0)
+    rows = position >> 3
+    later, pos = _equal_keys(entries, keys[own_at])
+    later, earlier = rows[own_at[later]], rows[pos]
+    pairs = earlier < later
+    later, earlier = later[pairs], earlier[pairs]
+    pairs = _within(vectors[later], vectors[earlier])
+    kept = _greedy(len(vectors), later[pairs], earlier[pairs])
+    on = kept[rows]
+    # rows ascend within a key, and so do the kept points' new rows
+    return kept, keys[on] | (first - 1 + np.cumsum(kept))[rows[on]]
+
+
 class _Dedup:
     """Points kept so far, indexed under the eight cells nearest each.
 
     If two sphere vectors lie within _RADIUS, the cell of one is among the
     eight nearest cells of the other, so one lookup of a query's own cell
-    finds every kept point near it.  The index is a few sorted runs, each at
-    least twice as long as the next, so adding a batch does not rewrite it.
+    finds every kept point near it.  The index is a few sorted runs of
+    entries, each a key with the row of self.vectors it belongs to, and each
+    run at least twice as long as the next, so adding a batch does not
+    rewrite it.
     """
 
     def __init__(self):
         self.vectors = np.empty((0, 3))
-        self.runs = []          # (sorted keys, row of self.vectors) pairs
+        self.runs = []
 
     def keep(self, vectors):
         """Greedy-in-order keep mask of a batch that follows every point
         seen so far; the kept points join the index."""
-        own = _own_keys(vectors)
-        order = np.argsort(own)
-        near = np.zeros(len(vectors), dtype=bool)
-        for keys, owners in self.runs:
-            query, pos = _equal_keys(keys, own[order])
-            query = order[query]
-            near[query[_within(vectors[query], self.vectors[owners[pos]])]] = True
-
-        # near pairs inside the batch, among the points no kept point is near
-        fresh = np.flatnonzero(~near)
-        flat = _cell_keys(vectors[fresh]).ravel()
-        order = np.argsort(flat, kind="stable")
-        keys, rows = flat[order], order // 8
-        own_at = np.flatnonzero(order % 8 == 0)
-        later, pos = _equal_keys(keys, keys[own_at])
-        later, earlier = rows[own_at[later]], rows[pos]
-        pairs = earlier < later
-        later, earlier = later[pairs], earlier[pairs]
-        pairs = _within(vectors[fresh[later]], vectors[fresh[earlier]])
-        kept = _greedy(len(fresh), later[pairs], earlier[pairs])
-
-        # the kept points' keys, already sorted, join the index as a run
-        entries = kept[rows]
-        owners = len(self.vectors) + np.cumsum(kept)[rows[entries]] - 1
-        self._add_run(keys[entries], owners)
+        # the pairs inside the batch, among the points no kept point is near
+        fresh = np.flatnonzero(~self._near(vectors))
+        kept, run = _fresh_keep(vectors[fresh], len(self.vectors))
         mask = np.zeros(len(vectors), dtype=bool)
         mask[fresh[kept]] = True
         self.vectors = np.concatenate([self.vectors, vectors[mask]])
+        if len(self.vectors) > _POSITION_MASK + 1:
+            raise ValueError(f"more than 2^{_POSITION_BITS} points to index")
+        self._add_run(run)
         return mask
 
-    def _add_run(self, keys, owners):
-        self.runs.append((keys, owners))
-        while len(self.runs) > 1 and len(self.runs[-2][0]) < 2 * len(self.runs[-1][0]):
-            (k2, o2), (k1, o1) = self.runs.pop(), self.runs.pop()
-            at = np.searchsorted(k1, k2)
-            self.runs.append((np.insert(k1, at, k2), np.insert(o1, at, o2)))
+    def _near(self, vectors):
+        """Mask of the vectors within _RADIUS of a kept point."""
+        near = np.zeros(len(vectors), dtype=bool)
+        queries = _sorted_entries(_own_keys(vectors))
+        order = queries & _POSITION_MASK
+        queries -= order
+        for run in self.runs:
+            query, pos = _equal_keys(run, queries)
+            query = order[query]
+            owners = run[pos] & _POSITION_MASK
+            near[query[_within(vectors[query], self.vectors[owners])]] = True
+        return near
+
+    def _add_run(self, run):
+        self.runs.append(run)
+        while len(self.runs) > 1 and len(self.runs[-2]) < 2 * len(self.runs[-1]):
+            run = np.concatenate(self.runs[-2:])
+            del self.runs[-2:]
+            run.sort(kind="stable")     # of two sorted runs: one linear merge
+            self.runs.append(run)
 
 
 def _within(u, v):
     """Rows of u and v no farther apart than _RADIUS."""
     diff = u - v
-    return np.sqrt(np.sum(diff * diff, axis=1)) <= _RADIUS
+    diff *= diff
+    x, y, z = diff.T        # summed in the order np.sum(diff, axis=1) takes
+    return np.sqrt(x + y + z) <= _RADIUS
 
 
 class LimitSetCloud:
@@ -270,15 +334,18 @@ def _children(parents, last, letters):
     """Products parent @ letter for every letter not cancelling the parent's
     last one, parents in order and letters in alphabet order.
 
-    One 2x2 matmul per word rounds as a single 2x2 product does.  One
-    (2M, 2) @ (2, 2) product per letter is about three times faster but may
-    round differently, and a word whose c is rounding noise can then take
-    the other fixed-point branch.
+    The (M, 2, 2) parents are one (2M, 2) matrix, so each letter takes one
+    matrix product for the whole level.  Each entry is the same two-term
+    sum a per-word 2x2 product forms, and rounds to the same bits (the
+    tests check this against per-word products).
     """
+    rows = parents.reshape(-1, 2)
+    products = np.empty((len(letters),) + parents.shape, dtype=complex)
+    for letter, out in zip(letters, products):
+        np.matmul(rows, letter, out=out.reshape(-1, 2))
     alphabet = np.arange(len(letters))
     reduced = alphabet[None, :] != (last ^ 1)[:, None]   # letter 2i+1 inverts 2i
-    parent, letter = np.nonzero(reduced)
-    return np.matmul(parents[parent], letters[letter]), letter
+    return products.transpose(1, 0, 2, 3)[reduced], np.nonzero(reduced)[1]
 
 
 def limit_set(rep, depth):
@@ -339,8 +406,11 @@ def cross_ratio_imag_spread(cloud, trials, rng):
 def cloud_to_csv(cloud):
     """CSV with columns re,im,word_length (finite points only)."""
     z, lengths = cloud.finite_points()
-    rows = zip(z.real.tolist(), z.imag.tolist(), lengths.tolist())
-    return "re,im,word_length\n" + "".join(map("%.17g,%.17g,%d\n".__mod__, rows))
+    fields = [None] * (3 * len(z))
+    fields[0::3] = z.real.tolist()
+    fields[1::3] = z.imag.tolist()
+    fields[2::3] = lengths.tolist()
+    return "re,im,word_length\n" + "%.17g,%.17g,%d\n" * len(z) % tuple(fields)
 
 
 def cloud_to_svg(cloud, width=800):

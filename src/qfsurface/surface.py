@@ -201,8 +201,14 @@ class Representation:
     def evaluate(self, word):
         if isinstance(word, str):
             word = self.presentation.word_from_string(word)
-        word = reduce_word(word)
-        return MoebiusMap(self.matrix_of_word(word), normalize=False)
+        matrix = self.matrix_of_word(reduce_word(word))
+        try:
+            return MoebiusMap(matrix, normalize=False)
+        except ValueError as exc:
+            # the working-precision image has unit determinant, but once its
+            # entries pass about 1e8 the rounded one cancels to zero
+            raise DegenerateFN("evaluate: determinant cancels in complex128 "
+                               "(a length is too large)") from exc
 
     def relator_residual(self):
         """Largest entry of rho(relator) - 1, at the working precision."""

@@ -268,12 +268,39 @@ def test_cli_overflow_past_complex128_is_input_error(tmp_path, capsys):
     for command, stage in (("lengths", "complex_length_of_curve"),
                            ("holonomy", "holonomy"),
                            ("gram", "cocycle_gram"),
-                           ("limitset", "holonomy")):
+                           ("limitset", "relator_residual")):
         assert cli_main([command, str(path), "--output", output]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"input error: {stage}: ")
         assert "exceed complex128" in captured.err
+
+
+def long_alpha1_path(tmp_path):
+    # at Re l = 60 the working precision no longer holds the relator:
+    # its residual reads about 1e9
+    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc["fn"]["alpha1"]["l"] = [60.0, 0.0]
+    path = tmp_path / "long60.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+GATED = (("lengths",), ("holonomy",), ("limitset", "--depth", "2"))
+
+
+def test_cli_relator_residual_gate(tmp_path, capsys):
+    output = tmp_path / "out"
+    path = long_alpha1_path(tmp_path)
+    for command, *extra in GATED:
+        assert cli_main([command, path, "--output", str(output), *extra]) == 1
+        assert capsys.readouterr().out.startswith("FAIL holonomy: relator_residual ")
+        assert not output.exists()
+    for name in BUNDLED:
+        path = bundled_path(name, tmp_path)
+        for command, *extra in GATED:
+            assert cli_main([command, path, "--output", str(output), *extra]) == 0
+            assert capsys.readouterr().out == ""
 
 
 def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
@@ -299,12 +326,24 @@ def test_cli_checks_hold_under_optimize(tmp_path):
     path = bundled_path("genus3.json", tmp_path)
     src = Path(qfsurface.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-O", "-m", "qfsurface.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
     for command, key in (("lengths", "relator_residual"),
                          ("gram", "cocycle_residual")):
-        result = subprocess.run(
-            [sys.executable, "-O", "-m", "qfsurface.cli", command, path],
-            capture_output=True, text=True, env=env,
-        )
+        result = run(command, path)
         assert result.returncode == 0, result.stderr
         payload = json.loads(result.stdout)
         assert payload[key] <= 1e-40
+    result = run("limitset", path, "--depth", "3", "--format", "csv")
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header == "re,im,word_length"
+    cloud = np.loadtxt(rows, delimiter=",", ndmin=2)
+    assert cloud.shape == (len(rows), 3) and len(rows) > 100
+    assert np.all(np.isfinite(cloud))
+    result = run("limitset", long_alpha1_path(tmp_path), "--depth", "3")
+    assert result.returncode == 1
+    assert result.stdout.startswith("FAIL holonomy: relator_residual ")

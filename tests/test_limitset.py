@@ -11,10 +11,13 @@ from oracles import (
     csv_by_word_walk,
     limit_set_by_word_walk,
 )
+from qfsurface import limitset
 from qfsurface import matrix2 as m2
 from qfsurface.config import parse_config
 from qfsurface.limitset import (
     _DEDUP_TOL,
+    _children,
+    _letter_matrices,
     cloud_to_csv,
     cross_ratio_imag_spread,
     limit_set,
@@ -196,6 +199,37 @@ def test_cloud_matches_word_walk_oracle(case):
     gap = chordal(cloud.z, cloud.w, z, w)
     assert gap.max() <= 1e-12
     assert gap[lengths == 1].max() <= 1e-15
+
+
+BUNDLED = ("genus2_fuchsian", "genus2_quasifuchsian", "genus2_separating", "genus3")
+
+
+@pytest.mark.parametrize("stem", BUNDLED)
+def test_children_round_as_per_word_products(stem):
+    # the oracle match rests on this: the product of a whole level by one
+    # letter rounds each word as that word's own 2x2 product does
+    letters = _letter_matrices(bundled_rep(stem))
+    level, last = letters, np.arange(len(letters))
+    for _length in (2, 3):
+        expected, expected_last = [], []
+        for matrix, end in zip(level, last):
+            for index, letter in enumerate(letters):
+                if index != end ^ 1:
+                    expected.append(matrix @ letter)
+                    expected_last.append(index)
+        level, last = _children(level, last, letters)
+        assert np.array_equal(last, expected_last)
+        assert np.array_equal(level, np.array(expected))
+
+
+def test_cloud_is_the_same_in_small_batches(monkeypatch):
+    # over 600 batches and their run merges in place of five
+    rep = bundled_rep("genus2_quasifuchsian")
+    cloud = limit_set(rep, 5)
+    monkeypatch.setattr(limitset, "_BLOCK", 37)
+    small = limit_set(rep, 5)
+    for name in ("z", "w", "word_length", "vectors"):
+        assert np.array_equal(getattr(small, name), getattr(cloud, name))
 
 
 def test_csv_matches_fstring_formatter():

@@ -194,6 +194,18 @@ def test_fuchsian_residual_conjugation_stable():
     assert fuchsian_residual(conjugated) <= 1e-8
 
 
+def test_evaluate_past_complex128_is_typed():
+    # the working-precision images are fine, but the complex128 determinant
+    # of the rounded matrix cancels to zero; the error names its stage
+    graph = genus3_graph()
+    rep = holonomy(graph, FNCoordinates([40.0] * 6, [0.1] * 6))
+    with pytest.raises(DegenerateFN, match="^evaluate: "):
+        rep.evaluate(rep.curve_word("c4"))
+    long_rep = holonomy(graph, FNCoordinates([150.0] * 6, [0.1] * 6))
+    with pytest.raises(DegenerateFN, match="^evaluate: "):
+        fuchsian_residual(long_rep)
+
+
 def test_fn_validation_and_branch_guard():
     with pytest.raises(DegenerateFN):
         FNCoordinates([-1.0, 2.0, 2.0], [0.0, 0.0, 0.0])
