@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .moebius import _POINT_TOL     # |w| at or below it is the point at infinity
+from .surface import DegenerateFN
 
 __all__ = ["LimitSetCloud", "limit_set", "cloud_to_csv", "cloud_to_svg",
            "cross_ratio_imag_spread"]
@@ -111,6 +112,11 @@ def _attracting_fixed_points(a, b, c, d):
         z = np.where(finite, z, np.where(at_infinity, 1.0, b))
         w = np.where(finite, w, np.where(at_infinity, 0.0, d - a))
     scale = np.maximum(_abs(z), _abs(w))
+    # an entry or a trace square past complex128 leaves a non-finite scale
+    # and a NaN point, which no dedup radius would ever hold
+    if not np.all(np.isfinite(scale)):
+        raise DegenerateFN("limit_set: fixed points exceed complex128 "
+                           "(a length is too large)")
     if not np.all(scale != 0.0):
         raise ValueError("(0 : 0) is not a projective point")
     return _divide_real(z, scale), _divide_real(w, scale)

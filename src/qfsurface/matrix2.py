@@ -13,10 +13,14 @@ every magnitude: the large holonomy entries of long curves cost no digits
 below the binary point, where the cancellations they feed end up.
 
 An entry may also be a :class:`Jet`, a scalar carrying its first derivatives
-along (forward-mode differentiation).  The helpers here and the scalar
-functions ``exp``, ``cosh`` and ``sqrt`` accept both, so one evaluation of
-an entire function gives its value and its exact derivatives at the working
-precision.
+along (forward-mode differentiation).  The helpers here and :func:`exp`
+accept both, so one evaluation of an entire function gives its value and
+its exact derivatives at the working precision.
+
+:func:`exp` is the one transcendental function: the package needs it for
+the pants half-lengths and the twist matrices, and derives everything else
+from it by arithmetic.  It works on the integers directly, so the working
+precision needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -24,15 +28,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from mpmath import libmp
 
 # Bits below the binary point.  Holonomy entries reach 2^36 at lengths 20
 # and their cancellations lose about three times that many bits; 128 bits
 # leave lengths 20 at 2e-10, 192 bits at 1e-29.
 FRAC_BITS = 192
 _ONE = 1 << FRAC_BITS
-# Bits evaluated beyond FRAC_BITS in the transcendental functions.
-_GUARD_BITS = 16
+# Bits carried by exp beyond those its result needs: they absorb the
+# floored Taylor terms and squarings, about 2^7 units at most (see exp).
+_EXP_GUARD_BITS = 24
 
 
 class Fixed:
@@ -149,13 +153,22 @@ def lift(x):
         return x
     if hasattr(x, "_mpc_"):
         re, im = x._mpc_
-        return Fixed(libmp.to_fixed(re, FRAC_BITS), libmp.to_fixed(im, FRAC_BITS))
+        return Fixed(_fixed_of_mpf(re), _fixed_of_mpf(im))
     if hasattr(x, "_mpf_"):
-        return Fixed(libmp.to_fixed(x._mpf_, FRAC_BITS), 0)
+        return Fixed(_fixed_of_mpf(x._mpf_), 0)
     if isinstance(x, int):
         return Fixed(int(x) << FRAC_BITS, 0)
     z = complex(x)
     return Fixed(_fixed_of_float(z.real), _fixed_of_float(z.imag))
+
+
+def _fixed_of_mpf(value):
+    # an mpmath real is the tuple (sign, mantissa, exponent, bit count) of
+    # (-1)^sign mantissa 2^exponent; infinities and NaN have mantissa 0
+    sign, man, exp, _bits = value
+    man = -int(man) if sign else int(man)
+    shift = exp + FRAC_BITS
+    return man << shift if shift >= 0 else man >> -shift
 
 
 def _operand(x):
@@ -167,21 +180,6 @@ def _operand(x):
     return None
 
 
-def _raw(n):
-    return libmp.from_man_exp(n, -FRAC_BITS)
-
-
-def _transcendental(function, x, magnitude_bits):
-    """function(x) rounded to a Fixed, for a result below 2^magnitude_bits.
-
-    x converts to mpmath exactly, and the function is evaluated with enough
-    bits to resolve FRAC_BITS below the binary point at that magnitude.
-    """
-    prec = FRAC_BITS + max(0, magnitude_bits) + _GUARD_BITS
-    re, im = function((_raw(x.re), _raw(x.im)), prec)
-    return Fixed(libmp.to_fixed(re, FRAC_BITS), libmp.to_fixed(im, FRAC_BITS))
-
-
 def _exp_bits(re):
     # |exp(z)| = e^Re(z) < 2^(1.5 floor(Re z) + 2) for Re z >= 0
     return (re >> FRAC_BITS) * 3 // 2 + 2
@@ -190,11 +188,14 @@ def _exp_bits(re):
 class Jet:
     """A scalar value with a sparse gradient {direction: derivative}.
 
-    Directions missing from ``grad`` have derivative zero.  A product with
-    the constant 0 is the plain number 0 again, so the zeros of the normal
-    forms carry no gradient.  The value is computed by the same operations,
-    in the same order, as on plain numbers, so it is bit-identical to them.
-    Gradients are shared between jets and never mutated.
+    The four operations and :func:`exp`, the one transcendental function,
+    carry the gradient along; the chain rule of anything else is built from
+    those.  Directions missing from ``grad`` have derivative zero.  A
+    product with the constant 0 is the plain number 0 again, so the zeros
+    of the normal forms carry no gradient.  The value is computed by the
+    same operations, in the same order, as on plain numbers, so it is
+    bit-identical to them.  Gradients are shared between jets and never
+    mutated.
     """
 
     __slots__ = ("value", "grad")
@@ -261,34 +262,45 @@ def _chain(x, value, slope):
 
 
 def exp(x):
+    """e^x, floored to a Fixed: within 2 units of 2^-FRAC_BITS of e^x.
+
+    Scaling and squaring on the integers: x / 2^s, with |x / 2^s| < 2^-8,
+    is summed as a Taylor series and squared s times.  The work is carried
+    at W = FRAC_BITS + (bits of |e^x| above 1) + s + _EXP_GUARD_BITS bits
+    below the binary point.  Every term and square is floored once, and the
+    series stops at the first term of at most 1 in each part (floored
+    negative terms settle at -1, never at 0), so the sum is off by about
+    2^7 units of 2^-W.  Each squaring at most doubles that error, relative
+    to the value where it grows and absolutely where it shrinks, so the
+    result is off by about 2^(7 - _EXP_GUARD_BITS) units of 2^-FRAC_BITS
+    before the final floor.
+    """
     if isinstance(x, Jet):
         value = exp(x.value)
         return _chain(x, value, value)
     x = lift(x)
-    return _transcendental(libmp.mpc_exp, x, _exp_bits(x.re))
-
-
-def cosh(x):
-    if isinstance(x, Jet):
-        return _chain(x, cosh(x.value), sinh(x.value))
-    x = lift(x)
-    return _transcendental(libmp.mpc_cosh, x, _exp_bits(abs(x.re)))
-
-
-def sinh(x):
-    if isinstance(x, Jet):
-        return _chain(x, sinh(x.value), cosh(x.value))
-    x = lift(x)
-    return _transcendental(libmp.mpc_sinh, x, _exp_bits(abs(x.re)))
-
-
-def sqrt(x):
-    if isinstance(x, Jet):
-        value = sqrt(x.value)
-        return _chain(x, value, 1 / (2 * value))
-    x = lift(x)
-    bits = max(abs(x.re), abs(x.im)).bit_length() - FRAC_BITS
-    return _transcendental(libmp.mpc_sqrt, x, bits // 2 + 1)
+    re, im = x.re, x.im
+    s = max(0, max(abs(re), abs(im)).bit_length() - FRAC_BITS + 1) + 8
+    bits = FRAC_BITS + max(0, _exp_bits(re)) + s + _EXP_GUARD_BITS
+    # term k is term k-1 times x / 2^s / k; x / 2^s at scale 2^-bits is x
+    # shifted left by bits - FRAC_BITS - s, so the product shifts right by
+    # FRAC_BITS + s
+    shift = FRAC_BITS + s
+    term_re = sum_re = 1 << bits
+    term_im = sum_im = 0
+    k = 1
+    while True:
+        term_re, term_im = (((term_re * re - term_im * im) >> shift) // k,
+                            ((term_re * im + term_im * re) >> shift) // k)
+        if abs(term_re) <= 1 and abs(term_im) <= 1:
+            break
+        sum_re += term_re
+        sum_im += term_im
+        k += 1
+    for _ in range(s):
+        sum_re, sum_im = (((sum_re + sum_im) * (sum_re - sum_im)) >> bits,
+                          (sum_re * sum_im) >> (bits - 1))
+    return Fixed(sum_re >> (bits - FRAC_BITS), sum_im >> (bits - FRAC_BITS))
 
 
 def value_of(x):

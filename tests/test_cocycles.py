@@ -362,20 +362,20 @@ def to_mpc(x):
 
 
 def test_jet_derivatives_match_mpmath_diff():
-    # a composite of every jet operation, against mpmath's own differentiation
-    def f(x, y, cosh, exp, sqrt):
-        return sqrt(cosh(x) * y - 1 / (exp(-x / 2) + y)) / (2 - x * y) + (3 - y) * x
-
-    def plain(x, y):
-        return f(x, y, m2.cosh, m2.exp, m2.sqrt)
+    # a composite of every jet operation, against mpmath's own differentiation;
+    # exp is the one transcendental, so cosh is spelt out from it
+    def f(x, y, exp):
+        e = exp(x)
+        cosh = (e + 1 / e) / 2
+        return exp((cosh * y - 1 / (exp(-x / 2) + y)) / 2) / (2 - x * y) + (3 - y) * x
 
     x0, y0 = m2.lift(0.7 + 0.2j), m2.lift(1.3 - 0.4j)
     unit = m2.lift(1)
-    jet = f(m2.Jet(x0, {0: unit}), m2.Jet(y0, {1: unit}), m2.cosh, m2.exp, m2.sqrt)
-    assert jet.value == plain(x0, y0)
+    jet = f(m2.Jet(x0, {0: unit}), m2.Jet(y0, {1: unit}), m2.exp)
+    assert jet.value == f(x0, y0, m2.exp)
     with mp.workdps(80):
         for direction, orders in ((0, (1, 0)), (1, (0, 1))):
-            expected = mp.diff(lambda x, y: f(x, y, mp.cosh, mp.exp, mp.sqrt),
+            expected = mp.diff(lambda x, y: f(x, y, mp.exp),
                                (to_mpc(x0), to_mpc(y0)), orders)
             assert abs(to_mpc(m2.partial(jet, direction)) - expected) <= 1e-50
     assert m2.partial(jet, 2) == 0
@@ -466,8 +466,8 @@ def test_gram_past_its_precision_fails_typed(tmp_path, capsys):
 
 
 def test_gram_makes_no_mpmath_arithmetic(monkeypatch):
-    # the working scalar is fixed point: mpmath only evaluates the
-    # transcendental functions, on its raw number tuples
+    # the working scalar is fixed point, exp included: no mpmath number
+    # takes part in the assembly
     from mpmath.ctx_mp_python import _mpc, _mpf
 
     calls = []

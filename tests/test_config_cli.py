@@ -347,3 +347,23 @@ def test_cli_checks_hold_under_optimize(tmp_path):
     result = run("limitset", long_alpha1_path(tmp_path), "--depth", "3")
     assert result.returncode == 1
     assert result.stdout.startswith("FAIL holonomy: relator_residual ")
+
+
+def test_commands_do_not_import_mpmath(tmp_path):
+    # mpmath is the tests' oracle: the working precision, exp included, is
+    # plain integer arithmetic, so no command pays for importing it
+    path = bundled_path("genus3.json", tmp_path)
+    src = Path(qfsurface.__file__).resolve().parent.parent
+    script = """
+import contextlib, io, json, sys
+from qfsurface.cli import main
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["lengths", path]), main(["gram", path]),
+             main(["limitset", path, "--depth", "3"])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("mpmath"))]))
+"""
+    result = subprocess.run([sys.executable, "-c", script, path], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, 0, 0], []]

@@ -1,4 +1,5 @@
 import cmath
+import json
 from collections import Counter
 from importlib import resources
 
@@ -24,7 +25,7 @@ from qfsurface.limitset import (
 )
 from qfsurface.moebius import ProjectivePoint
 from qfsurface.presentation import PantsDecompositionGraph
-from qfsurface.surface import FNCoordinates, holonomy, twist_flow
+from qfsurface.surface import DegenerateFN, FNCoordinates, holonomy, twist_flow
 from qfsurface.words import reduce_word, reduced_words_up_to
 
 
@@ -230,6 +231,21 @@ def test_cloud_is_the_same_in_small_batches(monkeypatch):
     small = limit_set(rep, 5)
     for name in ("z", "w", "word_length", "vectors"):
         assert np.array_equal(getattr(small, name), getattr(cloud, name))
+
+
+def test_overflowing_products_are_degenerate():
+    # at Re l = 150 some depth-3 fixed points overflow complex128; kept, the
+    # NaN points all share one dedup cell and the candidate pairs grow as n^2
+    doc = json.loads(
+        resources.files("qfsurface.data").joinpath("genus2_fuchsian.json").read_text())
+    doc["fn"]["alpha1"]["l"] = [150.0, 0.0]
+    config = parse_config(json.dumps(doc))
+    graph = config.graph()
+    rep = holonomy(graph, config.fn(graph))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(limit_set(rep, 2).z))
+        with pytest.raises(DegenerateFN, match="^limit_set: "):
+            limit_set(rep, 3)
 
 
 def test_csv_matches_fstring_formatter():

@@ -1,4 +1,4 @@
-"""The fixed-point scalar against mpmath at 100 digits.
+"""The fixed-point scalar against mpmath at 100 digits or more.
 
 Errors are counted in units of 2^-FRAC_BITS, per real component, and the
 bounds are fixed by how each operation rounds:
@@ -6,12 +6,14 @@ bounds are fixed by how each operation rounds:
 * ``+`` and ``-`` are exact: 0 units;
 * ``*`` and ``/`` do exact integer work and floor once: the result lies in
   (exact - 1, exact];
-* ``exp``, ``cosh`` and ``sqrt`` floor a value evaluated to 2^-16 units or
-  better: within 2 units.
+* ``exp`` floors a value evaluated to about 2^-17 units: within 2 units.
 
-The reference's own rounding at 100 digits is below 1e-20 units for every
+The reference runs at 100 digits, plus the decimal digits of the result
+above 1 for ``exp``, so its own rounding is below 1e-20 units for every
 drawn magnitude, far inside each bound.
 """
+
+import math
 
 import mpmath as mp
 from hypothesis import given, settings, strategies as st
@@ -27,8 +29,10 @@ components = st.one_of(
     st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
               st.floats(-6.0, 12.0), st.sampled_from([1.0, -1.0])))
 magnitudes = st.builds(complex, components, components).filter(bool)
-# arguments of exp and cosh: results up to e^40, phases from 1e-6 to 1e3
-exponents = st.builds(complex, st.floats(-40.0, 40.0),
+# arguments of exp: results from e^-355 to e^355, phases from 1e-6 to 1e3;
+# the assembly takes exp(l / 4), and validate_pants rejects Re l above
+# about 1420
+exponents = st.builds(complex, st.floats(-355.0, 355.0),
                       st.one_of(st.floats(-1e3, -1e-6), st.floats(1e-6, 1e3)))
 
 fixed_settings = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -68,13 +72,11 @@ def test_arithmetic_rounds_once(x, y):
 
 
 @fixed_settings
-@given(x=magnitudes, z=exponents)
-def test_transcendentals_within_two_units(x, z):
-    a, w = m2.lift(x), m2.lift(z)
-    with mp.workdps(100):
-        assert_within(m2.sqrt(a), mp.sqrt(exact(a)), 2)
+@given(z=exponents)
+def test_transcendentals_within_two_units(z):
+    w = m2.lift(z)
+    with mp.workdps(100 + max(0, math.ceil(z.real / math.log(10)))):
         assert_within(m2.exp(w), mp.exp(exact(w)), 2)
-        assert_within(m2.cosh(w), mp.cosh(exact(w)), 2)
 
 
 @fixed_settings
