@@ -4,12 +4,14 @@ A tangent vector to the representation variety at rho is recorded as a
 1-cocycle u: generators -> sl2(C), extended to words by the crossed
 homomorphism rule u(gh) = u(g) + Ad_rho(g) u(h).  The cocycles of the
 Fenchel-Nielsen coordinate directions come from one forward-mode holonomy
-assembly: every coordinate enters as a jet (:class:`matrix2.Jet`) with unit
-derivative in its own direction, and every holonomy entry is an entire
-function of the coordinates, so each generator image carries its exact
-derivatives in all 2N directions at the working precision, the fixed-point
-scalar :class:`matrix2.Fixed`.  The cocycle of direction k on a generator x is
-d_k rho(x) rho(x)^(-1), projected trace-free.
+assembly: every coordinate enters the leaf formulas as a jet
+(:class:`matrix2.Jet`) with unit derivative in its own direction, the
+products above the leaves carry matrix jets, and every holonomy entry is an
+entire function of the coordinates, so each generator image comes with its
+exact derivatives in all 2N directions at the working precision.  The
+cocycle of direction k on a generator x is d_k rho(x) rho(x)^(-1), projected
+trace-free.  Cocycle values, like the images, are flat matrices of the
+:mod:`matrix2` kernel: the ints of their entries at 2^-FRAC_BITS.
 
 The symplectic pairing of two cocycles evaluates the cup product with the
 trace form B(u, v) = tr(uv) on the fundamental class of the presentation
@@ -31,9 +33,9 @@ the prefixes are shared by every cocycle over the same representation.
 pairing(u, v) is then one dot product of u's sums with v's letter values, so
 a Gram matrix over n cocycles costs n walks, and each walk's final sum is the
 cocycle residual u(r).  Walk values grow like the squared norms of the
-prefix holonomies and cancel down to size one, so the walk runs at the
-working precision of the holonomy assembly and the dot product is exact:
-a sum of Gaussian-integer products, rounded once to complex128.
+prefix holonomies and cancel down to size one, so the walk runs on the
+kernel's flat matrices, whose int parts the dot product reads directly: it
+is exact, a sum of Gaussian-integer products, rounded once to complex128.
 
 Two frozen normalization constants relate the raw trace-form value to the
 canonical symplectic form on the coordinate frame:
@@ -106,8 +108,8 @@ class PrecisionExhausted(Exception):
 class TangentCocycle:
     """Generator table of sl2(C) values over a base representation.
 
-    Tables are kept as flat working-precision matrices (of
-    :class:`matrix2.Fixed`); ``table`` exposes complex128 copies for
+    Tables are kept as flat working-precision matrices of the
+    :mod:`matrix2` kernel; ``table`` exposes complex128 copies for
     inspection.
     """
 
@@ -131,7 +133,7 @@ class TangentCocycle:
         if letter > 0:
             return u
         m = self.rep.generator_flat(-abs(letter))
-        return m2.fscale(m2.fconj(m, u), -1)
+        return m2.fneg(m2.fconj(m, u))
 
     def evaluate(self, word):
         """Crossed-homomorphism extension to a word (complex128 matrix)."""
@@ -148,7 +150,6 @@ class TangentCocycle:
         return total
 
     def scaled(self, factor):
-        factor = m2.lift(factor)
         table = {g: m2.fscale(v, factor) for g, v in self.flat.items()}
         return TangentCocycle(self.rep, table)
 
@@ -168,18 +169,15 @@ def fd_basis_cocycles(graph, fn):
     differences: the name is kept from the finite-difference pipeline this
     replaced.
     """
-    unit = m2.lift(1)
-    presentation, jets = assemble(
-        graph, fn, lambda value, direction: m2.Jet(m2.lift(value), {direction: unit}))
+    presentation, jets = assemble(graph, fn, True)
     images = {}
     tables = [{} for _direction in range(2 * len(fn))]
-    for gen, m in jets.items():
-        images[gen] = tuple(m2.value_of(x) for x in m)
-        inverse = m2.fadj(images[gen])
-        for direction, table in enumerate(tables):
-            derivative = tuple(m2.partial(x, direction) for x in m)
-            table[gen] = (m2.ftraceless(m2.fmul(derivative, inverse))
-                          if any(derivative) else m2.FZERO)
+    for gen, (value, grads) in jets.items():
+        images[gen] = value
+        inverse = m2.fadj(value)
+        for table, derivative in zip(tables, grads):
+            table[gen] = (m2.FZERO if derivative is None
+                          else m2.ftraceless(m2.fmul(derivative, inverse)))
     rep = Representation(graph, presentation, fn, images)
     return rep, [TangentCocycle(rep, table) for table in tables]
 
@@ -189,7 +187,7 @@ def coboundary(w, rep):
     flat_w = m2.flat_from_array(w)
     table = {}
     for gen, m in rep.mp_images.items():
-        table[gen] = m2.fadd(m2.fconj(m, flat_w), m2.fscale(flat_w, -1))
+        table[gen] = m2.fsub(m2.fconj(m, flat_w), flat_w)
     return TangentCocycle(rep, table)
 
 
@@ -216,8 +214,8 @@ def _relator_walk(u, prefixes):
 
     Returns (sums, letters, closing): the running sums each letter pairs
     against and the conjugated letter values, each as the (re, im) int lists
-    of 4m fixed-point entries (letter values transposed, so that tr(AB) is
-    the dot product of A's entries with B's), and the final sum u(relator).
+    of their 4m entries (letter values transposed, so that tr(AB) is the dot
+    product of A's entries with B's), and the final sum u(relator).
     """
     sums, letters = [], []
     total = m2.FZERO
@@ -226,18 +224,14 @@ def _relator_walk(u, prefixes):
             step = m2.fconj(prefixes[j], u.flat[letter])
         else:
             # Ad(p_j) u(g^-1) = -Ad(p_j g^-1) u(g), and p_j g^-1 = p_{j+1}
-            step = m2.fscale(m2.fconj(prefixes[j + 1], u.flat[-letter]), -1)
+            step = m2.fneg(m2.fconj(prefixes[j + 1], u.flat[-letter]))
         after = m2.fadd(total, step)
         # inverse letters pair against the post-letter prefix; this is
         # the boundary correction making the evaluation chain a 2-cycle
-        sums.extend(total if letter > 0 else after)
-        letters.extend((step[0], step[2], step[1], step[3]))
+        sums += total if letter > 0 else after
+        letters += step[0:2] + step[4:6] + step[2:4] + step[6:8]
         total = after
-    return _parts(sums), _parts(letters), total
-
-
-def _parts(entries):
-    return [x.re for x in entries], [x.im for x in entries]
+    return (sums[0::2], sums[1::2]), (letters[0::2], letters[1::2]), total
 
 
 # the scale of a product of two fixed-point numbers

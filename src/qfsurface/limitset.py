@@ -101,6 +101,11 @@ def _attracting_fixed_points(a, b, c, d):
     # identity-like and parabolic/elliptic-like words have none
     lox = ~((np.abs(tr.imag) <= _TRACE_TOL) & (np.abs(tr.real) <= 2.0 + _TRACE_TOL))
     lox &= ~(np.abs(_abs(lam) - 1.0) <= 1e-12)
+    # past complex128 the eigenvalue is NaN, and the c = 0 branch below
+    # would read the repelling fixed point as the attracting one
+    if not np.all(np.isfinite(square[lox])):
+        raise DegenerateFN("limit_set: a trace square exceeds complex128 "
+                           "(a length is too large)")
     a, b, c, d, lam = a[lox], b[lox], c[lox], d[lox], lam[lox]
     # c is rounding noise below 1e-14 of the largest entry
     finite = _abs(c) > 1e-14 * np.maximum(np.maximum(_abs(a), _abs(b)),
@@ -112,8 +117,8 @@ def _attracting_fixed_points(a, b, c, d):
         z = np.where(finite, z, np.where(at_infinity, 1.0, b))
         w = np.where(finite, w, np.where(at_infinity, 0.0, d - a))
     scale = np.maximum(_abs(z), _abs(w))
-    # an entry or a trace square past complex128 leaves a non-finite scale
-    # and a NaN point, which no dedup radius would ever hold
+    # an entry past complex128 leaves a non-finite scale and a NaN point,
+    # which no dedup radius would ever hold
     if not np.all(np.isfinite(scale)):
         raise DegenerateFN("limit_set: fixed points exceed complex128 "
                            "(a length is too large)")

@@ -1,31 +1,39 @@
-"""A fixed-point complex scalar, its jets, and flat 2x2 matrix helpers.
+"""The working precision: a fixed-point complex scalar, its jets, and a
+flat Gaussian-integer 2x2 kernel.
 
-Matrices are (a, b, c, d) tuples.  This is the one precision layer of the
-package: the holonomy assembly, the cocycle pipeline and the relator,
-curve-length and word checks all compute here, where intermediate products
-cancel catastrophically and complex128 is not enough, and round to
-complex128 once, at the end (:func:`flat_to_complex`).
+This is the one precision layer of the package: the holonomy assembly, the
+cocycle pipeline and the relator, curve-length and word checks all compute
+here, where intermediate products cancel catastrophically and complex128 is
+not enough, and round to complex128 once, at the end
+(:func:`flat_to_complex`).
 
-The working scalar is :class:`Fixed`: a complex number held as two Python
-ints at the scale 2^-FRAC_BITS.  Sums are exact and every product or
-quotient rounds once, so the error is absolute, the same 2^-FRAC_BITS at
-every magnitude: the large holonomy entries of long curves cost no digits
-below the binary point, where the cancellations they feed end up.
+Numbers are held as Python ints at the scale 2^-FRAC_BITS.  Sums are exact
+and every product or quotient rounds once, so the error is absolute, the
+same 2^-FRAC_BITS at every magnitude: the large holonomy entries of long
+curves cost no digits below the binary point, where the cancellations they
+feed end up.
 
-An entry may also be a :class:`Jet`, a scalar carrying its first derivatives
-along (forward-mode differentiation).  The helpers here and :func:`exp`
-accept both, so one evaluation of an entire function gives its value and
-its exact derivatives at the working precision.
+There are two layers:
 
-:func:`exp` is the one transcendental function: the package needs it for
-the pants half-lengths and the twist matrices, and derives everything else
-from it by arithmetic.  It works on the integers directly, so the working
-precision needs nothing beyond the standard library.
+* The leaf formulas (the pants and frame entries of :mod:`qfsurface.pants`,
+  :func:`twist_entries`, :func:`inverse_entries`) evaluate (a, b, c, d)
+  tuples of scalars: :class:`Fixed`, a complex number as two ints, or
+  :class:`Jet`, a scalar carrying its first derivatives along (forward-mode
+  differentiation).  :func:`exp`, the one transcendental function, works
+  on the integers directly, so the working precision needs nothing beyond
+  the standard library.
+* Everything built from the leaves is a flat matrix (:func:`flat`),
+  multiplied, conjugated and summed by the kernel functions ``f*`` below,
+  or a matrix jet, a flat value with its flat derivatives
+  (:func:`flat_jet`, :func:`jet_mul`).  The kernel gives the results of
+  the same formulas on Fixed entries bit for bit, without an object per
+  scalar.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -313,55 +321,79 @@ def partial(x, direction):
     return x.grad.get(direction, 0) if isinstance(x, Jet) else 0
 
 
-_ZERO = Fixed(0, 0)
-_UNIT = Fixed(_ONE, 0)
-FEYE = (_UNIT, _ZERO, _ZERO, _UNIT)
-FZERO = (_ZERO, _ZERO, _ZERO, _ZERO)
-FS = (_ZERO, _UNIT, -_UNIT, _ZERO)
+def twist_entries(tau):
+    """The twist diag(exp(tau/2), exp(-tau/2)) as a leaf (a, b, c, d)."""
+    half = exp(tau / 2)
+    return (half, 0, 0, 1 / half)
+
+
+def inverse_entries(x):
+    """The inverse of a leaf (a, b, c, d), divided by its determinant."""
+    det = x[0] * x[3] - x[1] * x[2]
+    return (x[3] / det, -x[1] / det, -x[2] / det, x[0] / det)
+
+
+# -- the flat kernel ----------------------------------------------------
+#
+# A working-precision matrix is the flat tuple (ar, ai, br, bi, cr, ci, dr,
+# di) of ints: the parts of a, b, c, d at the scale 2^-FRAC_BITS of Fixed.
+# Every complex product is floored once, exactly as Fixed.__mul__ floors
+# it, and sums are exact, so a kernel result is bit-identical to the same
+# formula evaluated on Fixed entries.
+
+def _parts(x):
+    """A leaf entry (Fixed or int) as its (re, im) ints."""
+    if type(x) is int:
+        return x << FRAC_BITS, 0
+    return x.re, x.im
+
+
+def flat(entries):
+    """A leaf (a, b, c, d) of Fixed or int entries as a flat matrix."""
+    return (*_parts(entries[0]), *_parts(entries[1]),
+            *_parts(entries[2]), *_parts(entries[3]))
+
+
+FEYE = flat((1, 0, 0, 1))
+FZERO = flat((0, 0, 0, 0))
 
 
 def fmul(x, y):
+    ar, ai, br, bi, cr, ci, dr, di = x
+    er, ei, fr, fi, gr, gi, hr, hi = y
     return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
+        ((ar * er - ai * ei) >> FRAC_BITS) + ((br * gr - bi * gi) >> FRAC_BITS),
+        ((ar * ei + ai * er) >> FRAC_BITS) + ((br * gi + bi * gr) >> FRAC_BITS),
+        ((ar * fr - ai * fi) >> FRAC_BITS) + ((br * hr - bi * hi) >> FRAC_BITS),
+        ((ar * fi + ai * fr) >> FRAC_BITS) + ((br * hi + bi * hr) >> FRAC_BITS),
+        ((cr * er - ci * ei) >> FRAC_BITS) + ((dr * gr - di * gi) >> FRAC_BITS),
+        ((cr * ei + ci * er) >> FRAC_BITS) + ((dr * gi + di * gr) >> FRAC_BITS),
+        ((cr * fr - ci * fi) >> FRAC_BITS) + ((dr * hr - di * hi) >> FRAC_BITS),
+        ((cr * fi + ci * fr) >> FRAC_BITS) + ((dr * hi + di * hr) >> FRAC_BITS),
     )
 
 
 def fadd(x, y):
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+    return tuple(map(operator.add, x, y))
+
+
+def fsub(x, y):
+    return tuple(map(operator.sub, x, y))
+
+
+def fneg(x):
+    return tuple(map(operator.neg, x))
 
 
 def fscale(x, s):
-    return (s * x[0], s * x[1], s * x[2], s * x[3])
-
-
-def fdet(x):
-    return x[0] * x[3] - x[1] * x[2]
+    """s x, for s anything :func:`lift` takes."""
+    s = lift(s)
+    return fmul(flat((s, 0, 0, s)), x)
 
 
 def fadj(x):
-    return (x[3], -x[1], -x[2], x[0])
-
-
-def finv(x):
-    d = fdet(x)
-    return (x[3] / d, -x[1] / d, -x[2] / d, x[0] / d)
-
-
-def ftrace(x):
-    return x[0] + x[3]
-
-
-def ftraceless(x):
-    half = (x[0] + x[3]) / 2
-    return (x[0] - half, x[1], x[2], x[3] - half)
-
-
-def ftwist(tau):
-    half = exp(tau / 2)
-    return (half, 0, 0, 1 / half)
+    ar, ai, br, bi, cr, ci, dr, di = x
+    return (dr, di, -br, -bi, -cr, -ci, ar, ai)
 
 
 def fconj(p, x):
@@ -369,14 +401,68 @@ def fconj(p, x):
     return fmul(fmul(p, x), fadj(p))
 
 
-def flat_to_complex(flat):
-    return np.array([complex(x) for x in flat]).reshape(2, 2)
+def ftraceless(x):
+    ar, ai, br, bi, cr, ci, dr, di = x
+    # half the trace, floored like Fixed / 2
+    hr, hi = (ar + dr) // 2, (ai + di) // 2
+    return (ar - hr, ai - hi, br, bi, cr, ci, dr - hr, di - hi)
+
+
+def _complex_entries(x):
+    return [complex(x[k] / _ONE, x[k + 1] / _ONE) for k in range(0, 8, 2)]
+
+
+def ftrace(x):
+    """The trace, rounded once to complex128."""
+    return complex((x[0] + x[6]) / _ONE, (x[1] + x[7]) / _ONE)
+
+
+def flat_to_complex(x):
+    return np.array(_complex_entries(x)).reshape(2, 2)
 
 
 def flat_from_array(m):
-    m = np.asarray(m, dtype=complex)
-    return (lift(m[0, 0]), lift(m[0, 1]), lift(m[1, 0]), lift(m[1, 1]))
+    return flat(tuple(lift(z) for z in np.asarray(m, dtype=complex).ravel()))
 
 
-def fmax_abs(flat):
-    return max(abs(complex(v)) for v in flat)
+def fmax_abs(x):
+    return max(map(abs, _complex_entries(x)))
+
+
+# -- matrix jets --------------------------------------------------------
+#
+# A matrix jet is (value, grads): a flat matrix and one flat derivative per
+# direction, None where that derivative is zero.  Its product follows
+# d(VW) = dV W + V dW, entry by entry the floored products Jet.__mul__
+# makes, so values and derivatives are bit-identical to a Jet evaluation.
+
+def flat_jet(entries, directions):
+    """A leaf (a, b, c, d) of Jet, Fixed or int entries as a matrix jet."""
+    value = flat([value_of(x) for x in entries])
+    grads = [None] * directions
+    for i, x in enumerate(entries):
+        if isinstance(x, Jet):
+            for k, g in x.grad.items():
+                if grads[k] is None:
+                    grads[k] = [0] * 8
+                grads[k][2 * i], grads[k][2 * i + 1] = _parts(g)
+    return value, [g if g is None else tuple(g) for g in grads]
+
+
+def jet_mul(x, y):
+    v, dv = x
+    w, dw = y
+    grads = []
+    for a, b in zip(dv, dw):
+        if a is None:
+            grads.append(None if b is None else fmul(v, b))
+        elif b is None:
+            grads.append(fmul(a, w))
+        else:
+            grads.append(fadd(fmul(a, w), fmul(v, b)))
+    return fmul(v, w), grads
+
+
+def jet_adj(x):
+    v, dv = x
+    return fadj(v), [d if d is None else fadj(d) for d in dv]

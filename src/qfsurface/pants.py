@@ -23,9 +23,9 @@ The entry formulas take h_k = exp(sigma_k / 2), the one transcendental per
 cuff, and derive every cosh and exponential from it by arithmetic alone.  So
 the surface assembly evaluates them on any scalar with the four operations:
 on fixed-point numbers (:class:`matrix2.Fixed`) or on jets that carry exact
-derivatives (:class:`matrix2.Jet`); matrices are handed around as flat
-(a, b, c, d) tuples there and packed into numpy arrays only at the public
-boundary.
+derivatives (:class:`matrix2.Jet`).  They return (a, b, c, d) tuples, which
+the assembly turns into the flat matrices of the :mod:`matrix2` kernel and
+the public functions here pack into numpy arrays.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ normalization done as tracked changes of free basis:
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from .words import (
@@ -168,7 +169,8 @@ class PantsDecompositionGraph:
 
     def plan(self):
         if self._plan is None:
-            self._plan = _build_plan(self)
+            gluings = tuple((edge.label, edge.end_a, edge.end_b) for edge in self.edges)
+            self._plan = _plan_of(self.num_pants, gluings)
         return self._plan
 
     def presentation(self):
@@ -232,10 +234,13 @@ class _Node:
 
 
 class AssemblyPlan:
-    """Everything the holonomy builder needs, computed once per graph."""
+    """Everything the holonomy builder needs, computed once per graph.
 
-    def __init__(self, graph, root, tree_gluings, nontree_gluings, presentation):
-        self.graph = graph
+    Plans are shared between equal graphs (see :func:`_plan_of`), so neither
+    a plan nor its presentation is ever mutated.
+    """
+
+    def __init__(self, root, tree_gluings, nontree_gluings, presentation):
         self.root = root
         self.tree_gluings = tree_gluings        # (label, parent_end, child_end)
         self.nontree_gluings = nontree_gluings  # (label, s_end, t_end, z_symbol)
@@ -295,6 +300,14 @@ def _spanning_tree(graph, root):
     nontree = [e for e in sorted(graph.edges, key=lambda e: e.label)
                if e.label not in tree_labels]
     return tree, nontree
+
+
+@functools.lru_cache(maxsize=32)
+def _plan_of(num_pants, gluings):
+    """The plan of the graph with these pants and ordered (label, end, end)
+    gluings, built once per distinct graph: it reads nothing else, and every
+    config parse makes a new graph object."""
+    return _build_plan(PantsDecompositionGraph(num_pants, gluings))
 
 
 def _build_plan(graph):
@@ -530,7 +543,7 @@ def _build_plan(graph):
     presentation = SurfaceGroupPresentation(
         genus, standard, marking, generator_assembly_words
     )
-    return AssemblyPlan(graph, root, tree, nontree_gluings, presentation)
+    return AssemblyPlan(root, tree, nontree_gluings, presentation)
 
 
 def _assert_surface_word(word, num_generators):

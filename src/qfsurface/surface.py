@@ -17,8 +17,10 @@ the glued axis and S = [[0, 1], [-1, 0]] reverses the axis orientation, so
 the two cuff holonomies are exact inverses.  Edges outside the tree get a
 stable-letter matrix built from the same frame data.  All entries are
 entire functions of the coordinates, so the same assembly run over jets
-(:class:`matrix2.Jet`, see :func:`assemble`) gives their exact derivatives
-in every l and tau direction, with no branch cut to cross.
+(see :func:`assemble`) gives their exact derivatives in every l and tau
+direction, with no branch cut to cross.  Scalars appear only in the leaf
+formulas (pants, frames, twists and frame inverses); every product above
+them runs on the flat kernel of :mod:`matrix2`.
 
 The zero-twist origin is the frame alignment itself; it is a convention,
 and only twist differences are meaningful.
@@ -30,6 +32,8 @@ import cmath
 import contextlib
 import functools
 import math
+
+import numpy as np
 
 from . import matrix2 as m2
 
@@ -155,11 +159,11 @@ class Representation:
     """Images of the standard generators, evaluable on words.
 
     ``mp_images`` and ``mp_inverses`` hold the images and their inverses at
-    the working precision, as flat (a, b, c, d) tuples of
-    :class:`matrix2.Fixed` scalars.  Every check runs on them: holonomy
-    entries grow like exp(length x tree depth), and the relator, curve-length
-    and cocycle computations cancel them back down to size one, which the
-    absolute 2^-FRAC_BITS resolution of that scalar keeps exact enough.
+    the working precision, as flat matrices of the :mod:`matrix2` kernel
+    (the ints (re, im) of a, b, c, d at 2^-FRAC_BITS).  Every check runs on
+    them: holonomy entries grow like exp(length x tree depth), and the
+    relator, curve-length and cocycle computations cancel them back down to
+    size one, which the absolute 2^-FRAC_BITS resolution keeps exact enough.
     Results are rounded to complex128 once, at the end.  ``images`` holds
     complex128 copies of the generators for bulk work (limit sets, output).
     """
@@ -190,7 +194,7 @@ class Representation:
         return table[gen]
 
     def flat_of_word(self, word):
-        """Working-precision image of a word, as a flat tuple."""
+        """Working-precision image of a word, as a flat matrix."""
         return functools.reduce(m2.fmul, map(self.generator_flat, word), m2.FEYE)
 
     def matrix_of_word(self, word):
@@ -212,9 +216,9 @@ class Representation:
 
     def relator_residual(self):
         """Largest entry of rho(relator) - 1, at the working precision."""
-        a, b, c, d = self.flat_of_word(self.presentation.relator)
+        residual = m2.fsub(self.flat_of_word(self.presentation.relator), m2.FEYE)
         with complex128_stage("relator_residual"):
-            return m2.fmax_abs((a - 1, b, c, d - 1))
+            return m2.fmax_abs(residual)
 
     def curve_word(self, label):
         try:
@@ -224,27 +228,29 @@ class Representation:
 
     def conjugated(self, mapping):
         """The representation g -> M g M^-1 (same marked structure)."""
-        m = m2.flat_from_array(mapping.m if isinstance(mapping, MoebiusMap) else mapping)
-        inverse = m2.finv(m)
+        array = mapping.m if isinstance(mapping, MoebiusMap) else mapping
+        leaf = tuple(m2.lift(z) for z in np.asarray(array, dtype=complex).ravel())
+        m, inverse = m2.flat(leaf), m2.flat(m2.inverse_entries(leaf))
         images = {gen: m2.fmul(m2.fmul(m, x), inverse) for gen, x in self.mp_images.items()}
         return Representation(self.graph, self.presentation, self.fn, images)
 
 
 def holonomy(graph, fn):
     """Representation realizing the coordinates on the graph's curves."""
-    presentation, images = assemble(graph, fn, lambda value, _direction: m2.lift(value))
-    return Representation(graph, presentation, fn, images)
+    presentation, images = assemble(graph, fn, False)
+    return Representation(graph, presentation, fn,
+                          {gen: value for gen, (value, _grads) in images.items()})
 
 
-def assemble(graph, fn, lift):
+def assemble(graph, fn, differentiate):
     """Presentation and generator images realizing the coordinates.
 
-    ``lift(value, direction)`` turns each coordinate into the scalar the
-    assembly computes with; direction k < N is length k and N + k is twist
-    k.  ``holonomy`` lifts to plain working-precision scalars
-    (:class:`matrix2.Fixed`), the tangent cocycles to jets over them
-    (:class:`matrix2.Jet`).  Returns the presentation and its images as flat
-    tuples of those scalars.
+    The images are matrix jets (value, grads) of the :mod:`matrix2` kernel.
+    With ``differentiate`` every coordinate enters the leaf formulas as a
+    :class:`matrix2.Jet` with unit derivative in its own direction (k < N is
+    length k, N + k is twist k), and grads holds the exact derivative of
+    the image in each of the 2N directions; without it, grads is empty.
+    The values are bit-identical either way.
     """
     n = len(fn)
     if n != graph.num_curves:
@@ -271,8 +277,17 @@ def assemble(graph, fn, lift):
         except (ReduciblePants, ValueError, OverflowError) as exc:
             raise DegenerateFN(str(exc)) from exc
 
-    lengths = [lift(l, k) for k, l in enumerate(fn.lengths)]
-    twists = [lift(tau, n + k) for k, tau in enumerate(fn.twists)]
+    coordinates = [m2.lift(x) for x in fn.lengths + fn.twists]
+    directions = 0
+    if differentiate:
+        directions = 2 * n
+        unit = m2.lift(1)
+        coordinates = [m2.Jet(x, {k: unit}) for k, x in enumerate(coordinates)]
+    lengths, twists = coordinates[:n], coordinates[n:]
+
+    def leaf(entries):
+        return m2.flat_jet(entries, directions)
+
     # exp(sigma / 2) of each curve's half-length sigma = l / 2, shared by the
     # two cuffs it glues; the pants formulas derive the rest by arithmetic
     halves = [m2.exp(l / 4) for l in lengths]
@@ -280,8 +295,12 @@ def assemble(graph, fn, lift):
     frames = {}
     for v, cuffs in enumerate(pants_cuffs):
         cuff_halves = tuple(halves[k] for k in cuffs)
-        matrices[v] = pants_entries(cuff_halves)
+        c1, c2, _c3 = pants_entries(cuff_halves)
+        matrices[v] = (leaf(c1), leaf(c2))
         frames[v] = frame_entries(cuff_halves)
+
+    mul, adj = m2.jet_mul, m2.jet_adj
+    axis_flip = leaf((0, 1, -1, 0))
 
     def gluing_map(label, from_end, to_end):
         # Frame determinants on both sides equal -2 sinh(length/2) of the
@@ -290,34 +309,33 @@ def assemble(graph, fn, lift):
         tau = twists[label_index[label]]
         v, i = from_end
         w, j = to_end
-        return m2.fmul(
-            m2.fmul(m2.fmul(frames[v][i], m2.ftwist(tau)), m2.FS),
-            m2.finv(frames[w][j]),
+        return mul(
+            mul(mul(leaf(frames[v][i]), leaf(m2.twist_entries(tau))), axis_flip),
+            leaf(m2.inverse_entries(frames[w][j])),
         )
 
-    conj = {plan.root: m2.FEYE}
+    conj = {plan.root: leaf((1, 0, 0, 1))}
     for label, parent_end, child_end in plan.tree_gluings:
-        conj[child_end[0]] = m2.fmul(
+        conj[child_end[0]] = mul(
             conj[parent_end[0]], gluing_map(label, parent_end, child_end)
         )
 
     symbol_matrix = {}
     for v in range(graph.num_pants):
         m = conj[v]
-        minv = m2.fadj(m)
-        symbol_matrix[graph.symbol_a(v)] = m2.fmul(m2.fmul(m, matrices[v][0]), minv)
-        symbol_matrix[graph.symbol_b(v)] = m2.fmul(m2.fmul(m, matrices[v][1]), minv)
+        minv = adj(m)
+        symbol_matrix[graph.symbol_a(v)] = mul(mul(m, matrices[v][0]), minv)
+        symbol_matrix[graph.symbol_b(v)] = mul(mul(m, matrices[v][1]), minv)
 
     for label, s_end, t_end, z_symbol in plan.nontree_gluings:
         v, w = s_end[0], t_end[0]
-        forward = m2.fmul(
-            m2.fmul(conj[v], gluing_map(label, s_end, t_end)), m2.fadj(conj[w])
-        )
-        symbol_matrix[z_symbol] = m2.fadj(forward)
+        forward = mul(mul(conj[v], gluing_map(label, s_end, t_end)), adj(conj[w]))
+        symbol_matrix[z_symbol] = adj(forward)
 
     def eval_symbols(word):
-        factors = (symbol_matrix[x] if x > 0 else m2.fadj(symbol_matrix[-x]) for x in word)
-        return functools.reduce(m2.fmul, factors, m2.FEYE)
+        # assembly words are never empty: each spells a generator
+        factors = (symbol_matrix[x] if x > 0 else adj(symbol_matrix[-x]) for x in word)
+        return functools.reduce(mul, factors)
 
     images = {
         gen: eval_symbols(word)
@@ -341,9 +359,9 @@ def complex_length_of_curve(rep, word):
     """
     if isinstance(word, str):
         word = rep.presentation.word_from_string(word)
-    a, _b, _c, d = rep.flat_of_word(cyclic_reduce(word))
+    flat = rep.flat_of_word(cyclic_reduce(word))
     with complex128_stage("complex_length_of_curve"):
-        trace = complex(a + d)
+        trace = m2.ftrace(flat)
     if abs(trace * trace - 4.0) <= _CLASSIFY_TOL:
         raise NotLoxodromic("holonomy of the word is parabolic or the identity")
     return displacement_from_trace(trace)
@@ -379,5 +397,5 @@ def fuchsian_residual(rep):
     frame = MoebiusMap.from_three_points(axis.repelling, axis.attracting, third)
     normalized = rep.conjugated(frame.inverse())
     with complex128_stage("fuchsian_residual"):
-        return max(abs(complex(x).imag)
-                   for m in normalized.mp_images.values() for x in m)
+        return max(abs(z.imag) for m in normalized.mp_images.values()
+                   for z in m2.flat_to_complex(m).ravel())

@@ -8,6 +8,12 @@ shares no formulas with the solver under test.
 The pairing oracle is the per-pair relator walk that the batched Gram
 contraction replaced, kept verbatim as the reference it must reproduce.
 
+The Fixed-tuple oracle is the assembly, jet basis and relator walk as they
+ran before the flat kernel of ``matrix2``: every matrix an (a, b, c, d)
+tuple of ``Fixed`` scalars, or of dict-gradient ``Jet`` scalars over them,
+and every product dispatched scalar by scalar.  The kernel floors each
+complex product as ``Fixed`` does, so it must reproduce these bit for bit.
+
 The finite-difference oracle is the central-difference cocycle pipeline
 that the forward-mode (jet) assembly replaced: two full holonomy builds per
 coordinate direction, kept verbatim as an independent check of the exact
@@ -19,7 +25,10 @@ per word, and an f-string per CSV row, kept verbatim as the reference.
 """
 
 import cmath
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,6 +41,7 @@ from qfsurface.cocycles import (
     cocycle_gram,
 )
 from qfsurface.moebius import ProjectivePoint
+from qfsurface.pants import frame_entries, pants_entries
 from qfsurface.surface import holonomy
 from qfsurface.words import reduced_words_up_to
 
@@ -143,6 +153,196 @@ def real_hexagon_even_sides(a1, a3, a5):
     return sides[1], sides[3], sides[5]
 
 
+# -- the Fixed-tuple helpers, assembly and walk --------------------------
+
+_ZERO = m2.Fixed(0, 0)
+_UNIT = m2.lift(1)
+FEYE = (_UNIT, _ZERO, _ZERO, _UNIT)
+FZERO = (_ZERO, _ZERO, _ZERO, _ZERO)
+FS = (_ZERO, _UNIT, -_UNIT, _ZERO)
+
+
+def fixed_entries(flat):
+    """A flat kernel matrix as an (a, b, c, d) tuple of Fixed."""
+    return tuple(m2.Fixed(flat[k], flat[k + 1]) for k in range(0, 8, 2))
+
+
+def fmul(x, y):
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def fadd(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+
+
+def fscale(x, s):
+    return (s * x[0], s * x[1], s * x[2], s * x[3])
+
+
+def fdet(x):
+    return x[0] * x[3] - x[1] * x[2]
+
+
+def fadj(x):
+    return (x[3], -x[1], -x[2], x[0])
+
+
+def finv(x):
+    d = fdet(x)
+    return (x[3] / d, -x[1] / d, -x[2] / d, x[0] / d)
+
+
+def ftrace(x):
+    return x[0] + x[3]
+
+
+def ftraceless(x):
+    half = (x[0] + x[3]) / 2
+    return (x[0] - half, x[1], x[2], x[3] - half)
+
+
+def ftwist(tau):
+    half = m2.exp(tau / 2)
+    return (half, 0, 0, 1 / half)
+
+
+def fconj(p, x):
+    """p x p^(-1) for unit-determinant p."""
+    return fmul(fmul(p, x), fadj(p))
+
+
+def fmax_abs(flat):
+    return max(abs(complex(v)) for v in flat)
+
+
+def fixed_assemble(graph, fn, lift):
+    """Presentation and generator images as tuples of lift's scalars."""
+    n = len(fn)
+    plan = graph.plan()
+    label_index = {label: k for k, label in enumerate(graph.curve_labels)}
+    cuff_index = {}
+    for edge in graph.edges:
+        for end in edge.ends():
+            cuff_index[end] = label_index[edge.label]
+
+    pants_cuffs = [tuple(cuff_index[(v, c)] for c in (0, 1, 2))
+                   for v in range(graph.num_pants)]
+    lengths = [lift(l, k) for k, l in enumerate(fn.lengths)]
+    twists = [lift(tau, n + k) for k, tau in enumerate(fn.twists)]
+    halves = [m2.exp(l / 4) for l in lengths]
+    matrices = {}
+    frames = {}
+    for v, cuffs in enumerate(pants_cuffs):
+        cuff_halves = tuple(halves[k] for k in cuffs)
+        matrices[v] = pants_entries(cuff_halves)
+        frames[v] = frame_entries(cuff_halves)
+
+    def gluing_map(label, from_end, to_end):
+        tau = twists[label_index[label]]
+        v, i = from_end
+        w, j = to_end
+        return fmul(fmul(fmul(frames[v][i], ftwist(tau)), FS), finv(frames[w][j]))
+
+    conj = {plan.root: FEYE}
+    for label, parent_end, child_end in plan.tree_gluings:
+        conj[child_end[0]] = fmul(
+            conj[parent_end[0]], gluing_map(label, parent_end, child_end)
+        )
+
+    symbol_matrix = {}
+    for v in range(graph.num_pants):
+        m = conj[v]
+        minv = fadj(m)
+        symbol_matrix[graph.symbol_a(v)] = fmul(fmul(m, matrices[v][0]), minv)
+        symbol_matrix[graph.symbol_b(v)] = fmul(fmul(m, matrices[v][1]), minv)
+
+    for label, s_end, t_end, z_symbol in plan.nontree_gluings:
+        v, w = s_end[0], t_end[0]
+        forward = fmul(fmul(conj[v], gluing_map(label, s_end, t_end)), fadj(conj[w]))
+        symbol_matrix[z_symbol] = fadj(forward)
+
+    def eval_symbols(word):
+        factors = (symbol_matrix[x] if x > 0 else fadj(symbol_matrix[-x]) for x in word)
+        return functools.reduce(fmul, factors, FEYE)
+
+    images = {
+        gen: eval_symbols(word)
+        for gen, word in plan.presentation.generator_assembly_words.items()
+    }
+    return plan.presentation, images
+
+
+def fixed_holonomy(graph, fn):
+    """Generator images as tuples of Fixed."""
+    return fixed_assemble(graph, fn, lambda value, _direction: m2.lift(value))[1]
+
+
+def fixed_basis(graph, fn):
+    """Images and the 2N coordinate cocycle tables from one dict-Jet assembly."""
+    unit = m2.lift(1)
+    _presentation, jets = fixed_assemble(
+        graph, fn, lambda value, direction: m2.Jet(m2.lift(value), {direction: unit}))
+    images = {}
+    tables = [{} for _direction in range(2 * len(fn))]
+    for gen, m in jets.items():
+        images[gen] = tuple(m2.value_of(x) for x in m)
+        inverse = fadj(images[gen])
+        for direction, table in enumerate(tables):
+            derivative = tuple(m2.partial(x, direction) for x in m)
+            table[gen] = (ftraceless(fmul(derivative, inverse))
+                          if any(derivative) else FZERO)
+    return images, tables
+
+
+def fixed_relator_prefixes(relator, images):
+    prefixes = [FEYE]
+    for letter in relator:
+        image = images[letter] if letter > 0 else fadj(images[-letter])
+        prefixes.append(fmul(prefixes[-1], image))
+    return prefixes
+
+
+def _parts(entries):
+    return [x.re for x in entries], [x.im for x in entries]
+
+
+def fixed_relator_walk(relator, table, prefixes):
+    """(sums, letters, closing) of one cocycle's walk, as (re, im) int lists."""
+    sums, letters = [], []
+    total = FZERO
+    for j, letter in enumerate(relator):
+        if letter > 0:
+            step = fconj(prefixes[j], table[letter])
+        else:
+            step = fscale(fconj(prefixes[j + 1], table[-letter]), -1)
+        after = fadd(total, step)
+        sums.extend(total if letter > 0 else after)
+        letters.extend((step[0], step[2], step[1], step[3]))
+        total = after
+    return _parts(sums), _parts(letters), total
+
+
+def fixed_cocycle_gram(relator, tables, prefixes):
+    """(antisymmetrized matrix, raw asymmetry, worst cocycle residual)."""
+    sums, letters, closings = zip(
+        *(fixed_relator_walk(relator, table, prefixes) for table in tables))
+    scale = 1 << (2 * m2.FRAC_BITS)
+    dim = len(tables)
+    raw = np.zeros((dim, dim), dtype=complex)
+    for a, b in itertools.permutations(range(dim), 2):
+        (p, q), (r, s) = sums[a], letters[b]
+        re = sum(map(operator.mul, p, r)) - sum(map(operator.mul, q, s))
+        im = sum(map(operator.mul, p, s)) + sum(map(operator.mul, q, r))
+        raw[a, b] = PAIRING_SIGN * COEFFICIENT_SCALE * complex(re / scale, im / scale)
+    residual = max(fmax_abs(closing) for closing in closings)
+    return (raw - raw.T) / 2.0, float(np.max(np.abs(raw + raw.T))), residual
+
+
 def pairing_by_prefix_walk(u, v):
     """Goldman pairing of two cocycles by one relator walk per pair.
 
@@ -152,18 +352,18 @@ def pairing_by_prefix_walk(u, v):
     """
     rep = u.rep
     total = m2.lift(0)
-    u_prefix = m2.FZERO
-    prefix = m2.FEYE
+    u_prefix = FZERO
+    prefix = FEYE
     for letter in rep.presentation.relator:
-        v_letter = m2.fconj(prefix, v.value(letter))
-        u_step = m2.fconj(prefix, u.value(letter))
-        u_next = m2.fadd(u_prefix, u_step)
+        v_letter = fconj(prefix, fixed_entries(v.value(letter)))
+        u_step = fconj(prefix, fixed_entries(u.value(letter)))
+        u_next = fadd(u_prefix, u_step)
         # inverse letters pair against the post-letter prefix; this is
         # the boundary correction making the evaluation chain a 2-cycle
         u_used = u_prefix if letter > 0 else u_next
-        total += m2.ftrace(m2.fmul(u_used, v_letter))
+        total += ftrace(fmul(u_used, v_letter))
         u_prefix = u_next
-        prefix = m2.fmul(prefix, rep.generator_flat(letter))
+        prefix = fmul(prefix, fixed_entries(rep.generator_flat(letter)))
     return complex(PAIRING_SIGN * COEFFICIENT_SCALE * complex(total))
 
 

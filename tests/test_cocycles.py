@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from importlib import resources
 
 import mpmath as mp
@@ -392,6 +394,41 @@ def test_jet_images_equal_holonomy():
         assert rep.mp_images == holonomy(graph, fn).mp_images
 
 
+def bit_identity_cases():
+    for graph, fn in oracle_cases():
+        if graph is not GENUS4_CHAIN:
+            yield graph, fn
+    for length in (16.0, 20.0):
+        yield GENUS3_CHAIN, FNCoordinates([length] * 6, TWISTS3)
+
+
+def test_kernel_is_bit_identical_to_fixed_oracle():
+    # the flat kernel floors every complex product as Fixed does, so images,
+    # tables, prefixes, walks and the Gram all reproduce the Fixed-tuple
+    # assembly and walk bit for bit
+    for graph, fn in bit_identity_cases():
+        rep, cocycles = fd_basis_cocycles(graph, fn)
+        images, tables = oracles.fixed_basis(graph, fn)
+        assert rep.mp_images == {g: m2.flat(m) for g, m in images.items()}
+        assert holonomy(graph, fn).mp_images == {
+            g: m2.flat(m) for g, m in oracles.fixed_holonomy(graph, fn).items()}
+        assert [u.flat for u in cocycles] == [
+            {g: m2.flat(m) for g, m in table.items()} for table in tables]
+        relator = rep.presentation.relator
+        fixed_prefixes = oracles.fixed_relator_prefixes(relator, images)
+        prefixes = cocycles_module._relator_prefixes(rep)
+        assert prefixes == [m2.flat(p) for p in fixed_prefixes]
+        for u, table in zip(cocycles, tables):
+            sums, letters, closing = oracles.fixed_relator_walk(relator, table, fixed_prefixes)
+            assert cocycles_module._relator_walk(u, prefixes) == (
+                sums, letters, m2.flat(closing))
+        gram = cocycle_gram(rep, cocycles)
+        matrix, asymmetry, residual = oracles.fixed_cocycle_gram(
+            relator, tables, fixed_prefixes)
+        assert gram.matrix.tobytes() == matrix.tobytes()
+        assert (gram.raw_asymmetry, gram.cocycle_residual) == (asymmetry, residual)
+
+
 def test_jet_gram_matches_fd_oracle():
     for graph, fn in oracle_cases():
         gram = symplectic_gram(graph, fn)
@@ -496,6 +533,29 @@ def test_gram_makes_no_mpmath_arithmetic(monkeypatch):
     gram = symplectic_gram(graph, config.fn(graph))
     assert darboux_residual(gram) <= 1e-40
     assert calls == []
+
+
+def test_gram_multiplies_jets_only_in_leaf_formulas(monkeypatch):
+    # the kernel multiplies matrix jets as flat ints; scalar jets are
+    # multiplied only where the leaf formulas evaluate their entries: 56
+    # times in a genus3.json Gram (the dict-Jet assembly made 520)
+    calls = Counter()
+
+    def counted(function):
+        def wrapper(self, other):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return function(self, other)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(m2.Jet, name, counted(vars(m2.Jet)[name]))
+    config = parse_config(
+        resources.files("qfsurface.data").joinpath("genus3.json").read_text())
+    graph = config.graph()
+    gram = symplectic_gram(graph, config.fn(graph))
+    assert darboux_residual(gram) <= 1e-40
+    assert set(calls) <= {"_cuff_terms", "pants_entries", "frame_entries", "inverse_entries"}
+    assert 0 < sum(calls.values()) <= 56
 
 
 def complex_coordinate(real_lo, real_hi):

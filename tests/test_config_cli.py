@@ -201,6 +201,8 @@ def test_cli_input_error_exit_code(tmp_path, capsys, monkeypatch):
         raise MalformedGraph("collection did not reach commutator form")
 
     monkeypatch.setattr(presentation, "_build_plan", broken_plan)
+    # plans are cached per graph; the broken builder runs on a miss
+    presentation._plan_of.cache_clear()
     assert cli_main(["holonomy", bundled_path("genus2_fuchsian.json", tmp_path)]) == 2
     assert "commutator form" in capsys.readouterr().err
 

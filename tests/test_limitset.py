@@ -119,10 +119,11 @@ def test_cloud_drops_rounding_noise_fixed_point():
     exact = m2.FEYE
     for letter in (4, 3, -4):
         exact = m2.fmul(exact, rep.generator_flat(letter))
-    ea, eb, ec, ed = exact
-    assert abs(complex(ec)) <= 1e-25 and abs(complex(ed)) > abs(complex(ea))
-    # upper triangular: the attracting eigenvalue d has eigenvector b/(d-a)
-    true = ProjectivePoint(complex(eb), complex(ed - ea))
+    (ea, eb), (ec, ed) = m2.flat_to_complex(exact)
+    assert abs(ec) <= 1e-25 and abs(ed) > abs(ea)
+    # upper triangular: the attracting eigenvalue d has eigenvector b/(d-a);
+    # exact - adj(exact) holds d - a at the working precision
+    true = ProjectivePoint(eb, m2.flat_to_complex(m2.fsub(exact, m2.fadj(exact)))[1, 1])
     gens = {}
     for g in (3, 4):
         (a, b), (c, d) = gens[g] = rep.images[g].astype(complex)
@@ -235,7 +236,9 @@ def test_cloud_is_the_same_in_small_batches(monkeypatch):
 
 def test_overflowing_products_are_degenerate():
     # at Re l = 150 some depth-3 fixed points overflow complex128; kept, the
-    # NaN points all share one dedup cell and the candidate pairs grow as n^2
+    # NaN points all share one dedup cell and the candidate pairs grow as n^2.
+    # At depth 2 a trace square overflows: its eigenvalue is NaN, and the
+    # c = 0 branch would give the word its repelling fixed point
     doc = json.loads(
         resources.files("qfsurface.data").joinpath("genus2_fuchsian.json").read_text())
     doc["fn"]["alpha1"]["l"] = [150.0, 0.0]
@@ -243,7 +246,9 @@ def test_overflowing_products_are_degenerate():
     graph = config.graph()
     rep = holonomy(graph, config.fn(graph))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.all(np.isfinite(limit_set(rep, 2).z))
+        assert np.all(np.isfinite(limit_set(rep, 1).z))
+        with pytest.raises(DegenerateFN, match="^limit_set: a trace square"):
+            limit_set(rep, 2)
         with pytest.raises(DegenerateFN, match="^limit_set: "):
             limit_set(rep, 3)
 

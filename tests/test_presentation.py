@@ -8,6 +8,7 @@ import pytest
 
 import qfsurface
 
+from qfsurface import presentation as presentation_module
 from qfsurface.presentation import (
     MalformedGraph,
     PantsDecompositionGraph,
@@ -118,11 +119,39 @@ def test_nonseparating_curves_standard_graph():
 
 
 def test_determinism():
-    p1 = build_presentation(standard_genus2_graph())
-    p2 = build_presentation(standard_genus2_graph())
+    # two builds, past the plan cache that would hand both the same object
+    p1 = presentation_module._build_plan(standard_genus2_graph()).presentation
+    p2 = presentation_module._build_plan(standard_genus2_graph()).presentation
     assert p1.relator == p2.relator
     assert p1.marking == p2.marking
     assert p1.generator_assembly_words == p2.generator_assembly_words
+
+
+def test_plan_built_once_per_distinct_graph(monkeypatch):
+    builds = []
+    build = presentation_module._build_plan
+
+    def counted(graph):
+        builds.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(presentation_module, "_build_plan", counted)
+    presentation_module._plan_of.cache_clear()
+    first = standard_genus2_graph().plan()
+    renamed = PantsDecompositionGraph(2, standard_genus2_graph().edges,
+                                      pants_ids=["left", "right"])
+    assert standard_genus2_graph().plan() is first and renamed.plan() is first
+    assert len(builds) == 1
+    # labels, ends and edge order all go into the plan
+    edges = [(e.label, e.end_a, e.end_b) for e in standard_genus2_graph().edges]
+    variants = [
+        [("beta" + label[-1], a, b) for label, a, b in edges],
+        [(label, b, a) for label, a, b in edges],
+        edges[::-1],
+    ]
+    plans = [PantsDecompositionGraph(2, variant).plan() for variant in variants]
+    assert len(builds) == 4
+    assert all(plan is not first for plan in plans)
 
 
 def test_random_graphs_all_reach_standard_form():
