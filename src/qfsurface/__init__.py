@@ -5,7 +5,14 @@ Quick start: build a pants decomposition graph, pick one complex
 (length, twist) pair per decomposition curve, and call ``holonomy``.  The
 Gram matrix of the cup-product pairing over the coordinate directions is
 the canonical symplectic form, which ``darboux_residual`` quantifies.
+
+The names of the ``hexagon``, ``limitset`` and ``schwarzian`` modules (and
+the modules themselves) are given on first access, through the module
+``__getattr__``: nothing on the holonomy and Gram path uses them, and they
+load numpy.  Every other name is bound on import, without numpy.
 """
+
+import importlib
 
 from .cocycles import (
     BaseMismatch,
@@ -30,8 +37,6 @@ from .config import (
     config_to_json,
     parse_config,
 )
-from .hexagon import DegenerateSide, Hexagon, hexagon_residuals, solve_hexagon
-from .limitset import LimitSetCloud, cloud_to_csv, cloud_to_svg, limit_set
 from .moebius import (
     DegenerateGeodesic,
     MoebiusMap,
@@ -56,7 +61,6 @@ from .presentation import (
     SurfaceGroupPresentation,
     build_presentation,
 )
-from .schwarzian import CriticalPoint, HolomorphicSample, cocycle_check, schwarzian_at
 from .surface import (
     BranchFailure,
     DegenerateFN,
@@ -71,3 +75,20 @@ from .surface import (
 )
 
 __version__ = "0.1.0"
+
+_ON_ACCESS = {
+    "hexagon": ("DegenerateSide", "Hexagon", "hexagon_residuals", "solve_hexagon"),
+    "limitset": ("LimitSetCloud", "cloud_to_csv", "cloud_to_svg", "limit_set"),
+    "schwarzian": ("CriticalPoint", "HolomorphicSample", "cocycle_check", "schwarzian_at"),
+}
+_HOME = {name: module for module, names in _ON_ACCESS.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _ON_ACCESS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -6,7 +6,9 @@ and emit JSON, CSV, or SVG on stdout unless --output is given.  Exit codes:
 ``PrecisionExhausted``: a FAIL line names the stage and the quantity, such
 as a Gram's cocycle_residual or a holonomy's relator_residual), 2 bad input.
 Property-test subcommands seed their RNG from the QFS_SEED environment
-variable (default 0).
+variable (default 0).  The limit-set and Schwarzian modules, and numpy, are
+loaded by the commands that use them, so ``holonomy``, ``lengths`` and
+``twist`` start without them.
 """
 
 from __future__ import annotations
@@ -18,24 +20,16 @@ import math
 import os
 import sys
 
-import numpy as np
-
+from . import matrix2 as m2
 from .cocycles import PrecisionExhausted, darboux_residual, symplectic_gram
 from .config import SchemaError, config_to_json, parse_config
-from .limitset import cloud_to_csv, cloud_to_svg, limit_set
 from .moebius import NotLoxodromic
 from .presentation import MalformedGraph
-from .schwarzian import (
-    cocycle_check,
-    exp_sample,
-    moebius_sample,
-    polynomial_sample,
-    schwarzian_at,
-)
 from .surface import (
     BranchFailure,
     DegenerateFN,
     UnknownGenerator,
+    complex128_stage,
     complex_length_of_curve,
     holonomy,
 )
@@ -80,8 +74,10 @@ def _cmd_holonomy(args):
     graph = config.graph()
     rep = holonomy(graph, config.fn(graph))
     generators = {}
-    for gen_id, name in enumerate(rep.presentation.generator_names, start=1):
-        generators[name] = [[_complex_json(z) for z in row] for row in rep.images[gen_id]]
+    with complex128_stage("holonomy"):
+        for gen_id, name in enumerate(rep.presentation.generator_names, start=1):
+            a, b, c, d = map(_complex_json, m2.flat_entries(rep.mp_images[gen_id]))
+            generators[name] = [[a, b], [c, d]]
     payload = {
         "genus": graph.genus,
         "generators": generators,
@@ -172,6 +168,7 @@ def _cmd_twist(args):
 
 
 def _cmd_limitset(args):
+    from .limitset import cloud_to_csv, cloud_to_svg, limit_set
     config = _load_config(args.config)
     depth = config.options["word_length"] if args.depth is None else args.depth
     if depth < 1:
@@ -190,6 +187,15 @@ def _cmd_limitset(args):
 
 
 def _cmd_schwarzian_selftest(args):
+    import numpy as np
+
+    from .schwarzian import (
+        cocycle_check,
+        exp_sample,
+        moebius_sample,
+        polynomial_sample,
+        schwarzian_at,
+    )
     seed = int(os.environ.get("QFS_SEED", "0"))
     rng = np.random.RandomState(seed)
     failures = []

@@ -63,8 +63,6 @@ from __future__ import annotations
 import itertools
 import operator
 
-import numpy as np
-
 from . import matrix2 as m2
 # ``holonomy`` stays bound here for qfsbench, whose tracer wraps it in every
 # module that binds it and whose tests look it up on this module
@@ -120,7 +118,7 @@ class TangentCocycle:
             if isinstance(value, tuple):
                 self.flat[gen] = value
             else:
-                self.flat[gen] = m2.flat_from_array(np.asarray(value, dtype=complex))
+                self.flat[gen] = m2.flat_from_array(value)
 
     @property
     def table(self):
@@ -288,6 +286,7 @@ def cocycle_gram(rep, cocycles):
     comes from its own contraction, so that deviation is measured, never
     assumed away.
     """
+    import numpy as np
     if any(u.rep is not rep for u in cocycles):
         raise BaseMismatch("cocycles live over different representations")
     prefixes = _relator_prefixes(rep)
@@ -310,6 +309,7 @@ def symplectic_gram(graph, fn):
 
 def canonical_form(n):
     """The block matrix [[0, I_n], [-I_n, 0]]."""
+    import numpy as np
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
@@ -318,5 +318,6 @@ def canonical_form(n):
 
 def darboux_residual(gram):
     """max-norm distance of the Gram matrix from the canonical form."""
+    import numpy as np
     n = gram.size // 2
     return float(np.max(np.abs(gram.matrix - canonical_form(n))))

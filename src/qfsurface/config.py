@@ -76,11 +76,15 @@ class SurfaceConfig:
         self.gluings = gluings            # list of (curve, (p, c), (p, c))
         self.fn_table = fn_table          # curve -> (l, tau) complex pair
         self.options = options
+        self._graph = None
 
     def graph(self):
-        return PantsDecompositionGraph(
-            len(self.pants_ids), self.gluings, pants_ids=self.pants_ids
-        )
+        """The gluing graph, built once: the one parse_config validates."""
+        if self._graph is None:
+            self._graph = PantsDecompositionGraph(
+                len(self.pants_ids), self.gluings, pants_ids=self.pants_ids
+            )
+        return self._graph
 
     def fn(self, graph=None):
         if graph is None:

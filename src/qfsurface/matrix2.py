@@ -4,8 +4,10 @@ flat Gaussian-integer 2x2 kernel.
 This is the one precision layer of the package: the holonomy assembly, the
 cocycle pipeline and the relator, curve-length and word checks all compute
 here, where intermediate products cancel catastrophically and complex128 is
-not enough, and round to complex128 once, at the end
-(:func:`flat_to_complex`).
+not enough, and round to complex128 once, at the end (:func:`flat_entries`,
+or :func:`flat_to_complex` for a numpy array).  numpy is imported only by
+the two functions that build or read arrays, so a command that needs no
+array starts without it.
 
 Numbers are held as Python ints at the scale 2^-FRAC_BITS.  Sums are exact
 and every product or quotient rounds once, so the error is absolute, the
@@ -34,8 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-
-import numpy as np
 
 # Bits below the binary point.  Holonomy entries reach 2^36 at lengths 20
 # and their cancellations lose about three times that many bits; 128 bits
@@ -408,7 +408,8 @@ def ftraceless(x):
     return (ar - hr, ai - hi, br, bi, cr, ci, dr - hr, di - hi)
 
 
-def _complex_entries(x):
+def flat_entries(x):
+    """The entries [a, b, c, d], each rounded once to complex128."""
     return [complex(x[k] / _ONE, x[k + 1] / _ONE) for k in range(0, 8, 2)]
 
 
@@ -418,15 +419,17 @@ def ftrace(x):
 
 
 def flat_to_complex(x):
-    return np.array(_complex_entries(x)).reshape(2, 2)
+    import numpy as np
+    return np.array(flat_entries(x)).reshape(2, 2)
 
 
 def flat_from_array(m):
+    import numpy as np
     return flat(tuple(lift(z) for z in np.asarray(m, dtype=complex).ravel()))
 
 
 def fmax_abs(x):
-    return max(map(abs, _complex_entries(x)))
+    return max(map(abs, flat_entries(x)))
 
 
 # -- matrix jets --------------------------------------------------------

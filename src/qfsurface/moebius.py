@@ -5,20 +5,23 @@ Conventions used throughout the package:
 
 * Matrices are kept as SL2(C) lifts (unit determinant).  Trace-based
   formulas resolve the projective sign ambiguity by flipping the trace so
-  that its real part is nonnegative before taking arccosh.
+  that its real part is nonnegative, then take the principal arccosh of
+  half of it with the standard library (see
+  :func:`displacement_from_trace`).
 * A "complex length" is a plain complex number with the real part a
   hyperbolic length and the imaginary part a rotation angle; values are
   reduced modulo 2*pi*i to the strip Im in (-pi, pi].
 * Projective points are stored scaled so max(|z|, |w|) = 1, which keeps
   long word products away from overflow.
+
+Only the matrix class and the functions that build or read its arrays
+import numpy, so a trace-only caller starts without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 __all__ = [
     "MoebiusError",
@@ -143,6 +146,7 @@ class MoebiusMap:
     __slots__ = ("m",)
 
     def __init__(self, entries, normalize=True):
+        import numpy as np
         m = np.asarray(entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
@@ -156,7 +160,7 @@ class MoebiusMap:
 
     @classmethod
     def identity(cls):
-        return cls(np.eye(2, dtype=complex), normalize=False)
+        return cls([[1.0, 0.0], [0.0, 1.0]], normalize=False)
 
     @classmethod
     def diagonal(cls, lam):
@@ -166,6 +170,7 @@ class MoebiusMap:
     @classmethod
     def from_three_points(cls, p, q, r):
         """The map sending (0, infinity, 1) to (p, q, r)."""
+        import numpy as np
         p = p if isinstance(p, ProjectivePoint) else ProjectivePoint(p)
         q = q if isinstance(q, ProjectivePoint) else ProjectivePoint(q)
         r = r if isinstance(r, ProjectivePoint) else ProjectivePoint(r)
@@ -212,6 +217,7 @@ class MoebiusMap:
 
     def distance_to_identity(self):
         """max-norm distance to the nearer of +I, -I."""
+        import numpy as np
         eye = np.eye(2)
         return min(
             np.max(np.abs(self.m - eye)),
@@ -228,6 +234,7 @@ def compose(first, second):
 
 
 def apply(mapping, point):
+    import numpy as np
     if not isinstance(point, ProjectivePoint):
         point = ProjectivePoint(point)
     vec = mapping.m @ np.array([point.z, point.w])
@@ -254,10 +261,24 @@ def _lift_trace(tr):
 
 
 def displacement_from_trace(trace):
-    """Solve 2 cosh(phi/2) = +-tr for the normalized representative."""
-    tr = _lift_trace(complex(trace))
-    half = np.arccosh(tr / 2.0)
-    return normalize_complex_length(2.0 * complex(half))
+    """Solve 2 cosh(phi/2) = +-tr for the normalized representative.
+
+    phi/2 is the principal arccosh of w = tr/2, taken from s = sqrt(w - 1)
+    and t = sqrt(w + 1) as in Kahan's formula: Im(phi/2) is arg(w + s t),
+    and Re(phi/2) is asinh(x), x = Re(conj(s) t) = sinh(Re(phi/2)), while
+    x < 1, else log|w + s t|.  x adds two nonnegative products, so a small
+    real part keeps its relative precision (a curve whose length is tiny
+    next to its angle) and is exactly 0 on the elliptic segment |w| < 1;
+    the logarithm reads large lengths back closer (``cmath.acosh``, which
+    takes asinh(x) throughout, doubles the worst seeded-length error).
+    """
+    w = _lift_trace(complex(trace)) / 2.0
+    s, t = cmath.sqrt(w - 1.0), cmath.sqrt(w + 1.0)
+    half = cmath.log(w + s * t)
+    x = s.real * t.real + s.imag * t.imag
+    if x < 1.0:
+        half = complex(math.asinh(x), half.imag)
+    return normalize_complex_length(2.0 * half)
 
 
 def complex_displacement(mapping, tol=_CLASSIFY_TOL):
@@ -276,6 +297,7 @@ def fixed_points(mapping, tol=_CLASSIFY_TOL):
     """Oriented axis of a loxodromic map, repelling then attracting point."""
     if classify(mapping, tol) != "loxodromic":
         raise NotLoxodromic("fixed points ordered by attraction need a loxodromic map")
+    import numpy as np
     eigvals, eigvecs = np.linalg.eig(mapping.m)
     order = np.argsort(np.abs(eigvals))
     rep = ProjectivePoint(eigvecs[0, order[0]], eigvecs[1, order[0]])
@@ -285,6 +307,7 @@ def fixed_points(mapping, tol=_CLASSIFY_TOL):
 
 def half_turn(geodesic):
     """The involution (trace zero) fixing both endpoints of the geodesic."""
+    import numpy as np
     p, q = geodesic.repelling, geodesic.attracting
     basis = np.array([[p.z, q.z], [p.w, q.w]], dtype=complex)
     j = np.diag([1j, -1j])
@@ -319,6 +342,7 @@ def complex_distance(g1, g2):
             if e1.close_to(e2, _POINT_TOL):
                 raise SharedEndpoint("geodesics share an ideal endpoint")
 
+    import numpy as np
     # Axis of the composition of the two half-turns is the common
     # perpendicular; its translation is twice the sought distance.
     prod = half_turn(g2) @ half_turn(g1)

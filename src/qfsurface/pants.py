@@ -25,19 +25,20 @@ the surface assembly evaluates them on any scalar with the four operations:
 on fixed-point numbers (:class:`matrix2.Fixed`) or on jets that carry exact
 derivatives (:class:`matrix2.Jet`).  They return (a, b, c, d) tuples, which
 the assembly turns into the flat matrices of the :mod:`matrix2` kernel and
-the public functions here pack into numpy arrays.
+the public functions here pack into numpy arrays.  :func:`leaf_entries`
+evaluates C1, C2 and the three frames, all the assembly reads of a pants,
+once; :func:`pants_entries` adds C3.
 """
 
 from __future__ import annotations
 
 import cmath
 
-import numpy as np
-
 from .moebius import MoebiusMap
 
 __all__ = ["ReduciblePants", "PantsBoundaryData", "pants_representation",
-           "pants_matrices", "cuff_frames", "pants_entries", "frame_entries"]
+           "pants_matrices", "cuff_frames", "leaf_entries", "pants_entries",
+           "frame_entries"]
 
 _SINH_TOL = 1e-12
 
@@ -77,40 +78,47 @@ def _validate(sigmas):
             raise ReduciblePants(f"degenerate boundary (sinh ~ 0) at {s}")
 
 
-def _cuff_terms(halves):
-    """exp(sigma_1), exp(sigma_2), t1, t2 and zeta from h_k = exp(sigma_k/2)."""
+def leaf_entries(halves):
+    """Boundary matrices (C1, C2) and cuff frames (F1, F2, F3) as flat
+    (a, b, c, d) tuples, from h_k = exp(sigma_k/2).
+
+    Frame columns are the attracting and repelling vectors.
+    """
     h1, h2, h3 = halves
     e1, e2 = h1 * h1, h2 * h2
-    return e1, e2, -(e1 + 1 / e1), -(e2 + 1 / e2), -(h3 * h3)
+    t1, t2, zeta = -(e1 + 1 / e1), -(e2 + 1 / e2), -(h3 * h3)
+    mu = -e1
+    lam = -e2
+    scale = 1 / h3
+    zeta_scale = zeta * scale
+    matrices = (t1, -1, 1, 0), (0, zeta, -1 / zeta, t2)
+    frames = ((mu, 1 / mu, 1, 1),
+              (zeta_scale, zeta_scale, lam * scale, scale / lam),
+              (1, t1 * zeta - t2, 0, zeta - 1 / zeta))
+    return matrices, frames
 
 
 def pants_entries(halves):
-    """Boundary matrices as flat (a, b, c, d) tuples, from h_k = exp(sigma_k/2)."""
-    _e1, _e2, t1, t2, zeta = _cuff_terms(halves)
-    c1 = (t1, -1, 1, 0)
-    c2 = (0, zeta, -1 / zeta, t2)
-    c3 = (zeta, -(t1 * zeta - t2), 0, 1 / zeta)
-    return c1, c2, c3
+    """Boundary matrices (C1, C2, C3) as flat tuples, C3 = (C1 C2)^(-1)."""
+    (c1, c2), frames = leaf_entries(halves)
+    zeta = c2[1]
+    # the second entry of F3 is t1 zeta - t2
+    return c1, c2, (zeta, -frames[2][1], 0, 1 / zeta)
 
 
 def frame_entries(halves):
-    """Cuff frames as flat tuples; columns = attracting, repelling vector."""
-    e1, e2, t1, t2, zeta = _cuff_terms(halves)
-    mu = -e1
-    lam = -e2
-    scale = 1 / halves[2]
-    f1 = (mu, 1 / mu, 1, 1)
-    f2 = (zeta * scale, zeta * scale, lam * scale, scale / lam)
-    f3 = (1, t1 * zeta - t2, 0, zeta - 1 / zeta)
-    return f1, f2, f3
+    """Cuff frames (F1, F2, F3) as flat tuples."""
+    return leaf_entries(halves)[1]
 
 
 def _pack(entries, dtype):
+    import numpy as np
     a, b, c, d = entries
     return np.array([[a, b], [c, d]], dtype=dtype)
 
 
 def _halves(sigmas, dtype):
+    import numpy as np
     return tuple(np.exp(np.asarray(complex(s), dtype=dtype)[()] / 2) for s in sigmas)
 
 

@@ -33,8 +33,6 @@ import contextlib
 import functools
 import math
 
-import numpy as np
-
 from . import matrix2 as m2
 
 from .moebius import (
@@ -44,7 +42,7 @@ from .moebius import (
     displacement_from_trace,
     fixed_points,
 )
-from .pants import ReduciblePants, frame_entries, pants_entries, validate_pants
+from .pants import ReduciblePants, leaf_entries, validate_pants
 from .presentation import PantsDecompositionGraph, build_presentation
 from .words import cyclic_reduce, reduce_word
 
@@ -165,7 +163,7 @@ class Representation:
     relator, curve-length and cocycle computations cancel them back down to
     size one, which the absolute 2^-FRAC_BITS resolution keeps exact enough.
     Results are rounded to complex128 once, at the end.  ``images`` holds
-    complex128 copies of the generators for bulk work (limit sets, output).
+    complex128 numpy copies of the generators for bulk work (limit sets).
     """
 
     def __init__(self, graph, presentation, fn, mp_images):
@@ -228,6 +226,7 @@ class Representation:
 
     def conjugated(self, mapping):
         """The representation g -> M g M^-1 (same marked structure)."""
+        import numpy as np
         array = mapping.m if isinstance(mapping, MoebiusMap) else mapping
         leaf = tuple(m2.lift(z) for z in np.asarray(array, dtype=complex).ravel())
         m, inverse = m2.flat(leaf), m2.flat(m2.inverse_entries(leaf))
@@ -294,10 +293,8 @@ def assemble(graph, fn, differentiate):
     matrices = {}
     frames = {}
     for v, cuffs in enumerate(pants_cuffs):
-        cuff_halves = tuple(halves[k] for k in cuffs)
-        c1, c2, _c3 = pants_entries(cuff_halves)
+        (c1, c2), frames[v] = leaf_entries(tuple(halves[k] for k in cuffs))
         matrices[v] = (leaf(c1), leaf(c2))
-        frames[v] = frame_entries(cuff_halves)
 
     mul, adj = m2.jet_mul, m2.jet_adj
     axis_flip = leaf((0, 1, -1, 0))
@@ -398,4 +395,4 @@ def fuchsian_residual(rep):
     normalized = rep.conjugated(frame.inverse())
     with complex128_stage("fuchsian_residual"):
         return max(abs(z.imag) for m in normalized.mp_images.values()
-                   for z in m2.flat_to_complex(m).ravel())
+                   for z in m2.flat_entries(m))

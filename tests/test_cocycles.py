@@ -537,8 +537,10 @@ def test_gram_makes_no_mpmath_arithmetic(monkeypatch):
 
 def test_gram_multiplies_jets_only_in_leaf_formulas(monkeypatch):
     # the kernel multiplies matrix jets as flat ints; scalar jets are
-    # multiplied only where the leaf formulas evaluate their entries: 56
-    # times in a genus3.json Gram (the dict-Jet assembly made 520)
+    # multiplied only where the leaf formulas evaluate their entries, once
+    # per pants: 36 times in a genus3.json Gram (the dict-Jet assembly made
+    # 520, and evaluating the cuff terms once for the boundary matrices and
+    # again for the frames 56)
     calls = Counter()
 
     def counted(function):
@@ -554,8 +556,8 @@ def test_gram_multiplies_jets_only_in_leaf_formulas(monkeypatch):
     graph = config.graph()
     gram = symplectic_gram(graph, config.fn(graph))
     assert darboux_residual(gram) <= 1e-40
-    assert set(calls) <= {"_cuff_terms", "pants_entries", "frame_entries", "inverse_entries"}
-    assert 0 < sum(calls.values()) <= 56
+    assert set(calls) <= {"leaf_entries", "inverse_entries"}
+    assert 0 < sum(calls.values()) <= 36
 
 
 def complex_coordinate(real_lo, real_hi):
