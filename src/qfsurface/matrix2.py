@@ -153,30 +153,15 @@ def _fixed_of_float(x):
 def lift(x):
     """x as a Fixed.
 
-    Exact for ints, for doubles of magnitude 2^(52 - FRAC_BITS) and up, and
-    for mpmath numbers with no bits below 2^-FRAC_BITS; finer bits are cut
-    off.
+    Exact for ints and for doubles of magnitude 2^(52 - FRAC_BITS) and up;
+    finer bits are cut off.
     """
     if type(x) is Fixed:
         return x
-    if hasattr(x, "_mpc_"):
-        re, im = x._mpc_
-        return Fixed(_fixed_of_mpf(re), _fixed_of_mpf(im))
-    if hasattr(x, "_mpf_"):
-        return Fixed(_fixed_of_mpf(x._mpf_), 0)
     if isinstance(x, int):
         return Fixed(int(x) << FRAC_BITS, 0)
     z = complex(x)
     return Fixed(_fixed_of_float(z.real), _fixed_of_float(z.imag))
-
-
-def _fixed_of_mpf(value):
-    # an mpmath real is the tuple (sign, mantissa, exponent, bit count) of
-    # (-1)^sign mantissa 2^exponent; infinities and NaN have mantissa 0
-    sign, man, exp, _bits = value
-    man = -int(man) if sign else int(man)
-    shift = exp + FRAC_BITS
-    return man << shift if shift >= 0 else man >> -shift
 
 
 def _operand(x):

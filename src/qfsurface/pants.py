@@ -111,28 +111,26 @@ def frame_entries(halves):
     return leaf_entries(halves)[1]
 
 
-def _pack(entries, dtype):
+def _pack(entries):
     import numpy as np
     a, b, c, d = entries
-    return np.array([[a, b], [c, d]], dtype=dtype)
+    return np.array([[a, b], [c, d]], dtype=complex)
 
 
-def _halves(sigmas, dtype):
+def _halves(sigmas):
     import numpy as np
-    return tuple(np.exp(np.asarray(complex(s), dtype=dtype)[()] / 2) for s in sigmas)
+    return tuple(np.exp(complex(s) / 2) for s in sigmas)
 
 
-def pants_matrices(sigmas, dtype=complex):
-    """The three boundary matrices as 2x2 arrays of the given dtype."""
+def pants_matrices(sigmas):
+    """The three boundary matrices as complex128 2x2 arrays."""
     _validate(sigmas)
-    triple = pants_entries(_halves(sigmas, dtype))
-    return tuple(_pack(m, dtype) for m in triple)
+    return tuple(_pack(m) for m in pants_entries(_halves(sigmas)))
 
 
-def cuff_frames(sigmas, dtype=complex):
-    """Frame matrices (F1, F2, F3) as 2x2 arrays of the given dtype."""
-    triple = frame_entries(_halves(sigmas, dtype))
-    return tuple(_pack(m, dtype) for m in triple)
+def cuff_frames(sigmas):
+    """Frame matrices (F1, F2, F3) as complex128 2x2 arrays."""
+    return tuple(_pack(m) for m in frame_entries(_halves(sigmas)))
 
 
 def pants_representation(data):

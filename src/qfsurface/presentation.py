@@ -33,14 +33,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 
-from .words import (
-    cyclic_reduce,
-    invert_word,
-    multiply,
-    reduce_word,
-    rotate,
-    substitute,
-)
+from .words import cyclic_reduce, expand, invert_word, multiply, reduce_word, rotate
 
 __all__ = [
     "MalformedGraph",
@@ -140,21 +133,7 @@ class PantsDecompositionGraph:
                 f"counts ({self.num_pants} pants, {len(self.edges)} curves) do not "
                 f"match a closed genus-{genus} surface"
             )
-        # connectivity
-        adjacency = {v: set() for v in range(self.num_pants)}
-        for edge in self.edges:
-            (va, _), (vb, _) = edge.ends()
-            adjacency[va].add(vb)
-            adjacency[vb].add(va)
-        seen_vertices = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in seen_vertices:
-                    seen_vertices.add(w)
-                    queue.append(w)
-        if len(seen_vertices) != self.num_pants:
+        if len(_distances(self, 0)) != self.num_pants:
             raise MalformedGraph("gluing graph is not connected")
 
     # -- assembly symbols ------------------------------------------------
@@ -172,9 +151,6 @@ class PantsDecompositionGraph:
             gluings = tuple((edge.label, edge.end_a, edge.end_b) for edge in self.edges)
             self._plan = _plan_of(self.num_pants, gluings)
         return self._plan
-
-    def presentation(self):
-        return self.plan().presentation
 
 
 class SurfaceGroupPresentation:
@@ -247,31 +223,31 @@ class AssemblyPlan:
         self.presentation = presentation
 
 
+def _distances(graph, start):
+    """Breadth-first distance from start to every pants it reaches."""
+    adjacency = {v: set() for v in range(graph.num_pants)}
+    for edge in graph.edges:
+        (va, _), (vb, _) = edge.ends()
+        adjacency[va].add(vb)
+        adjacency[vb].add(va)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def _graph_center(graph):
     """Vertex of minimal BFS eccentricity (lowest index on ties).
 
     Rooting the spanning tree at a center keeps conjugator words short,
     which keeps holonomy matrix entries as small as the geometry allows.
     """
-    adjacency = {v: set() for v in range(graph.num_pants)}
-    for edge in graph.edges:
-        (va, _), (vb, _) = edge.ends()
-        adjacency[va].add(vb)
-        adjacency[vb].add(va)
-    best = (None, None)
-    for start in range(graph.num_pants):
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        ecc = max(dist.values())
-        if best[0] is None or ecc < best[0]:
-            best = (ecc, start)
-    return best[1]
+    return min(range(graph.num_pants), key=lambda v: max(_distances(graph, v).values()))
 
 
 def _spanning_tree(graph, root):
@@ -316,23 +292,13 @@ def _build_plan(graph):
     tree, nontree = _spanning_tree(graph, root)
 
     # ---- stage 1: glue pants along the tree, tracking boundary loops ----
-    nodes = []
-
-    def make_node(word, tag):
-        node = _Node(reduce_word(word), tag)
-        nodes.append(node)
-        return node
-
     sym_a, sym_b = graph.symbol_a, graph.symbol_b
     a0, b0 = sym_a(root), sym_b(root)
-    root_nodes = [
-        make_node((a0,), (root, 0)),
-        make_node((b0,), (root, 1)),
-        make_node((-b0, -a0), (root, 2)),
+    entries = [
+        _Node((a0,), (root, 0)),
+        _Node((b0,), (root, 1)),
+        _Node((-b0, -a0), (root, 2)),
     ]
-    entries = list(root_nodes)
-    # per-symbol recipe over nodes: list of (node, sign)
-    symbol_recipe = {a0: [(root_nodes[0], 1)], b0: [(root_nodes[1], 1)]}
     tree_curve_nodes = {}
 
     for label, parent_end, child_end in tree:
@@ -345,22 +311,16 @@ def _build_plan(graph):
         aw, bw = sym_a(w), sym_b(w)
         if j == 0:
             # A_w := u^-1; boundary loops 1 and 2 of the child get inserted
-            first = make_node((bw,), (w, 1))
-            second = make_node(multiply((-bw,), u), (w, 2))
-            symbol_recipe[aw] = [(u_node, -1)]
-            symbol_recipe[bw] = [(first, 1)]
+            first = _Node((bw,), (w, 1))
+            second = _Node(multiply((-bw,), u), (w, 2))
         elif j == 1:
             # B_w := u^-1
-            first = make_node(multiply(u, (-aw,)), (w, 2))
-            second = make_node((aw,), (w, 0))
-            symbol_recipe[bw] = [(u_node, -1)]
-            symbol_recipe[aw] = [(second, 1)]
+            first = _Node(multiply(u, (-aw,)), (w, 2))
+            second = _Node((aw,), (w, 0))
         else:
             # (A_w B_w)^-1 = u^-1, so B_w := A_w^-1 u
-            first = make_node((aw,), (w, 0))
-            second = make_node(multiply((-aw,), u), (w, 1))
-            symbol_recipe[aw] = [(first, 1)]
-            symbol_recipe[bw] = [(first, -1), (u_node, 1)]
+            first = _Node((aw,), (w, 0))
+            second = _Node(multiply((-aw,), u), (w, 1))
         u_node.children = (first, second)
         entries[position:position + 1] = [first, second]
         tree_curve_nodes[label] = u_node
@@ -382,47 +342,25 @@ def _build_plan(graph):
         return multiply(expr_in_c(left), expr_in_c(right))
 
     # ---- stage 2: pair leftover boundary loops with stable letters ------
+    # The free basis P1 has a cuff letter c = 2k+1 and a stable letter
+    # z = 2k+2 for the k-th non-tree edge; its loop with the smaller c-index
+    # becomes c, the other z c^-1 z^-1.
     tag_to_node = {node.tag: node for node in entries}
     nontree_gluings = []
-    eliminated = {}   # c-index of the t side -> (z id in P1, c id of s side)
-    p1_of_c = {}
-    p1_names = {}
-    next_p1 = 1
+    c_to_p1 = {}          # boundary-loop index -> P1 word
+    p1_to_assembly = {}   # P1 generator -> assembly word
     for k, edge in enumerate(nontree):
-        end_a, end_b = edge.ends()
-        node_a, node_b = tag_to_node[end_a], tag_to_node[end_b]
-        if node_a.c_index < node_b.c_index:
-            s_end, t_end = end_a, end_b
-            s_node, t_node = node_a, node_b
-        else:
-            s_end, t_end = end_b, end_a
-            s_node, t_node = node_b, node_a
-        c_id = next_p1
-        z_id = next_p1 + 1
-        next_p1 += 2
-        p1_of_c[s_node.c_index] = c_id
-        eliminated[t_node.c_index] = (z_id, c_id)
-        p1_names[c_id] = ("cuff", s_node.c_index)
-        p1_names[z_id] = ("stable", edge.label)
+        s_end, t_end = sorted(edge.ends(), key=lambda end: tag_to_node[end].c_index)
+        s_node, t_node = tag_to_node[s_end], tag_to_node[t_end]
+        c, z = 2 * k + 1, 2 * k + 2
+        c_to_p1[s_node.c_index] = (c,)
+        c_to_p1[t_node.c_index] = (z, -c, -z)
+        p1_to_assembly[c] = s_node.word
+        p1_to_assembly[z] = (graph.symbol_z(k),)
         nontree_gluings.append((edge.label, s_end, t_end, graph.symbol_z(k)))
 
-    def c_word_to_p1(word):
-        out = ()
-        for letter in word:
-            idx = abs(letter)
-            if idx in p1_of_c:
-                chunk = (p1_of_c[idx],)
-            else:
-                z_id, c_id = eliminated[idx]
-                chunk = (z_id, -c_id, -z_id)
-            if letter < 0:
-                chunk = invert_word(chunk)
-            out = multiply(out, chunk)
-        return out
-
-    planar_word = tuple(range(1, 2 * genus + 1))
-    relator_p1 = c_word_to_p1(planar_word)
-    num_p1 = next_p1 - 1
+    relator_p1 = expand(tuple(range(1, 2 * genus + 1)), c_to_p1)
+    num_p1 = len(p1_to_assembly)
     if num_p1 != 2 * genus:
         raise MalformedGraph(f"{num_p1} generators after pairing, expected {2 * genus}")
     if len(relator_p1) != 4 * genus:
@@ -447,99 +385,43 @@ def _build_plan(graph):
         raise MalformedGraph("collection did not reach commutator form")
 
     # ---- stage 4: rename block generators to a1, b1, ..., ag, bg --------
-    rename = {}
-    for k, (p, q) in enumerate(blocks):
-        rename[abs(p)] = (2 * k + 1) * (1 if p > 0 else -1)
-        rename[abs(q)] = (2 * k + 2) * (1 if q > 0 else -1)
-
-    def apply_rename(w):
-        out = []
-        for letter in w:
-            target = rename[abs(letter)]
-            out.append(target if letter > 0 else -target)
-        return tuple(out)
-
-    final_psi = {}
-    for old_id, image in psi.items():
-        new_signed = rename[old_id]
-        if new_signed > 0:
-            final_psi[new_signed] = image
-        else:
-            final_psi[-new_signed] = invert_word(image)
+    rename = {}       # current generator -> standard letter
+    final_psi = {}    # standard generator -> P1 word
+    for k, pair in enumerate(blocks):
+        for new, letter in enumerate(pair, start=2 * k + 1):
+            rename[abs(letter)] = (new if letter > 0 else -new,)
+            final_psi[new] = expand((letter,), psi)
+    final_phi = {g: expand(image, rename) for g, image in phi.items()}
 
     standard = []
     for k in range(genus):
         a, b = 2 * k + 1, 2 * k + 2
         standard.extend((a, b, -a, -b))
     standard = tuple(standard)
-    renamed = apply_rename(word)
+    renamed = expand(word, rename)
     if not any(rotate(renamed, r) == standard for r in range(len(renamed))):
         raise MalformedGraph("renamed relator is not a rotation of the standard one")
 
     # phi and psi must be mutually inverse free-basis changes
-    for p1_gen in range(1, num_p1 + 1):
-        image = apply_rename(phi[p1_gen])
-        if _expand_via(final_psi, image) != (p1_gen,):
+    for p1_gen, image in final_phi.items():
+        if expand(image, final_psi) != (p1_gen,):
             raise MalformedGraph(
                 f"basis changes are not mutually inverse on generator {p1_gen}"
             )
 
     # ---- marking words ---------------------------------------------------
-    def to_final(p1_word):
-        out = ()
-        for letter in p1_word:
-            chunk = phi[abs(letter)]
-            if letter < 0:
-                chunk = invert_word(chunk)
-            out = multiply(out, chunk)
-        return apply_rename(out)
-
-    marking = {}
-    for label, node in tree_curve_nodes.items():
-        marking[label] = to_final(c_word_to_p1(expr_in_c(node)))
-    for label, s_end, t_end, _z in nontree_gluings:
-        s_node = tag_to_node[s_end]
-        marking[label] = to_final((p1_of_c[s_node.c_index],))
+    loops = {label: expr_in_c(node) for label, node in tree_curve_nodes.items()}
+    for label, s_end, _t_end, _z in nontree_gluings:
+        loops[label] = (tag_to_node[s_end].c_index,)
+    marking = {label: expand(expand(loop, c_to_p1), final_phi)
+               for label, loop in loops.items()}
     for label in graph.curve_labels:
         if not marking[label]:
             raise MalformedGraph(f"empty marking word for curve {label!r}")
 
-    # ---- generators as assembly words ------------------------------------
-    def recipe_word(symbol):
-        out = ()
-        for node, sign in symbol_recipe[symbol]:
-            w = node.word
-            if sign < 0:
-                w = invert_word(w)
-            out = multiply(out, w)
-        return out
-
-    z_symbol_of_p1 = {}
-    for k, (label, s_end, t_end, z_symbol) in enumerate(nontree_gluings):
-        for p1_id, meaning in p1_names.items():
-            if meaning == ("stable", label):
-                z_symbol_of_p1[p1_id] = z_symbol
-    c_node_of_p1 = {}
-    for c_idx, p1_id in p1_of_c.items():
-        c_node_of_p1[p1_id] = entries[c_idx - 1]
-
-    def p1_to_assembly(p1_word):
-        out = ()
-        for letter in p1_word:
-            idx = abs(letter)
-            if idx in z_symbol_of_p1:
-                chunk = (z_symbol_of_p1[idx],)
-            else:
-                chunk = c_node_of_p1[idx].word
-            if letter < 0:
-                chunk = invert_word(chunk)
-            out = multiply(out, chunk)
-        return out
-
     generator_assembly_words = {
-        gen: p1_to_assembly(image) for gen, image in final_psi.items()
+        gen: expand(image, p1_to_assembly) for gen, image in final_psi.items()
     }
-
     presentation = SurfaceGroupPresentation(
         genus, standard, marking, generator_assembly_words
     )
@@ -585,16 +467,6 @@ def _flip_generator(word, gen, phi, psi):
     return flipped
 
 
-def _expand_via(mapping, w):
-    out = ()
-    for letter in w:
-        chunk = mapping[abs(letter)]
-        if letter < 0:
-            chunk = invert_word(chunk)
-        out = multiply(out, chunk)
-    return out
-
-
 def _collect_pair(word, pair, phi, psi):
     x, y = pair
     # rotate the positive x occurrence to the front
@@ -623,15 +495,13 @@ def _collect_pair(word, pair, phi, psi):
     back_x = multiply(invert_word(A), invert_word(B), invert_word(C), (x,), A)
     back_y = multiply((y,), B, A)
 
-    psi_x = _expand_via(psi, back_x)
-    psi_y = _expand_via(psi, back_y)
-    psi[x] = psi_x
-    psi[y] = psi_y
+    psi[x], psi[y] = expand(back_x, psi), expand(back_y, psi)
+    change = {g: (g,) for g in psi}
+    change[x], change[y] = e_x, e_y
     for key in phi:
-        phi[key] = substitute(substitute(phi[key], x, e_x), y, e_y)
+        phi[key] = expand(phi[key], change)
 
-    new_word = substitute(substitute(w, x, e_x), y, e_y)
-    new_word = cyclic_reduce(new_word)
+    new_word = cyclic_reduce(expand(w, change))
     if len(new_word) != len(word):
         raise MalformedGraph("cancellation during collection")
     return new_word
@@ -660,4 +530,4 @@ def _parse_commutator_blocks(word, genus):
 
 def build_presentation(graph):
     """Standard presentation with marking words for the graph's curves."""
-    return graph.presentation()
+    return graph.plan().presentation

@@ -43,7 +43,6 @@ from .moebius import (
     fixed_points,
 )
 from .pants import ReduciblePants, leaf_entries, validate_pants
-from .presentation import PantsDecompositionGraph, build_presentation
 from .words import cyclic_reduce, reduce_word
 
 __all__ = [

@@ -12,6 +12,7 @@ __all__ = [
     "invert_word",
     "multiply",
     "cyclic_reduce",
+    "expand",
     "substitute",
     "rotate",
     "exponent_sums",
@@ -60,24 +61,31 @@ def rotate(word, k):
     return word[k:] + word[:k]
 
 
-def substitute(word, generator, replacement):
-    """Replace every occurrence of +-generator by the (inverse) replacement."""
-    replacement = tuple(replacement)
-    inverse = invert_word(replacement)
+def expand(word, image):
+    """Image of the word under the homomorphism sending each generator g to
+    the word image[g] (and g^-1 to its inverse), freely reduced.
+
+    A generator with no image is a KeyError.
+    """
     out = []
     for letter in word:
-        if letter == generator:
-            chunk = replacement
-        elif letter == -generator:
-            chunk = inverse
+        if letter > 0:
+            chunk = image[letter]
         else:
-            chunk = (letter,)
+            chunk = [-piece for piece in reversed(image[-letter])]
         for piece in chunk:
             if out and out[-1] == -piece:
                 out.pop()
             else:
                 out.append(piece)
     return tuple(out)
+
+
+def substitute(word, generator, replacement):
+    """Replace every occurrence of +-generator by the (inverse) replacement."""
+    image = {abs(letter): (abs(letter),) for letter in word}
+    image[generator] = tuple(replacement)
+    return expand(word, image)
 
 
 def exponent_sums(word, num_generators):

@@ -1,0 +1,11 @@
+import pytest
+
+from qfsurface import presentation
+
+
+@pytest.fixture(scope="module", autouse=True)
+def cold_plan_cache():
+    """Empty the plan cache after each module, so that no later module or
+    suite in the same session starts from plans built here."""
+    yield
+    presentation._plan_of.cache_clear()

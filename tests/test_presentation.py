@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 import qfsurface
 
 from qfsurface import presentation as presentation_module
+from qfsurface.config import parse_config
 from qfsurface.presentation import (
     MalformedGraph,
     PantsDecompositionGraph,
@@ -164,6 +167,36 @@ def test_random_graphs_all_reach_standard_form():
             assert len(pres.marking) == 3 * genus - 3
             for word in pres.marking.values():
                 assert word == reduce_word(word) and len(word) > 0
+
+
+# sha256 of the plans below as the reducer first produced them; any change to
+# a root, gluing order, relator, marking or assembly word moves it
+PLAN_DIGEST = "0a5708cacf50686dd8d1d477556d49ce70d7bf7a695be52376dd6cc2fdc3db2c"
+
+
+def plan_digest(graphs):
+    digest = hashlib.sha256()
+    for graph in graphs:
+        plan = presentation_module._build_plan(graph)
+        pres = plan.presentation
+        digest.update(repr((
+            plan.root, plan.tree_gluings, plan.nontree_gluings, pres.relator,
+            sorted(pres.marking.items()),
+            sorted(pres.generator_assembly_words.items()),
+        )).encode())
+    return digest.hexdigest()
+
+
+def test_plans_match_pinned_digest():
+    data = resources.files("qfsurface.data")
+    graphs = [parse_config(data.joinpath(name).read_text()).graph()
+              for name in ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
+                           "genus2_separating.json", "genus3.json")]
+    graphs += [standard_genus2_graph(), separating_genus2_graph(), genus3_graph()]
+    rng = np.random.RandomState(1406)
+    graphs += [random_trivalent_graph(rng, genus)
+               for genus in (2, 3, 4, 5, 6) for _ in range(8)]
+    assert plan_digest(graphs) == PLAN_DIGEST
 
 
 def test_word_string_round_trip():
