@@ -9,7 +9,9 @@ the canonical symplectic form, which ``darboux_residual`` quantifies.
 The names of the ``hexagon``, ``limitset`` and ``schwarzian`` modules (and
 the modules themselves) are given on first access, through the module
 ``__getattr__``: nothing on the holonomy and Gram path uses them, and they
-load numpy.  Every other name is bound on import, without numpy.
+load numpy.  Every other name is bound on import, without numpy, and
+``holonomy``, ``symplectic_gram`` and ``darboux_residual`` run without it:
+numpy loads only where a complex128 array is built.
 """
 
 import importlib

@@ -7,8 +7,8 @@ and emit JSON, CSV, or SVG on stdout unless --output is given.  Exit codes:
 as a Gram's cocycle_residual or a holonomy's relator_residual), 2 bad input.
 Property-test subcommands seed their RNG from the QFS_SEED environment
 variable (default 0).  The limit-set and Schwarzian modules, and numpy, are
-loaded by the commands that use them, so ``holonomy``, ``lengths`` and
-``twist`` start without them.
+loaded by the commands that use them, so ``holonomy``, ``lengths``,
+``twist``, ``gram`` and ``darboux-check`` start without them.
 """
 
 from __future__ import annotations
@@ -120,11 +120,9 @@ def _gram_payload(config):
         raise PrecisionExhausted(f"cocycle_gram: cocycle_residual "
                                  f"{gram.cocycle_residual:.3e} exceeds {tol:.1e}")
     residual = darboux_residual(gram)
-    n = gram.size // 2
     labels = [f"l:{c}" for c in graph.curve_labels] + \
              [f"tau:{c}" for c in graph.curve_labels]
-    matrix = [[_complex_json(gram.matrix[i, j]) for j in range(2 * n)]
-              for i in range(2 * n)]
+    matrix = [[_complex_json(entry) for entry in row] for row in gram.matrix]
     return gram, {
         "basis": labels,
         "matrix": matrix,

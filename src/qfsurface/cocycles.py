@@ -61,6 +61,7 @@ graph, every point, and every entry, so all structure in a Gram matrix
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from . import matrix2 as m2
@@ -264,8 +265,10 @@ def goldman_pairing(u, v, coefficient_scale=COEFFICIENT_SCALE):
 class SymplecticGram:
     """Pairing matrix over the FN coordinate frame (l_1..l_N, tau_1..tau_N).
 
-    ``raw_asymmetry`` is the worst deviation of the raw pairings from
-    antisymmetry and ``cocycle_residual`` the worst basis cocycle residual.
+    ``matrix`` is a list of rows of Python complex.  ``raw_asymmetry`` is
+    the worst deviation of the raw pairings from antisymmetry, each
+    deviation's modulus rounded as CPython's ``abs``, and
+    ``cocycle_residual`` the worst basis cocycle residual.
     """
 
     def __init__(self, matrix, raw_asymmetry, cocycle_residual):
@@ -275,7 +278,7 @@ class SymplecticGram:
 
     @property
     def size(self):
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
 def cocycle_gram(rep, cocycles):
@@ -286,19 +289,21 @@ def cocycle_gram(rep, cocycles):
     comes from its own contraction, so that deviation is measured, never
     assumed away.
     """
-    import numpy as np
     if any(u.rep is not rep for u in cocycles):
         raise BaseMismatch("cocycles live over different representations")
     prefixes = _relator_prefixes(rep)
     sums, letters, closings = zip(*(_relator_walk(u, prefixes) for u in cocycles))
     dim = len(cocycles)
-    raw = np.zeros((dim, dim), dtype=complex)
+    raw = [[0j] * dim for _row in range(dim)]
     with complex128_stage("cocycle_gram"):
         for a, b in itertools.permutations(range(dim), 2):
-            raw[a, b] = _contract(sums[a], letters[b])
+            raw[a][b] = _contract(sums[a], letters[b])
         residual = max(m2.fmax_abs(closing) for closing in closings)
-    asymmetry = float(np.max(np.abs(raw + raw.T)))
-    gram = (raw - raw.T) / 2.0
+    pairs = [list(zip(row, column)) for row, column in zip(raw, zip(*raw))]
+    asymmetry = max(abs(x + y) for row in pairs for x, y in row)
+    # (G - G^T)/2 part by part, which keeps numpy's signed zeros
+    gram = [[complex((x.real - y.real) / 2.0, (x.imag - y.imag) / 2.0) for x, y in row]
+            for row in pairs]
     return SymplecticGram(gram, asymmetry, residual)
 
 
@@ -317,7 +322,11 @@ def canonical_form(n):
 
 
 def darboux_residual(gram):
-    """max-norm distance of the Gram matrix from the canonical form."""
-    import numpy as np
+    """max-norm distance of the Gram matrix from the canonical form.
+
+    A NaN entry gives NaN: ``max`` alone would drop it unless it came first.
+    """
     n = gram.size // 2
-    return float(np.max(np.abs(gram.matrix - canonical_form(n))))
+    distances = [abs(entry - (1.0 if j == i + n else -1.0 if i == j + n else 0.0))
+                 for i, row in enumerate(gram.matrix) for j, entry in enumerate(row)]
+    return math.nan if any(map(math.isnan, distances)) else max(distances)

@@ -340,7 +340,10 @@ def fixed_cocycle_gram(relator, tables, prefixes):
         im = sum(map(operator.mul, p, s)) + sum(map(operator.mul, q, r))
         raw[a, b] = PAIRING_SIGN * COEFFICIENT_SCALE * complex(re / scale, im / scale)
     residual = max(fmax_abs(closing) for closing in closings)
-    return (raw - raw.T) / 2.0, float(np.max(np.abs(raw + raw.T))), residual
+    # the moduli rounded as CPython's abs, as cocycle_gram takes them
+    rows = raw.tolist()
+    asymmetry = max(abs(rows[a][b] + rows[b][a]) for a in range(dim) for b in range(dim))
+    return (raw - raw.T) / 2.0, asymmetry, residual
 
 
 def pairing_by_prefix_walk(u, v):

@@ -103,8 +103,9 @@ def test_criterion_3_block_structure(gram_fuchsian, gram_complex):
     worst = 0.0
     for gram in (*gram_fuchsian[0], *gram_complex):
         n = gram.size // 2
-        worst = max(worst, float(np.max(np.abs(gram.matrix[:n, :n]))))
-        worst = max(worst, float(np.max(np.abs(gram.matrix[n:, n:]))))
+        matrix = np.asarray(gram.matrix)
+        worst = max(worst, float(np.max(np.abs(matrix[:n, :n]))))
+        worst = max(worst, float(np.max(np.abs(matrix[n:, n:]))))
     report(
         3,
         worst <= 1e-4,
@@ -116,10 +117,11 @@ def test_criterion_4_hamiltonian_twist_rows(gram_fuchsian, gram_complex):
     worst = 0.0
     for gram in (*gram_fuchsian[0], *gram_complex):
         n = gram.size // 2
+        matrix = np.asarray(gram.matrix)
         for i in range(n):
             target = np.zeros(2 * n)
             target[i] = -1.0
-            worst = max(worst, float(np.max(np.abs(gram.matrix[n + i] - target))))
+            worst = max(worst, float(np.max(np.abs(matrix[n + i] - target))))
     report(
         4,
         worst <= 1e-4,

@@ -354,9 +354,10 @@ def test_cli_checks_hold_under_optimize(tmp_path):
 def test_commands_do_not_import_mpmath(tmp_path):
     # mpmath is the tests' oracle: the working precision, exp included, is
     # plain integer arithmetic, so no command pays for importing it.  numpy
-    # is loaded only where an array is built: lengths and holonomy start
-    # without it.  Importing the CLI still loads every module a Gram runs,
-    # and the package gives the other modules' names on first access.
+    # is loaded only where an array is built: lengths, holonomy, gram and
+    # darboux-check start without it.  Importing the CLI still loads every
+    # module a Gram runs, and the package gives the other modules' names on
+    # first access.
     path = bundled_path("genus3.json", tmp_path)
     src = Path(qfsurface.__file__).resolve().parent.parent
     script = """
@@ -365,7 +366,8 @@ from qfsurface.cli import main
 path = sys.argv[1]
 loaded = "qfsurface.cocycles" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["lengths", path]), main(["holonomy", path])]
+    codes = [main(["lengths", path]), main(["holonomy", path]),
+             main(["gram", path]), main(["darboux-check", path])]
     without_numpy = "numpy" not in sys.modules
     import qfsurface
     # names given on first access are the submodules' own objects
@@ -373,11 +375,11 @@ with contextlib.redirect_stdout(io.StringIO()):
              if getattr(qfsurface, name) is not getattr(sys.modules["qfsurface." + home], name)]
     wrong += [home for home in qfsurface._ON_ACCESS
               if getattr(qfsurface, home) is not sys.modules["qfsurface." + home]]
-    codes += [main(["gram", path]), main(["limitset", path, "--depth", "3"])]
+    codes.append(main(["limitset", path, "--depth", "3"]))
 print(json.dumps([codes, loaded, without_numpy, wrong,
                   sorted(m for m in sys.modules if m.startswith("mpmath"))]))
 """
     result = subprocess.run([sys.executable, "-c", script, path], capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, 0, 0, 0], True, True, [], []]
+    assert json.loads(result.stdout) == [[0, 0, 0, 0, 0], True, True, [], []]
