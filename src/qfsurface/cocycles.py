@@ -301,7 +301,7 @@ def cocycle_gram(rep, cocycles):
         residual = max(m2.fmax_abs(closing) for closing in closings)
     pairs = [list(zip(row, column)) for row, column in zip(raw, zip(*raw))]
     asymmetry = max(abs(x + y) for row in pairs for x, y in row)
-    # (G - G^T)/2 part by part, which keeps numpy's signed zeros
+    # (G - G^T)/2 part by part: the bits of the complex128 array form, signed zeros included
     gram = [[complex((x.real - y.real) / 2.0, (x.imag - y.imag) / 2.0) for x, y in row]
             for row in pairs]
     return SymplecticGram(gram, asymmetry, residual)
