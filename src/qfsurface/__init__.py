@@ -11,7 +11,10 @@ the modules themselves) are given on first access, through the module
 ``__getattr__``: nothing on the holonomy and Gram path uses them, and they
 load numpy.  Every other name is bound on import, without numpy, and
 ``holonomy``, ``symplectic_gram`` and ``darboux_residual`` run without it:
-numpy loads only where a complex128 array is built.
+numpy loads only where a complex128 array is built.  Holonomy and cocycle
+values live at the working precision of ``matrix2``; a matrix leaves it
+through one exit, ``Representation.matrix_of_word`` (or
+``matrix2.flat_to_complex`` for any flat matrix).
 """
 
 import importlib
@@ -51,7 +54,6 @@ from .moebius import (
     classify,
     complex_displacement,
     complex_distance,
-    compose,
     fixed_points,
     normalize_complex_length,
 )
@@ -70,7 +72,6 @@ from .surface import (
     Representation,
     UnknownGenerator,
     complex_length_of_curve,
-    evaluate_word,
     fuchsian_residual,
     holonomy,
     twist_flow,

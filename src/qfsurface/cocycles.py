@@ -48,14 +48,16 @@ canonical symplectic form on the coordinate frame:
   pairs to half the canonical form, exactly and everywhere (the classical
   factor between the trace form and the intersection-dual normalization;
   confirmed here both numerically and against the trace-derivative model
-  of the twist Hamiltonian).  The default pairing includes this factor so
-  that length/twist coordinates are Darboux on the nose; pass
-  ``coefficient_scale=1`` for the bare trace-form value, which is smaller
-  by exactly 2.
+  of the twist Hamiltonian).  The pairing includes this factor so that
+  length/twist coordinates are Darboux on the nose; the bare trace-form
+  value is the pairing divided by ``COEFFICIENT_SCALE``.
 
 Both constants are global: they are fixed in source, identical for every
 graph, every point, and every entry, so all structure in a Gram matrix
 (zero blocks, identity blocks, antisymmetry) is a prediction, not a fit.
+Goldman's product formula pins both without any calibration: with Pi the
+inverse Gram, the bracket of the trace functions of a standard generator
+pair (a, b) is (tr(ab) - tr a tr b / 2) / 2.
 """
 
 from __future__ import annotations
@@ -107,23 +109,14 @@ class PrecisionExhausted(Exception):
 class TangentCocycle:
     """Generator table of sl2(C) values over a base representation.
 
-    Tables are kept as flat working-precision matrices of the
-    :mod:`matrix2` kernel; ``table`` exposes complex128 copies for
-    inspection.
+    ``flat`` maps each generator to its value, a flat working-precision
+    matrix of the :mod:`matrix2` kernel; ``m2.flat_to_complex`` rounds one
+    to complex128.
     """
 
     def __init__(self, rep, table):
         self.rep = rep
-        self.flat = {}
-        for gen, value in table.items():
-            if isinstance(value, tuple):
-                self.flat[gen] = value
-            else:
-                self.flat[gen] = m2.flat_from_array(value)
-
-    @property
-    def table(self):
-        return {gen: m2.flat_to_complex(v) for gen, v in self.flat.items()}
+        self.flat = table
 
     def value(self, letter):
         """Value on a single (possibly inverse) generator letter."""
@@ -134,11 +127,8 @@ class TangentCocycle:
         m = self.rep.generator_flat(-abs(letter))
         return m2.fneg(m2.fconj(m, u))
 
-    def evaluate(self, word):
-        """Crossed-homomorphism extension to a word (complex128 matrix)."""
-        return m2.flat_to_complex(self.evaluate_flat(word))
-
     def evaluate_flat(self, word):
+        """Crossed-homomorphism extension to a word (flat matrix)."""
         if isinstance(word, str):
             word = self.rep.presentation.word_from_string(word)
         total = m2.FZERO
@@ -237,7 +227,7 @@ def _relator_walk(u, prefixes):
 _PRODUCT_SCALE = 1 << (2 * m2.FRAC_BITS)
 
 
-def _contract(sums, letters, coefficient_scale=COEFFICIENT_SCALE):
+def _contract(sums, letters):
     """Pairing value from one cocycle's sums and another's letter values.
 
     The dot product is exact in Gaussian integers and rounds once, to
@@ -248,10 +238,10 @@ def _contract(sums, letters, coefficient_scale=COEFFICIENT_SCALE):
     re = sum(map(mul, a, c)) - sum(map(mul, b, d))
     im = sum(map(mul, a, d)) + sum(map(mul, b, c))
     total = complex(re / _PRODUCT_SCALE, im / _PRODUCT_SCALE)
-    return PAIRING_SIGN * coefficient_scale * total
+    return PAIRING_SIGN * COEFFICIENT_SCALE * total
 
 
-def goldman_pairing(u, v, coefficient_scale=COEFFICIENT_SCALE):
+def goldman_pairing(u, v):
     """Cup-product pairing of two cocycles over the same representation."""
     if u.rep is not v.rep:
         raise BaseMismatch("cocycles live over different representations")
@@ -259,7 +249,7 @@ def goldman_pairing(u, v, coefficient_scale=COEFFICIENT_SCALE):
     sums, _letters, _closing = _relator_walk(u, prefixes)
     _sums, letters, _closing = _relator_walk(v, prefixes)
     with complex128_stage("goldman_pairing"):
-        return _contract(sums, letters, coefficient_scale)
+        return _contract(sums, letters)
 
 
 class SymplecticGram:

@@ -336,7 +336,7 @@ def _letter_matrices(rep):
     """(2k, 2, 2) matrices of the letters 1, -1, 2, -2, ..., k."""
     out = []
     for g in range(1, rep.presentation.num_generators + 1):
-        (a, b), (c, d) = matrix = rep.images[g].astype(complex)
+        (a, b), (c, d) = matrix = rep.matrix_of_word((g,))
         out += [matrix, np.array([[d, -b], [-c, a]])]
     return np.array(out)
 

@@ -33,14 +33,12 @@ __all__ = [
     "ProjectivePoint",
     "OrientedGeodesic",
     "normalize_complex_length",
-    "compose",
     "classify",
     "complex_displacement",
     "displacement_from_trace",
     "fixed_points",
     "apply",
     "complex_distance",
-    "half_turn",
 ]
 
 _DET_TOL = 1e-12
@@ -228,11 +226,6 @@ class MoebiusMap:
         return f"MoebiusMap({self.m.tolist()!r})"
 
 
-def compose(first, second):
-    """Matrix product first @ second, renormalized to unit determinant."""
-    return first @ second
-
-
 def apply(mapping, point):
     import numpy as np
     if not isinstance(point, ProjectivePoint):
@@ -305,72 +298,30 @@ def fixed_points(mapping, tol=_CLASSIFY_TOL):
     return OrientedGeodesic(rep, att)
 
 
-def half_turn(geodesic):
-    """The involution (trace zero) fixing both endpoints of the geodesic."""
-    import numpy as np
-    p, q = geodesic.repelling, geodesic.attracting
-    basis = np.array([[p.z, q.z], [p.w, q.w]], dtype=complex)
-    j = np.diag([1j, -1j])
-    det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
-    inv = np.array([[basis[1, 1], -basis[0, 1]], [-basis[1, 0], basis[0, 0]]]) / det
-    return MoebiusMap(basis @ j @ inv, normalize=False)
-
-
-def _endpoint_sets_match(g1, g2, tol=1e-12):
-    """None, 'same', or 'reversed' according to endpoint identification."""
-    if g1.repelling.close_to(g2.repelling, tol) and g1.attracting.close_to(g2.attracting, tol):
-        return "same"
-    if g1.repelling.close_to(g2.attracting, tol) and g1.attracting.close_to(g2.repelling, tol):
-        return "reversed"
-    return None
-
-
 def complex_distance(g1, g2):
     """Complex distance between two oriented geodesics in H^3.
 
-    After moving the common perpendicular to the axis (0, infinity) the two
-    geodesics have symmetric endpoint pairs (u, -u) and (p, -p); the result
-    is log(p/u) normalized so Re >= 0 and Im in (-pi, pi].
+    In closed form, from the four endpoints (r1, a1) and (r2, a2):
+
+        cosh(sigma) = -1 - 2 [a1, r2][r1, a2] / ([a1, r1][a2, r2]),
+
+    with [p, q] = p.z q.w - q.z p.w; each endpoint enters the numerator and
+    the denominator once, so the homogeneous scaling cancels.  sigma is the
+    principal arccosh, normalized so Re >= 0 and Im in (-pi, pi].
     """
-    match = _endpoint_sets_match(g1, g2)
-    if match == "same":
+    r1, a1, r2, a2 = g1.repelling, g1.attracting, g2.repelling, g2.attracting
+    if r1.close_to(r2, _POINT_TOL) and a1.close_to(a2, _POINT_TOL):
         return 0.0 + 0.0j
-    if match == "reversed":
+    if r1.close_to(a2, _POINT_TOL) and a1.close_to(r2, _POINT_TOL):
         return complex(0.0, math.pi)
-    for e1 in (g1.repelling, g1.attracting):
-        for e2 in (g2.repelling, g2.attracting):
-            if e1.close_to(e2, _POINT_TOL):
-                raise SharedEndpoint("geodesics share an ideal endpoint")
+    if any(e1.close_to(e2, _POINT_TOL) for e1 in (r1, a1) for e2 in (r2, a2)):
+        raise SharedEndpoint("geodesics share an ideal endpoint")
 
-    import numpy as np
-    # Axis of the composition of the two half-turns is the common
-    # perpendicular; its translation is twice the sought distance.
-    prod = half_turn(g2) @ half_turn(g1)
-    eigvals, eigvecs = np.linalg.eig(prod.m)
-    if abs(abs(eigvals[0]) - abs(eigvals[1])) > 1e-14 * max(1.0, abs(eigvals[0])):
-        order = np.argsort(np.abs(eigvals))
-    else:
-        # Elliptic product (intersecting geodesics): any fixed order works,
-        # the final normalization absorbs the orientation of the axis.
-        key0 = (eigvals[0].real, eigvals[0].imag)
-        key1 = (eigvals[1].real, eigvals[1].imag)
-        order = np.array([0, 1]) if key0 <= key1 else np.array([1, 0])
-    basis = eigvecs[:, order]
-    det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
-    if abs(det) < 1e-14:
-        raise SharedEndpoint("common perpendicular is degenerate")
-    inv = np.array([[basis[1, 1], -basis[0, 1]], [-basis[1, 0], basis[0, 0]]]) / det
+    def bracket(p, q):
+        return p.z * q.w - q.z * p.w
 
-    def to_axis_frame(point):
-        vec = inv @ np.array([point.z, point.w])
-        pt = ProjectivePoint(vec[0], vec[1])
-        if pt.is_infinity or abs(pt.z) <= _POINT_TOL:
-            raise SharedEndpoint("geodesic endpoint falls on the perpendicular axis")
-        return pt.as_complex()
-
-    u = to_axis_frame(g1.attracting)
-    p = to_axis_frame(g2.attracting)
-    sigma = cmath.log(p / u)
-    if sigma.real < 0.0 or (abs(sigma.real) <= 1e-13 and sigma.imag < 0.0):
+    ratio = bracket(a1, r2) * bracket(r1, a2) / (bracket(a1, r1) * bracket(a2, r2))
+    sigma = cmath.acosh(-1.0 - 2.0 * ratio)
+    if abs(sigma.real) <= 1e-13 and sigma.imag < 0.0:
         sigma = -sigma
     return normalize_complex_length(sigma)

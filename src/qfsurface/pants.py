@@ -24,21 +24,23 @@ cuff, and derive every cosh and exponential from it by arithmetic alone.  So
 the surface assembly evaluates them on any scalar with the four operations:
 on fixed-point numbers (:class:`matrix2.Fixed`) or on jets that carry exact
 derivatives (:class:`matrix2.Jet`).  They return (a, b, c, d) tuples, which
-the assembly turns into the flat matrices of the :mod:`matrix2` kernel and
-the public functions here pack into numpy arrays.  :func:`leaf_entries`
-evaluates C1, C2 and the three frames, all the assembly reads of a pants,
-once; :func:`pants_entries` adds C3.
+the assembly turns into the flat matrices of the :mod:`matrix2` kernel.
+:func:`leaf_entries` evaluates C1, C2 and the three frames, all the
+assembly reads of a pants, once; :func:`pants_entries` adds C3.  The
+complex128 arrays of :func:`pants_matrices` and :func:`cuff_frames` are the
+same leaves at the working precision, rounded once.
 """
 
 from __future__ import annotations
 
 import cmath
 
+from . import matrix2 as m2
 from .moebius import MoebiusMap
 
 __all__ = ["ReduciblePants", "PantsBoundaryData", "pants_representation",
            "pants_matrices", "cuff_frames", "leaf_entries", "pants_entries",
-           "frame_entries"]
+           "frame_entries", "validate_pants"]
 
 _SINH_TOL = 1e-12
 
@@ -65,7 +67,8 @@ class PantsBoundaryData:
         return iter(self.sigmas)
 
 
-def _validate(sigmas):
+def validate_pants(sigmas):
+    """Raise ReduciblePants for degenerate boundary triples."""
     s1, s2, s3 = (complex(s) for s in sigmas)
     t1 = -2.0 * cmath.cosh(s1)
     t2 = -2.0 * cmath.cosh(s2)
@@ -111,26 +114,22 @@ def frame_entries(halves):
     return leaf_entries(halves)[1]
 
 
-def _pack(entries):
-    import numpy as np
-    a, b, c, d = entries
-    return np.array([[a, b], [c, d]], dtype=complex)
-
-
-def _halves(sigmas):
-    import numpy as np
-    return tuple(np.exp(complex(s) / 2) for s in sigmas)
+def _rounded(entries, sigmas):
+    """The matrices of an entry formula at the working precision, rounded
+    once to complex128 2x2 arrays."""
+    halves = tuple(m2.exp(m2.lift(s) / 2) for s in sigmas)
+    return tuple(m2.flat_to_complex(m2.flat(m)) for m in entries(halves))
 
 
 def pants_matrices(sigmas):
     """The three boundary matrices as complex128 2x2 arrays."""
-    _validate(sigmas)
-    return tuple(_pack(m) for m in pants_entries(_halves(sigmas)))
+    validate_pants(sigmas)
+    return _rounded(pants_entries, sigmas)
 
 
 def cuff_frames(sigmas):
     """Frame matrices (F1, F2, F3) as complex128 2x2 arrays."""
-    return tuple(_pack(m) for m in frame_entries(_halves(sigmas)))
+    return _rounded(frame_entries, sigmas)
 
 
 def pants_representation(data):
@@ -143,8 +142,3 @@ def pants_representation(data):
         MoebiusMap(c2, normalize=False),
         MoebiusMap(c3, normalize=False),
     )
-
-
-def validate_pants(sigmas):
-    """Raise ReduciblePants for degenerate boundary triples."""
-    _validate(sigmas)

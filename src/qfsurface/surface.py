@@ -43,7 +43,7 @@ from .moebius import (
     fixed_points,
 )
 from .pants import ReduciblePants, leaf_entries, validate_pants
-from .words import cyclic_reduce, reduce_word
+from .words import cyclic_reduce
 
 __all__ = [
     "DegenerateFN",
@@ -54,7 +54,6 @@ __all__ = [
     "holonomy",
     "assemble",
     "twist_flow",
-    "evaluate_word",
     "complex_length_of_curve",
     "fuchsian_residual",
 ]
@@ -118,22 +117,16 @@ class FNCoordinates:
     def __len__(self):
         return len(self.lengths)
 
-    def replace(self, index, length=None, twist=None):
-        lengths = list(self.lengths)
-        twists = list(self.twists)
-        if length is not None:
-            lengths[index] = length
-        if twist is not None:
-            twists[index] = twist
-        return FNCoordinates(lengths, twists)
-
     def shifted(self, index, kind, delta):
         """Coordinates with fn[kind][index] += delta; kind is 'l' or 'tau'."""
+        lengths, twists = list(self.lengths), list(self.twists)
         if kind == "l":
-            return self.replace(index, length=self.lengths[index] + delta)
-        if kind == "tau":
-            return self.replace(index, twist=self.twists[index] + delta)
-        raise ValueError(f"unknown coordinate kind {kind!r}")
+            lengths[index] += delta
+        elif kind == "tau":
+            twists[index] += delta
+        else:
+            raise ValueError(f"unknown coordinate kind {kind!r}")
+        return FNCoordinates(lengths, twists)
 
 
 def twist_flow(fn, index, t):
@@ -161,8 +154,8 @@ class Representation:
     them: holonomy entries grow like exp(length x tree depth), and the
     relator, curve-length and cocycle computations cancel them back down to
     size one, which the absolute 2^-FRAC_BITS resolution keeps exact enough.
-    Results are rounded to complex128 once, at the end.  ``images`` holds
-    complex128 numpy copies of the generators for bulk work (limit sets).
+    Results are rounded to complex128 once, at the end; the one exit for a
+    matrix is :meth:`matrix_of_word` (a generator g is the word ``(g,)``).
     """
 
     def __init__(self, graph, presentation, fn, mp_images):
@@ -171,16 +164,9 @@ class Representation:
         self.fn = fn
         self.mp_images = mp_images
 
-    # The side tables are built on first use: a Gram reads only
-    # ``mp_images`` and ``mp_inverses``, never the complex128 copies.
     @functools.cached_property
     def mp_inverses(self):
         return {gen: m2.fadj(m) for gen, m in self.mp_images.items()}
-
-    @functools.cached_property
-    def images(self):
-        with complex128_stage("holonomy"):
-            return {gen: m2.flat_to_complex(m) for gen, m in self.mp_images.items()}
 
     def generator_flat(self, letter):
         """Working-precision image of a single signed generator letter."""
@@ -196,20 +182,8 @@ class Representation:
 
     def matrix_of_word(self, word):
         """Image of a word, rounded once to a complex128 matrix."""
-        with complex128_stage("evaluate"):
+        with complex128_stage("matrix_of_word"):
             return m2.flat_to_complex(self.flat_of_word(word))
-
-    def evaluate(self, word):
-        if isinstance(word, str):
-            word = self.presentation.word_from_string(word)
-        matrix = self.matrix_of_word(reduce_word(word))
-        try:
-            return MoebiusMap(matrix, normalize=False)
-        except ValueError as exc:
-            # the working-precision image has unit determinant, but once its
-            # entries pass about 1e8 the rounded one cancels to zero
-            raise DegenerateFN("evaluate: determinant cancels in complex128 "
-                               "(a length is too large)") from exc
 
     def relator_residual(self):
         """Largest entry of rho(relator) - 1, at the working precision."""
@@ -224,10 +198,9 @@ class Representation:
             raise UnknownGenerator(f"no decomposition curve {label!r}") from None
 
     def conjugated(self, mapping):
-        """The representation g -> M g M^-1 (same marked structure)."""
-        import numpy as np
-        array = mapping.m if isinstance(mapping, MoebiusMap) else mapping
-        leaf = tuple(m2.lift(z) for z in np.asarray(array, dtype=complex).ravel())
+        """The representation g -> M g M^-1 (same marked structure), for
+        the MoebiusMap M."""
+        leaf = tuple(m2.lift(z) for z in mapping.m.ravel())
         m, inverse = m2.flat(leaf), m2.flat(m2.inverse_entries(leaf))
         images = {gen: m2.fmul(m2.fmul(m, x), inverse) for gen, x in self.mp_images.items()}
         return Representation(self.graph, self.presentation, self.fn, images)
@@ -340,11 +313,6 @@ def assemble(graph, fn, differentiate):
     return plan.presentation, images
 
 
-def evaluate_word(rep, word):
-    """Image of a word (empty word maps to the identity)."""
-    return rep.evaluate(word)
-
-
 def complex_length_of_curve(rep, word):
     """Complex displacement of the word's holonomy, normalized.
 
@@ -371,12 +339,22 @@ def fuchsian_residual(rep):
     part over the generator matrix entries.  Zero (to roundoff) iff the
     representation is conjugate to one into SL2(R) in this frame.
     """
+    def curve_map(label):
+        matrix = rep.matrix_of_word(rep.presentation.marking[label])
+        try:
+            return MoebiusMap(matrix, normalize=False)
+        except ValueError as exc:
+            # the working-precision image has unit determinant, but once its
+            # entries pass about 1e8 the rounded one cancels to zero
+            raise DegenerateFN("fuchsian_residual: determinant cancels in "
+                               "complex128 (a length is too large)") from exc
+
     labels = sorted(rep.presentation.marking)
-    axis = fixed_points(rep.evaluate(rep.presentation.marking[labels[0]]))
+    axis = fixed_points(curve_map(labels[0]))
     third = None
     for label in labels[1:]:
         try:
-            candidate = fixed_points(rep.evaluate(rep.presentation.marking[label]))
+            candidate = fixed_points(curve_map(label))
         except NotLoxodromic:
             continue
         for point in (candidate.attracting, candidate.repelling):

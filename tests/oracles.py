@@ -22,6 +22,11 @@ derivatives and of the FD convergence criteria.
 The limit-set oracle is the per-word walk that the level-batched engine
 replaced: one 2x2 product, one scalar fixed point and one grid-hash lookup
 per word, and an f-string per CSV row, kept verbatim as the reference.
+
+The complex-distance oracle is the half-turn construction that the closed
+cross-ratio form replaced: the axis of the product of the two geodesics'
+half-turns is their common perpendicular, found by an eigen-solve, and the
+distance is read off the endpoints in that frame.
 """
 
 import cmath
@@ -40,7 +45,13 @@ from qfsurface.cocycles import (
     TangentCocycle,
     cocycle_gram,
 )
-from qfsurface.moebius import ProjectivePoint
+from qfsurface.moebius import (
+    MoebiusMap,
+    ProjectivePoint,
+    SharedEndpoint,
+    _POINT_TOL,
+    normalize_complex_length,
+)
 from qfsurface.pants import frame_entries, pants_entries
 from qfsurface.surface import holonomy
 from qfsurface.words import reduced_words_up_to
@@ -510,7 +521,7 @@ def limit_set_by_word_walk(rep, depth):
     num_gens = rep.presentation.num_generators
     gen_matrices = {}
     for g in range(1, num_gens + 1):
-        matrix = rep.images[g].astype(complex)
+        matrix = rep.matrix_of_word((g,))
         gen_matrices[g] = matrix
         gen_matrices[-g] = np.array(
             [[matrix[1, 1], -matrix[0, 1]], [-matrix[1, 0], matrix[0, 0]]]
@@ -539,3 +550,74 @@ def csv_by_word_walk(finite_points):
     for z, length in finite_points:
         lines.append(f"{z.real:.17g},{z.imag:.17g},{length}")
     return "\n".join(lines) + "\n"
+
+
+# -- the half-turn complex distance ---------------------------------------
+
+def half_turn(geodesic):
+    """The involution (trace zero) fixing both endpoints of the geodesic."""
+    p, q = geodesic.repelling, geodesic.attracting
+    basis = np.array([[p.z, q.z], [p.w, q.w]], dtype=complex)
+    j = np.diag([1j, -1j])
+    det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
+    inv = np.array([[basis[1, 1], -basis[0, 1]], [-basis[1, 0], basis[0, 0]]]) / det
+    return MoebiusMap(basis @ j @ inv, normalize=False)
+
+
+def _endpoint_sets_match(g1, g2, tol=1e-12):
+    """None, 'same', or 'reversed' according to endpoint identification."""
+    if g1.repelling.close_to(g2.repelling, tol) and g1.attracting.close_to(g2.attracting, tol):
+        return "same"
+    if g1.repelling.close_to(g2.attracting, tol) and g1.attracting.close_to(g2.repelling, tol):
+        return "reversed"
+    return None
+
+
+def complex_distance_by_half_turns(g1, g2):
+    """Complex distance between two oriented geodesics in H^3.
+
+    After moving the common perpendicular to the axis (0, infinity) the two
+    geodesics have symmetric endpoint pairs (u, -u) and (p, -p); the result
+    is log(p/u) normalized so Re >= 0 and Im in (-pi, pi].
+    """
+    match = _endpoint_sets_match(g1, g2)
+    if match == "same":
+        return 0.0 + 0.0j
+    if match == "reversed":
+        return complex(0.0, math.pi)
+    for e1 in (g1.repelling, g1.attracting):
+        for e2 in (g2.repelling, g2.attracting):
+            if e1.close_to(e2, _POINT_TOL):
+                raise SharedEndpoint("geodesics share an ideal endpoint")
+
+    # Axis of the composition of the two half-turns is the common
+    # perpendicular; its translation is twice the sought distance.
+    prod = half_turn(g2) @ half_turn(g1)
+    eigvals, eigvecs = np.linalg.eig(prod.m)
+    if abs(abs(eigvals[0]) - abs(eigvals[1])) > 1e-14 * max(1.0, abs(eigvals[0])):
+        order = np.argsort(np.abs(eigvals))
+    else:
+        # Elliptic product (intersecting geodesics): any fixed order works,
+        # the final normalization absorbs the orientation of the axis.
+        key0 = (eigvals[0].real, eigvals[0].imag)
+        key1 = (eigvals[1].real, eigvals[1].imag)
+        order = np.array([0, 1]) if key0 <= key1 else np.array([1, 0])
+    basis = eigvecs[:, order]
+    det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
+    if abs(det) < 1e-14:
+        raise SharedEndpoint("common perpendicular is degenerate")
+    inv = np.array([[basis[1, 1], -basis[0, 1]], [-basis[1, 0], basis[0, 0]]]) / det
+
+    def to_axis_frame(point):
+        vec = inv @ np.array([point.z, point.w])
+        pt = ProjectivePoint(vec[0], vec[1])
+        if pt.is_infinity or abs(pt.z) <= _POINT_TOL:
+            raise SharedEndpoint("geodesic endpoint falls on the perpendicular axis")
+        return pt.as_complex()
+
+    u = to_axis_frame(g1.attracting)
+    p = to_axis_frame(g2.attracting)
+    sigma = cmath.log(p / u)
+    if sigma.real < 0.0 or (abs(sigma.real) <= 1e-13 and sigma.imag < 0.0):
+        sigma = -sigma
+    return normalize_complex_length(sigma)

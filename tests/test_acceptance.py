@@ -40,6 +40,7 @@ from qfsurface.surface import (
     twist_flow,
 )
 from qfsurface.cocycles import TangentCocycle
+from qfsurface import matrix2 as m2
 
 from oracles import fd_basis_cocycles, fd_symplectic_gram, real_hexagon_even_sides
 
@@ -241,7 +242,8 @@ def test_criterion_8_cohomology_suite():
     conj = rep.conjugated(m)
     minv = np.linalg.inv(m.m)
     moved = [
-        TangentCocycle(conj, {g: m.m @ u.table[g] @ minv for g in u.table})
+        TangentCocycle(conj, {g: m2.flat_from_array(m.m @ m2.flat_to_complex(u.flat[g]) @ minv)
+                              for g in u.flat})
         for u in cocycles
     ]
     gauge_worst = 0.0
@@ -318,8 +320,8 @@ def test_criterion_10_fuchsian_limit_set():
 
     worst_trace = 0.0
     for label in GRAPH.curve_labels:
-        tr_base = rep.evaluate(rep.curve_word(label)).trace()
-        tr_bent = bent.evaluate(bent.curve_word(label)).trace()
+        tr_base = np.trace(rep.matrix_of_word(rep.curve_word(label)))
+        tr_bent = np.trace(bent.matrix_of_word(bent.curve_word(label)))
         worst_trace = max(worst_trace, abs(tr_base - tr_bent))
 
     passed = (residual <= 1e-9 and round_spread <= 1e-8

@@ -85,7 +85,7 @@ def random_traceless(rng):
 
 def test_cocycle_on_empty_word(base):
     rep, cocycles = base
-    value = cocycles[0].evaluate(())
+    value = m2.flat_to_complex(cocycles[0].evaluate_flat(()))
     assert np.max(np.abs(value.astype(complex))) == 0.0
 
 
@@ -104,7 +104,8 @@ def test_coboundaries_are_exact_cocycles(base):
     for _ in range(5):
         cb = coboundary(random_traceless(rng), rep)
         assert cocycle_residual(cb) <= 1e-8 * max(
-            1.0, max(float(np.max(np.abs(m.astype(complex)))) for m in cb.table.values())
+            1.0, max(float(np.max(np.abs(m2.flat_to_complex(m))))
+                     for m in cb.flat.values())
         )
     zero = coboundary(np.zeros((2, 2)), rep)
     assert cocycle_residual(zero) == 0.0
@@ -112,8 +113,8 @@ def test_coboundaries_are_exact_cocycles(base):
 
 def test_corrupted_cocycle_detected(base):
     rep, cocycles = base
-    table = dict(cocycles[0].table)
-    table[1] = np.zeros((2, 2))
+    table = dict(cocycles[0].flat)
+    table[1] = m2.flat_from_array(np.zeros((2, 2)))
     broken = TangentCocycle(rep, table)
     assert cocycle_residual(broken) > 100 * cocycle_residual(cocycles[0])
 
@@ -125,10 +126,10 @@ def test_trace_variation_identities():
         word = rep.curve_word(label)
         m = rep.matrix_of_word(word).astype(complex)
         u_tau = cocycles[n + i]
-        variation = np.trace(u_tau.evaluate(word).astype(complex) @ m)
+        variation = np.trace(m2.flat_to_complex(u_tau.evaluate_flat(word)) @ m)
         assert abs(variation) <= 1e-6
         u_l = cocycles[i]
-        variation_l = np.trace(u_l.evaluate(word).astype(complex) @ m)
+        variation_l = np.trace(m2.flat_to_complex(u_l.evaluate_flat(word)) @ m)
         import cmath
         expected = -cmath.sinh(FN.lengths[i] / 2.0)  # d/dl of -2 cosh(l/2)
         assert abs(variation_l - expected) <= 1e-6
@@ -209,8 +210,37 @@ def test_length_twist_pairing_is_plus_one(base):
     value = goldman_pairing(cocycles[0], cocycles[3])
     assert abs(value - 1.0) <= 1e-4
     # with the bare trace form the same pairing is exactly half
-    bare = goldman_pairing(cocycles[0], cocycles[3], coefficient_scale=1.0)
+    bare = goldman_pairing(cocycles[0], cocycles[3]) / COEFFICIENT_SCALE
     assert abs(bare - 0.5) <= 1e-4
+
+
+def test_goldman_product_formula_pins_sign_and_scale():
+    # Goldman's product formula, with no calibration: the Poisson bracket
+    # df Pi dg of trace functions (Pi the inverse Gram, df_k = tr(u_k(a) rho(a)))
+    # of a standard pair a_i, b_i meeting once is
+    # (tr(a_i b_i) - tr a_i tr b_i / 2) / 2, and the traces of a_1, a_2
+    # (disjoint curves) commute; a flipped PAIRING_SIGN or another
+    # COEFFICIENT_SCALE breaks the first
+    for name in ("genus2_quasifuchsian.json", "genus2_separating.json", "genus3.json"):
+        config = parse_config(resources.files("qfsurface.data").joinpath(name).read_text())
+        graph = config.graph()
+        rep, cocycles = fd_basis_cocycles(graph, config.fn(graph))
+        poisson = np.linalg.inv(np.asarray(cocycle_gram(rep, cocycles).matrix))
+
+        def trace(word):
+            return m2.ftrace(rep.flat_of_word(word))
+
+        def gradient(word):
+            image = rep.flat_of_word(word)
+            return np.array([m2.ftrace(m2.fmul(u.evaluate_flat(word), image))
+                             for u in cocycles])
+
+        for i in range(rep.presentation.num_generators // 2):
+            a, b = (2 * i + 1,), (2 * i + 2,)
+            bracket = gradient(a) @ poisson @ gradient(b)
+            predicted = 0.5 * (trace(a + b) - 0.5 * trace(a) * trace(b))
+            assert abs(bracket / predicted - 1.0) <= 1e-12
+        assert abs(gradient((1,)) @ poisson @ gradient((3,))) <= 1e-40
 
 
 def test_gram_canonical_fuchsian_and_complex():
@@ -268,7 +298,8 @@ def test_gram_gauge_invariance():
     rep, cocycles = oracles.fd_basis_cocycles(GRAPH, FN, h=1e-4)
     conj = rep.conjugated(m)
     tables = [
-        {g: m.m @ u.table[g] @ np.linalg.inv(m.m) for g in u.table}
+        {g: m2.flat_from_array(m.m @ m2.flat_to_complex(u.flat[g]) @ np.linalg.inv(m.m))
+         for g in u.flat}
         for u in cocycles
     ]
     moved = [TangentCocycle(conj, t) for t in tables]

@@ -375,6 +375,12 @@ with contextlib.redirect_stdout(io.StringIO()):
              if getattr(qfsurface, name) is not getattr(sys.modules["qfsurface." + home], name)]
     wrong += [home for home in qfsurface._ON_ACCESS
               if getattr(qfsurface, home) is not sys.modules["qfsurface." + home]]
+    # every exported name resolves: a deleted function left in __all__ shows here
+    import importlib, pkgutil
+    modules = [importlib.import_module("qfsurface." + info.name)
+               for info in pkgutil.iter_modules(qfsurface.__path__)]
+    wrong += [module.__name__ + "." + name for module in modules
+              for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     codes.append(main(["limitset", path, "--depth", "3"]))
 print(json.dumps([codes, loaded, without_numpy, wrong,
                   sorted(m for m in sys.modules if m.startswith("mpmath"))]))
