@@ -187,62 +187,22 @@ def _cmd_limitset(args):
 def _cmd_schwarzian_selftest(args):
     import numpy as np
 
-    from .schwarzian import (
-        cocycle_check,
-        exp_sample,
-        moebius_sample,
-        polynomial_sample,
-        schwarzian_at,
-    )
-    seed = int(os.environ.get("QFS_SEED", "0"))
-    rng = np.random.RandomState(seed)
+    from .schwarzian import SELFTEST_DRAWS, selftest
+    rng = np.random.RandomState(int(os.environ.get("QFS_SEED", "0")))
+    worst_kernel, worst_cocycle = selftest(rng)
     failures = []
-
-    worst_kernel = 0.0
-    for _ in range(50):
-        while True:
-            a, b, c, d = rng.randn(4) + 1j * rng.randn(4)
-            if abs(a * d - b * c) > 0.1:
-                break
-        sample = moebius_sample(a, b, c, d)
-        z0 = rng.randn() + 1j * rng.randn()
-        if abs(c * z0 + d) < 0.2:
-            continue
-        worst_kernel = max(worst_kernel, abs(schwarzian_at(sample, z0)))
     if worst_kernel > 1e-8:
         failures.append(f"moebius kernel {worst_kernel:.3e} > 1e-8")
-
-    family = [
-        polynomial_sample([0.2, 1.0, 0.1, 0.03]),
-        polynomial_sample([0.0, 1.0, 0.0, 0.05]),
-        exp_sample(0.7),
-        exp_sample(1.0),
-    ]
-    worst_cocycle = 0.0
-    count = 0
-    while count < 50:
-        f = family[rng.randint(len(family))]
-        g = family[rng.randint(len(family))]
-        z0 = 0.5 * (rng.randn() + 1j * rng.randn())
-        try:
-            residual = cocycle_check(f, g, z0)
-        except Exception:
-            continue
-        worst_cocycle = max(worst_cocycle, residual)
-        count += 1
     if worst_cocycle > 1e-6:
         failures.append(f"composition cocycle {worst_cocycle:.3e} > 1e-6")
 
     sys.stdout.write(
-        f"moebius kernel: worst |Sf| = {worst_kernel:.3e} over 50 trials\n"
-        f"composition cocycle: worst residual = {worst_cocycle:.3e} over 50 pairs\n"
+        f"moebius kernel: worst |Sf| = {worst_kernel:.3e} over {SELFTEST_DRAWS} trials\n"
+        f"composition cocycle: worst residual = {worst_cocycle:.3e} "
+        f"over {SELFTEST_DRAWS} pairs\n"
     )
-    if failures:
-        for failure in failures:
-            sys.stdout.write(f"FAIL {failure}\n")
-        return 1
-    sys.stdout.write("PASS\n")
-    return 0
+    sys.stdout.write("".join(f"FAIL {failure}\n" for failure in failures) or "PASS\n")
+    return 1 if failures else 0
 
 
 def build_parser():

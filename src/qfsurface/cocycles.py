@@ -26,16 +26,18 @@ the underlying bar-resolution 2-chain an honest cycle for a relator in
 which every generator appears once with each sign; with the prefix used
 uniformly the pairing is well-defined only after antisymmetrization.
 
-One walk of the relator per cocycle u records, letter by letter, the
-running sum u(q_k) and the conjugated letter value Ad_rho(p_{k-1}) u(y_k),
-the latter transposed so that each trace is a dot product of flat entries;
-the prefixes are shared by every cocycle over the same representation.
-pairing(u, v) is then one dot product of u's sums with v's letter values, so
-a Gram matrix over n cocycles costs n walks, and each walk's final sum is the
-cocycle residual u(r).  Walk values grow like the squared norms of the
-prefix holonomies and cancel down to size one, so the walk runs on the
-kernel's flat matrices, whose int parts the dot product reads directly: it
-is exact, a sum of Gaussian-integer products, rounded once to complex128.
+A cocycle meets a word in one walk over the word's prefix chain
+(:meth:`Representation.prefixes`), shared by every cocycle over the same
+representation.  Letter by letter the walk adds Ad_rho(p_{k-1}) u(y_k), one
+conjugation on a generator or its inverse, and records the running sum
+u(q_k) and that step, transposed so that each trace is a dot product of
+flat entries.  pairing(u, v) is then one dot product of u's sums with v's
+steps, so a Gram matrix over n cocycles costs n walks.  The final sum is
+u(word): the cocycle residual u(r) and a Gram's worst residual are the same
+bits.  Walk values grow like the squared norms of the prefix holonomies and
+cancel down to size one, so the walk runs on the kernel's flat matrices,
+whose int parts the dot product reads directly: it is exact, a sum of
+Gaussian-integer products, rounded once to complex128.
 
 Two frozen normalization constants relate the raw trace-form value to the
 canonical symplectic form on the coordinate frame:
@@ -118,25 +120,10 @@ class TangentCocycle:
         self.rep = rep
         self.flat = table
 
-    def value(self, letter):
-        """Value on a single (possibly inverse) generator letter."""
-        gen = abs(letter)
-        u = self.flat[gen]
-        if letter > 0:
-            return u
-        m = self.rep.generator_flat(-abs(letter))
-        return m2.fneg(m2.fconj(m, u))
-
     def evaluate_flat(self, word):
-        """Crossed-homomorphism extension to a word (flat matrix)."""
-        if isinstance(word, str):
-            word = self.rep.presentation.word_from_string(word)
-        total = m2.FZERO
-        prefix = m2.FEYE
-        for letter in word:
-            total = m2.fadd(total, m2.fconj(prefix, self.value(letter)))
-            prefix = m2.fmul(prefix, self.rep.generator_flat(letter))
-        return total
+        """Crossed-homomorphism extension to a word (flat matrix): the
+        closing sum of the word's walk."""
+        return _walk(self, word, self.rep.prefixes(word))[2]
 
     def scaled(self, factor):
         table = {g: m2.fscale(v, factor) for g, v in self.flat.items()}
@@ -190,29 +177,21 @@ def cocycle_scale(u):
     return max(1.0, max(m2.fmax_abs(v) for v in u.flat.values()))
 
 
-def _relator_prefixes(rep):
-    """Prefix holonomies p_0 = 1, p_1, ..., p_m along the relator."""
-    prefixes = [m2.FEYE]
-    for letter in rep.presentation.relator:
-        prefixes.append(m2.fmul(prefixes[-1], rep.generator_flat(letter)))
-    return prefixes
+def _walk(u, word, prefixes):
+    """One walk of a word y_1...y_m for the cocycle u, over its prefixes.
 
-
-def _relator_walk(u, prefixes):
-    """One walk of the relator for the cocycle u.
-
-    Returns (sums, letters, closing): the running sums each letter pairs
-    against and the conjugated letter values, each as the (re, im) int lists
-    of their 4m entries (letter values transposed, so that tr(AB) is the dot
-    product of A's entries with B's), and the final sum u(relator).
+    The step of y_j is Ad(p_{j-1}) u(g) on a generator g, and -Ad(p_j) u(g)
+    on g^-1, as p_{j-1} g^-1 = p_j.  Returns (sums, letters, closing): the
+    running sums each letter pairs against and the steps, each as the
+    (re, im) int lists of their 4m entries (steps transposed, so that tr(AB)
+    is the dot product of A's entries with B's), and the final sum u(word).
     """
     sums, letters = [], []
     total = m2.FZERO
-    for j, letter in enumerate(u.rep.presentation.relator):
+    for j, letter in enumerate(word):
         if letter > 0:
             step = m2.fconj(prefixes[j], u.flat[letter])
         else:
-            # Ad(p_j) u(g^-1) = -Ad(p_j g^-1) u(g), and p_j g^-1 = p_{j+1}
             step = m2.fneg(m2.fconj(prefixes[j + 1], u.flat[-letter]))
         after = m2.fadd(total, step)
         # inverse letters pair against the post-letter prefix; this is
@@ -245,9 +224,10 @@ def goldman_pairing(u, v):
     """Cup-product pairing of two cocycles over the same representation."""
     if u.rep is not v.rep:
         raise BaseMismatch("cocycles live over different representations")
-    prefixes = _relator_prefixes(u.rep)
-    sums, _letters, _closing = _relator_walk(u, prefixes)
-    _sums, letters, _closing = _relator_walk(v, prefixes)
+    relator = u.rep.presentation.relator
+    prefixes = u.rep.prefixes(relator)
+    sums, _letters, _closing = _walk(u, relator, prefixes)
+    _sums, letters, _closing = _walk(v, relator, prefixes)
     with complex128_stage("goldman_pairing"):
         return _contract(sums, letters)
 
@@ -281,8 +261,9 @@ def cocycle_gram(rep, cocycles):
     """
     if any(u.rep is not rep for u in cocycles):
         raise BaseMismatch("cocycles live over different representations")
-    prefixes = _relator_prefixes(rep)
-    sums, letters, closings = zip(*(_relator_walk(u, prefixes) for u in cocycles))
+    relator = rep.presentation.relator
+    prefixes = rep.prefixes(relator)
+    sums, letters, closings = zip(*(_walk(u, relator, prefixes) for u in cocycles))
     dim = len(cocycles)
     raw = [[0j] * dim for _row in range(dim)]
     with complex128_stage("cocycle_gram"):

@@ -48,6 +48,7 @@ _POSITION_BITS = 63 - _KEY_BITS
 _KEY_MASK = (1 << _KEY_BITS) - 1
 _POSITION_MASK = (1 << _POSITION_BITS) - 1
 _BLOCK = 1 << 16            # words per batch; 8 keys each fit the positions
+_SVG_WIDTH = 800            # pixels
 
 
 def _complex(re, im):
@@ -424,7 +425,7 @@ def cloud_to_csv(cloud):
     return "re,im,word_length\n" + "%.17g,%.17g,%d\n" * len(z) % tuple(fields)
 
 
-def cloud_to_svg(cloud, width=800):
+def cloud_to_svg(cloud):
     """Scatter plot of the finite cloud points as an SVG document."""
     z, _lengths = cloud.finite_points()
     if not len(z):
@@ -437,10 +438,10 @@ def cloud_to_svg(cloud, width=800):
     margin_x = 0.05 * span_x
     margin_y = 0.05 * span_y
     view = (x0 - margin_x, y0 - margin_y, span_x + 2 * margin_x, span_y + 2 * margin_y)
-    radius = 0.5 * max(view[2], view[3]) / width
+    radius = 0.5 * max(view[2], view[3]) / _SVG_WIDTH
     circle = f'<circle cx="%.9g" cy="%.9g" r="{radius:.3g}"/>'
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
         f'viewBox="{view[0]:.6g} {view[1]:.6g} {view[2]:.6g} {view[3]:.6g}">'
     ]
     parts.extend(map(circle.__mod__, zip(xs, ys)))

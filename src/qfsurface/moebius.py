@@ -165,20 +165,6 @@ class MoebiusMap:
         lam = complex(lam)
         return cls([[lam, 0.0], [0.0, 1.0 / lam]], normalize=False)
 
-    @classmethod
-    def from_three_points(cls, p, q, r):
-        """The map sending (0, infinity, 1) to (p, q, r)."""
-        import numpy as np
-        p = p if isinstance(p, ProjectivePoint) else ProjectivePoint(p)
-        q = q if isinstance(q, ProjectivePoint) else ProjectivePoint(q)
-        r = r if isinstance(r, ProjectivePoint) else ProjectivePoint(r)
-        # Columns q, p scaled so their sum lands on r.
-        mat = np.array([[q.z, p.z], [q.w, p.w]], dtype=complex)
-        rhs = np.array([r.z, r.w], dtype=complex)
-        coef = np.linalg.solve(mat, rhs)
-        cols = mat * coef[np.newaxis, :]
-        return cls(cols)
-
     @property
     def a(self):
         return self.m[0, 0]
@@ -234,14 +220,14 @@ def apply(mapping, point):
     return ProjectivePoint(vec[0], vec[1])
 
 
-def classify(mapping, tol=_CLASSIFY_TOL):
+def classify(mapping):
     """One of 'identity', 'parabolic', 'elliptic', 'loxodromic'."""
-    if mapping.distance_to_identity() <= tol:
+    if mapping.distance_to_identity() <= _CLASSIFY_TOL:
         return "identity"
     tr = mapping.trace()
-    if abs(tr * tr - 4.0) <= tol:
+    if abs(tr * tr - 4.0) <= _CLASSIFY_TOL:
         return "parabolic"
-    if abs(tr.imag) <= tol and abs(tr.real) < 2.0:
+    if abs(tr.imag) <= _CLASSIFY_TOL and abs(tr.real) < 2.0:
         return "elliptic"
     return "loxodromic"
 
@@ -274,21 +260,21 @@ def displacement_from_trace(trace):
     return normalize_complex_length(2.0 * half)
 
 
-def complex_displacement(mapping, tol=_CLASSIFY_TOL):
+def complex_displacement(mapping):
     """Complex number phi with 2 cosh(phi/2) = tr, up to the lift sign.
 
     Re(phi) is the translation length, Im(phi) in (-pi, pi] the rotation
     angle.  Raises ParabolicOrIdentity when no displacement is defined.
     """
-    kind = classify(mapping, tol)
+    kind = classify(mapping)
     if kind in ("identity", "parabolic"):
         raise ParabolicOrIdentity(f"map is {kind}")
     return displacement_from_trace(mapping.trace())
 
 
-def fixed_points(mapping, tol=_CLASSIFY_TOL):
+def fixed_points(mapping):
     """Oriented axis of a loxodromic map, repelling then attracting point."""
-    if classify(mapping, tol) != "loxodromic":
+    if classify(mapping) != "loxodromic":
         raise NotLoxodromic("fixed points ordered by attraction need a loxodromic map")
     import numpy as np
     eigvals, eigvecs = np.linalg.eig(mapping.m)

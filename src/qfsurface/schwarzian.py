@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CriticalPoint", "HolomorphicSample", "schwarzian_at", "cocycle_check"]
+__all__ = ["CriticalPoint", "HolomorphicSample", "schwarzian_at", "cocycle_check",
+           "selftest"]
 
 _DERIV_TOL = 1e-10
+SELFTEST_DRAWS = 50
 
 
 class CriticalPoint(Exception):
@@ -169,3 +171,37 @@ def exp_sample(scale=1.0):
         return lambda z: scale ** k * np.exp(scale * z)
 
     return HolomorphicSample(make(0), make(1), make(2), make(3))
+
+
+def selftest(rng):
+    """(worst |Sf| of Moebius maps, worst cocycle_check residual of
+    compositions), each over SELFTEST_DRAWS counted draws from the numpy
+    RandomState rng; a draw near a pole or a critical point is redrawn.
+    """
+    worst_kernel = 0.0
+    trials = 0
+    while trials < SELFTEST_DRAWS:
+        a, b, c, d = rng.randn(4) + 1j * rng.randn(4)
+        if abs(a * d - b * c) <= 0.1:
+            continue
+        z0 = rng.randn() + 1j * rng.randn()
+        if abs(c * z0 + d) < 0.2:
+            continue
+        worst_kernel = max(worst_kernel, abs(schwarzian_at(moebius_sample(a, b, c, d), z0)))
+        trials += 1
+
+    family = (polynomial_sample([0.2, 1.0, 0.1, 0.03]),
+              polynomial_sample([0.0, 1.0, 0.0, 0.05]), exp_sample(0.7), exp_sample(1.0))
+    worst_cocycle = 0.0
+    pairs = 0
+    while pairs < SELFTEST_DRAWS:
+        f = family[rng.randint(len(family))]
+        g = family[rng.randint(len(family))]
+        z0 = 0.5 * (rng.randn() + 1j * rng.randn())
+        try:
+            residual = cocycle_check(f, g, z0)
+        except CriticalPoint:
+            continue
+        worst_cocycle = max(worst_cocycle, residual)
+        pairs += 1
+    return worst_kernel, worst_cocycle

@@ -31,17 +31,12 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
+import itertools
 import math
 
 from . import matrix2 as m2
 
-from .moebius import (
-    _CLASSIFY_TOL,
-    MoebiusMap,
-    NotLoxodromic,
-    displacement_from_trace,
-    fixed_points,
-)
+from .moebius import _CLASSIFY_TOL, NotLoxodromic, displacement_from_trace
 from .pants import ReduciblePants, leaf_entries, validate_pants
 from .words import cyclic_reduce
 
@@ -152,9 +147,10 @@ class Representation:
     the working precision, as flat matrices of the :mod:`matrix2` kernel
     (the ints (re, im) of a, b, c, d at 2^-FRAC_BITS).  Every check runs on
     them: holonomy entries grow like exp(length x tree depth), and the
-    relator, curve-length and cocycle computations cancel them back down to
-    size one, which the absolute 2^-FRAC_BITS resolution keeps exact enough.
-    Results are rounded to complex128 once, at the end; the one exit for a
+    relator, curve-length, trace and cocycle computations cancel them back
+    down to size one, which the absolute 2^-FRAC_BITS resolution keeps exact
+    enough.  Every check reads a word through one chain, :meth:`prefixes`,
+    and rounds its result to complex128 once, at the end; the one exit for a
     matrix is :meth:`matrix_of_word` (a generator g is the word ``(g,)``).
     """
 
@@ -176,9 +172,15 @@ class Representation:
             raise UnknownGenerator(f"generator id {gen}")
         return table[gen]
 
+    def prefixes(self, word):
+        """Working-precision images p_0 = 1, p_1, ..., p_m of the prefixes
+        of a word y_1...y_m, as flat matrices: p_j = p_{j-1} rho(y_j)."""
+        return list(itertools.accumulate(map(self.generator_flat, word), m2.fmul,
+                                         initial=m2.FEYE))
+
     def flat_of_word(self, word):
         """Working-precision image of a word, as a flat matrix."""
-        return functools.reduce(m2.fmul, map(self.generator_flat, word), m2.FEYE)
+        return self.prefixes(word)[-1]
 
     def matrix_of_word(self, word):
         """Image of a word, rounded once to a complex128 matrix."""
@@ -321,8 +323,6 @@ def complex_length_of_curve(rep, word):
     precision and rounded once, before the arccosh; the word is classified
     from it.
     """
-    if isinstance(word, str):
-        word = rep.presentation.word_from_string(word)
     flat = rep.flat_of_word(cyclic_reduce(word))
     with complex128_stage("complex_length_of_curve"):
         trace = m2.ftrace(flat)
@@ -332,44 +332,20 @@ def complex_length_of_curve(rep, word):
 
 
 def fuchsian_residual(rep):
-    """Deviation from being a real representation, in a fixed normal form.
+    """Largest |Im tr rho(w)| over w = g_i, g_i g_j and g_i g_j g_k (i < j < k).
 
-    Conjugates so that the first marking curve's axis is (0, infinity) and a
-    fixed auxiliary fixed point is at 1, then reports the largest imaginary
-    part over the generator matrix entries.  Zero (to roundoff) iff the
-    representation is conjugate to one into SL2(R) in this frame.
+    These traces generate every trace of a 2x2 representation as integer
+    polynomials (Procesi 1976; Horowitz 1972), so all traces are real iff
+    they are.  An irreducible representation with real traces is conjugate
+    into SL2(R) exactly when it has a hyperbolic element (|tr| > 2), and into
+    SU(2) otherwise.  The holonomies built here meet both conditions (their
+    pants have loxodromic cuffs with distinct axes), so zero means conjugate
+    into SL2(R).  The number is a trace deviation, not an entry deviation in
+    a normal frame; each trace is taken at the working precision and rounded
+    once.
     """
-    def curve_map(label):
-        matrix = rep.matrix_of_word(rep.presentation.marking[label])
-        try:
-            return MoebiusMap(matrix, normalize=False)
-        except ValueError as exc:
-            # the working-precision image has unit determinant, but once its
-            # entries pass about 1e8 the rounded one cancels to zero
-            raise DegenerateFN("fuchsian_residual: determinant cancels in "
-                               "complex128 (a length is too large)") from exc
-
-    labels = sorted(rep.presentation.marking)
-    axis = fixed_points(curve_map(labels[0]))
-    third = None
-    for label in labels[1:]:
-        try:
-            candidate = fixed_points(curve_map(label))
-        except NotLoxodromic:
-            continue
-        for point in (candidate.attracting, candidate.repelling):
-            if (
-                point.chordal_distance(axis.repelling) > 1e-6
-                and point.chordal_distance(axis.attracting) > 1e-6
-            ):
-                third = point
-                break
-        if third is not None:
-            break
-    if third is None:
-        raise DegenerateFN("no independent fixed point to pin a frame")
-    frame = MoebiusMap.from_three_points(axis.repelling, axis.attracting, third)
-    normalized = rep.conjugated(frame.inverse())
+    generators = sorted(rep.mp_images)
+    words = [word for size in (1, 2, 3)
+             for word in itertools.combinations(generators, size)]
     with complex128_stage("fuchsian_residual"):
-        return max(abs(z.imag) for m in normalized.mp_images.values()
-                   for z in m2.flat_entries(m))
+        return max(abs(m2.ftrace(rep.flat_of_word(word)).imag) for word in words)

@@ -13,7 +13,6 @@ __all__ = [
     "multiply",
     "cyclic_reduce",
     "expand",
-    "substitute",
     "rotate",
     "exponent_sums",
     "reduced_words_up_to",
@@ -79,13 +78,6 @@ def expand(word, image):
             else:
                 out.append(piece)
     return tuple(out)
-
-
-def substitute(word, generator, replacement):
-    """Replace every occurrence of +-generator by the (inverse) replacement."""
-    image = {abs(letter): (abs(letter),) for letter in word}
-    image[generator] = tuple(replacement)
-    return expand(word, image)
 
 
 def exponent_sums(word, num_generators):

@@ -357,6 +357,14 @@ def fixed_cocycle_gram(relator, tables, prefixes):
     return (raw - raw.T) / 2.0, asymmetry, residual
 
 
+def _letter_value(u, letter):
+    """u on one signed letter, by the rule u(g^-1) = -Ad(g^-1) u(g)."""
+    if letter > 0:
+        return fixed_entries(u.flat[letter])
+    inverse = fixed_entries(u.rep.generator_flat(letter))
+    return fscale(fconj(inverse, fixed_entries(u.flat[-letter])), -1)
+
+
 def pairing_by_prefix_walk(u, v):
     """Goldman pairing of two cocycles by one relator walk per pair.
 
@@ -369,8 +377,8 @@ def pairing_by_prefix_walk(u, v):
     u_prefix = FZERO
     prefix = FEYE
     for letter in rep.presentation.relator:
-        v_letter = fconj(prefix, fixed_entries(v.value(letter)))
-        u_step = fconj(prefix, fixed_entries(u.value(letter)))
+        v_letter = fconj(prefix, _letter_value(v, letter))
+        u_step = fconj(prefix, _letter_value(u, letter))
         u_next = fadd(u_prefix, u_step)
         # inverse letters pair against the post-letter prefix; this is
         # the boundary correction making the evaluation chain a 2-cycle

@@ -25,13 +25,7 @@ from qfsurface.limitset import cross_ratio_imag_spread, limit_set
 from qfsurface.moebius import MoebiusMap
 from qfsurface.pants import pants_matrices
 from qfsurface.presentation import PantsDecompositionGraph
-from qfsurface.schwarzian import (
-    cocycle_check,
-    exp_sample,
-    moebius_sample,
-    polynomial_sample,
-    schwarzian_at,
-)
+from qfsurface.schwarzian import SELFTEST_DRAWS, selftest
 from qfsurface.surface import (
     FNCoordinates,
     complex_length_of_curve,
@@ -266,42 +260,12 @@ def test_criterion_8_cohomology_suite():
 
 
 def test_criterion_9_schwarzian_suite():
-    rng = np.random.RandomState(900)
-    worst_kernel = 0.0
-    trials = 0
-    while trials < 50:
-        a, b, c, d = rng.randn(4) + 1j * rng.randn(4)
-        if abs(a * d - b * c) <= 0.1:
-            continue
-        z0 = rng.randn() + 1j * rng.randn()
-        if abs(c * z0 + d) < 0.2:
-            continue
-        worst_kernel = max(worst_kernel, abs(schwarzian_at(moebius_sample(a, b, c, d), z0)))
-        trials += 1
-
-    family = [
-        polynomial_sample([0.2, 1.0, 0.1, 0.03]),
-        polynomial_sample([0.0, 1.0, 0.0, 0.05]),
-        exp_sample(0.7),
-        exp_sample(1.0),
-    ]
-    worst_cocycle = 0.0
-    count = 0
-    while count < 50:
-        f = family[rng.randint(len(family))]
-        g = family[rng.randint(len(family))]
-        z0 = 0.5 * (rng.randn() + 1j * rng.randn())
-        try:
-            residual = cocycle_check(f, g, z0)
-        except Exception:
-            continue
-        worst_cocycle = max(worst_cocycle, residual)
-        count += 1
+    worst_kernel, worst_cocycle = selftest(np.random.RandomState(900))
     passed = worst_kernel <= 1e-8 and worst_cocycle <= 1e-6
     report(
         9,
         passed,
-        f"Moebius kernel {worst_kernel:.2e} (<= 1e-8, 50 trials), "
+        f"Moebius kernel {worst_kernel:.2e} (<= 1e-8, {SELFTEST_DRAWS} trials), "
         f"composition cocycle {worst_cocycle:.2e} (<= 1e-6)",
     )
 

@@ -392,11 +392,15 @@ def test_pairing_matches_oracle_on_combinations(base):
 
 
 def test_gram_reports_worst_cocycle_residual(base):
-    rep, cocycles = base
-    gram = cocycle_gram(rep, cocycles)
-    worst = max(cocycle_residual(u) for u in cocycles)
-    assert worst > 0.0
-    assert abs(gram.cocycle_residual - worst) <= 1e-20 * worst
+    # cocycle_residual and the Gram read the relator through one walk, so
+    # the worst residual is the same bits on FD and jet cocycles alike: the
+    # jet basis of every bundled config and of the genus-4 chain
+    jet_bases = [fd_basis_cocycles(graph, fn) for graph, fn in oracle_cases()]
+    for rep, cocycles in [base] + jet_bases:
+        gram = cocycle_gram(rep, cocycles)
+        worst = max(cocycle_residual(u) for u in cocycles)
+        assert worst > 0.0
+        assert gram.cocycle_residual == worst
 
 
 def to_mpc(x):
@@ -458,11 +462,11 @@ def test_kernel_is_bit_identical_to_fixed_oracle():
             {g: m2.flat(m) for g, m in table.items()} for table in tables]
         relator = rep.presentation.relator
         fixed_prefixes = oracles.fixed_relator_prefixes(relator, images)
-        prefixes = cocycles_module._relator_prefixes(rep)
+        prefixes = rep.prefixes(relator)
         assert prefixes == [m2.flat(p) for p in fixed_prefixes]
         for u, table in zip(cocycles, tables):
             sums, letters, closing = oracles.fixed_relator_walk(relator, table, fixed_prefixes)
-            assert cocycles_module._relator_walk(u, prefixes) == (
+            assert cocycles_module._walk(u, relator, prefixes) == (
                 sums, letters, m2.flat(closing))
         gram = cocycle_gram(rep, cocycles)
         matrix, asymmetry, residual = oracles.fixed_cocycle_gram(

@@ -199,9 +199,17 @@ def test_fuchsian_residual_conjugation_stable():
     assert fuchsian_residual(conjugated) <= 1e-8
 
 
+def test_fuchsian_residual_is_exact_on_real_long_points():
+    # every trace of a real point is real at the working precision, so the
+    # residual is exactly zero however large the entries grow
+    for length in (40.0, 100.0):
+        fn = FNCoordinates([length] * 3, [0.0] * 3)
+        assert fuchsian_residual(holonomy(standard_graph(), fn)) == 0.0
+
+
 def test_evaluate_past_complex128_is_typed():
-    # the working-precision images are fine, but the complex128 determinant
-    # of the rounded matrix cancels to zero; the error names its stage
+    # the working-precision images are fine, but the traces of the test
+    # words pass 2^1024 when rounded to complex128; the error names its stage
     long_rep = holonomy(genus3_graph(), FNCoordinates([150.0] * 6, [0.1] * 6))
     with pytest.raises(DegenerateFN, match="^fuchsian_residual: "):
         fuchsian_residual(long_rep)

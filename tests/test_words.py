@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfsurface.words import expand, invert_word, multiply, reduce_word, substitute
+from qfsurface.words import expand, invert_word, multiply, reduce_word
 
 NUM_GENERATORS = 4
 letters = st.integers(1, NUM_GENERATORS).flatmap(lambda g: st.sampled_from([g, -g]))
@@ -25,14 +25,6 @@ def test_expand_reduces_the_concatenated_images(u, image):
     assert expand(u, image) == reduce_word(naive)
     identity = {g: (g,) for g in range(1, NUM_GENERATORS + 1)}
     assert expand(u, identity) == reduce_word(u)
-
-
-@fixed_settings
-@given(u=words, replacement=words)
-def test_substitute_is_expand_with_one_generator_moved(u, replacement):
-    image = {g: (g,) for g in range(1, NUM_GENERATORS + 1)}
-    image[2] = replacement
-    assert substitute(u, 2, replacement) == expand(u, image)
 
 
 def test_generator_without_image_is_a_key_error():
