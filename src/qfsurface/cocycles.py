@@ -27,17 +27,23 @@ which every generator appears once with each sign; with the prefix used
 uniformly the pairing is well-defined only after antisymmetrization.
 
 A cocycle meets a word in one walk over the word's prefix chain
-(:meth:`Representation.prefixes`), shared by every cocycle over the same
-representation.  Letter by letter the walk adds Ad_rho(p_{k-1}) u(y_k), one
-conjugation on a generator or its inverse, and records the running sum
-u(q_k) and that step, transposed so that each trace is a dot product of
-flat entries.  pairing(u, v) is then one dot product of u's sums with v's
-steps, so a Gram matrix over n cocycles costs n walks.  The final sum is
-u(word): the cocycle residual u(r) and a Gram's worst residual are the same
-bits.  Walk values grow like the squared norms of the prefix holonomies and
-cancel down to size one, so the walk runs on the kernel's flat matrices,
-whose int parts the dot product reads directly: it is exact, a sum of
-Gaussian-integer products, rounded once to complex128.
+(:meth:`Representation.prefixes`).  Walk values are trace-free, so the walk
+holds each as its triple (x1, x2, x3), the matrix [[x1, x2], [x3, -x1]].
+Each letter gets one adjoint action, that of p_{k-1} on a generator and of
+p_k on an inverse (:func:`matrix2.fadjoint`: a 3x3 matrix of exact products
+of the prefix's entries), built once and shared by every cocycle over the
+same representation.  Letter by letter the walk adds the step
+Ad_rho(p_{k-1}) u(y_k), floored once per part, takes no step where the
+value u(y_k) is zero, and records the running sum u(q_k) and the step.  On
+triples the trace form is tr(SL) = 2 s1 l1 + s2 l3 + s3 l2, three entries
+per letter, so pairing(u, v) is one dot product of u's sums with v's steps
+over the letters v steps on, and a Gram matrix over n cocycles costs n
+walks and 4g adjoint actions.  The final sum is u(word): the cocycle
+residual u(r) and a Gram's worst residual are the same bits.  Walk values
+grow like the squared norms of the prefix holonomies and cancel down to
+size one, so they are the kernel's ints at 2^-FRAC_BITS, which the dot
+product reads directly: it is exact, three Gaussian-integer dot products,
+rounded once to complex128.
 
 Two frozen normalization constants relate the raw trace-form value to the
 canonical symplectic form on the coordinate frame:
@@ -113,7 +119,8 @@ class TangentCocycle:
 
     ``flat`` maps each generator to its value, a flat working-precision
     matrix of the :mod:`matrix2` kernel; ``m2.flat_to_complex`` rounds one
-    to complex128.
+    to complex128.  Values are trace-free: a walk reads the entries a, b, c
+    of each and takes d = -a.
     """
 
     def __init__(self, rep, table):
@@ -123,7 +130,7 @@ class TangentCocycle:
     def evaluate_flat(self, word):
         """Crossed-homomorphism extension to a word (flat matrix): the
         closing sum of the word's walk."""
-        return _walk(self, word, self.rep.prefixes(word))[2]
+        return _flat_of_triple(_walk(self, word, _actions(self.rep, word))[2])
 
     def scaled(self, factor):
         table = {g: m2.fscale(v, factor) for g, v in self.flat.items()}
@@ -169,37 +176,75 @@ def coboundary(w, rep):
 
 def cocycle_residual(u):
     """max-norm of the cocycle evaluated on the relator."""
-    return m2.fmax_abs(u.evaluate_flat(u.rep.presentation.relator))
+    closing = u.evaluate_flat(u.rep.presentation.relator)
+    with complex128_stage("cocycle_residual"):
+        return m2.fmax_abs(closing)
 
 
 def cocycle_scale(u):
     """Largest entry magnitude over the generator table (>= 1)."""
-    return max(1.0, max(m2.fmax_abs(v) for v in u.flat.values()))
+    with complex128_stage("cocycle_scale"):
+        return max(1.0, max(m2.fmax_abs(v) for v in u.flat.values()))
 
 
-def _walk(u, word, prefixes):
-    """One walk of a word y_1...y_m for the cocycle u, over its prefixes.
+def _actions(rep, word):
+    """The adjoint action each letter y_j of a word is walked with: that of
+    p_{j-1} on a generator, of p_j on an inverse, as p_{j-1} g^-1 = p_j."""
+    prefixes = rep.prefixes(word)
+    return [m2.fadjoint(prefixes[j] if letter > 0 else prefixes[j + 1])
+            for j, letter in enumerate(word)]
+
+
+def _walk(u, word, actions):
+    """One walk of a word y_1...y_m for the cocycle u, with the letters'
+    adjoint actions (:func:`_actions`).
 
     The step of y_j is Ad(p_{j-1}) u(g) on a generator g, and -Ad(p_j) u(g)
-    on g^-1, as p_{j-1} g^-1 = p_j.  Returns (sums, letters, closing): the
-    running sums each letter pairs against and the steps, each as the
-    (re, im) int lists of their 4m entries (steps transposed, so that tr(AB)
-    is the dot product of A's entries with B's), and the final sum u(word).
+    on g^-1, each an sl2 triple; a letter whose value u(g) is zero takes no
+    step.  Returns (sums, letters, closing), the first two laid out for
+    :func:`_contract`: the running sums each letter pairs against, as
+    (re, im, re + im) int lists over all 3m triple entries; the steps, as a
+    mask of the entries of the letters that took one and the (re, im,
+    re + im) lists of those entries, in the order (2 l1, l3, l2) that makes
+    tr(SL) = 2 s1 l1 + s2 l3 + s3 l2 a dot product; and the final sum
+    u(word), a triple.
     """
-    sums, letters = [], []
-    total = m2.FZERO
-    for j, letter in enumerate(word):
-        if letter > 0:
-            step = m2.fconj(prefixes[j], u.flat[letter])
-        else:
-            step = m2.fneg(m2.fconj(prefixes[j + 1], u.flat[-letter]))
-        after = m2.fadd(total, step)
-        # inverse letters pair against the post-letter prefix; this is
-        # the boundary correction making the evaluation chain a 2-cycle
+    values = {g: v for g, v in u.flat.items() if any(v[:6])}
+    sums, letters, mask = [], [], []
+    total = _ZERO_TRIPLE
+    for letter, action in zip(word, actions):
+        value = values.get(abs(letter))
+        if value is None:
+            sums += total
+            mask += _SKIPPED
+            continue
+        step = m2.fadjoint_apply(action, value)
+        if letter < 0:
+            step = tuple(map(operator.neg, step))
+        after = tuple(map(operator.add, total, step))
+        # inverse letters pair against the post-letter sum; this is the
+        # boundary correction making the evaluation chain a 2-cycle
         sums += total if letter > 0 else after
-        letters += step[0:2] + step[4:6] + step[2:4] + step[6:8]
         total = after
-    return (sums[0::2], sums[1::2]), (letters[0::2], letters[1::2]), total
+        l1r, l1i, l2r, l2i, l3r, l3i = step
+        letters += (2 * l1r, 2 * l1i, l3r, l3i, l2r, l2i)
+        mask += _TAKEN
+    return _split(sums), (mask, *_split(letters)), total
+
+
+_ZERO_TRIPLE = (0,) * 6
+_SKIPPED, _TAKEN = (False,) * 3, (True,) * 3
+
+
+def _split(parts):
+    """Interleaved (re, im) ints as the lists re, im and re + im."""
+    re, im = parts[0::2], parts[1::2]
+    return re, im, list(map(operator.add, re, im))
+
+
+def _flat_of_triple(x):
+    x1r, x1i, x2r, x2i, x3r, x3i = x
+    return (x1r, x1i, x2r, x2i, x3r, x3i, -x1r, -x1i)
 
 
 # the scale of a product of two fixed-point numbers
@@ -209,14 +254,17 @@ _PRODUCT_SCALE = 1 << (2 * m2.FRAC_BITS)
 def _contract(sums, letters):
     """Pairing value from one cocycle's sums and another's letter values.
 
-    The dot product is exact in Gaussian integers and rounds once, to
-    complex128.
+    Three Gaussian dot products over the letters that took a step: with
+    A = sum(s.re l.re), B = sum(s.im l.im) and C = sum((s.re + s.im)(l.re +
+    l.im)), the value is A - B + i(C - A - B), exact in integers and rounded
+    once, to complex128.
     """
-    (a, b), (c, d) = sums, letters
+    (sr, si, ss), (mask, lr, li, ls) = sums, letters
     mul = operator.mul
-    re = sum(map(mul, a, c)) - sum(map(mul, b, d))
-    im = sum(map(mul, a, d)) + sum(map(mul, b, c))
-    total = complex(re / _PRODUCT_SCALE, im / _PRODUCT_SCALE)
+    real = sum(map(mul, itertools.compress(sr, mask), lr))
+    imag = sum(map(mul, itertools.compress(si, mask), li))
+    cross = sum(map(mul, itertools.compress(ss, mask), ls))
+    total = complex((real - imag) / _PRODUCT_SCALE, (cross - real - imag) / _PRODUCT_SCALE)
     return PAIRING_SIGN * COEFFICIENT_SCALE * total
 
 
@@ -225,9 +273,9 @@ def goldman_pairing(u, v):
     if u.rep is not v.rep:
         raise BaseMismatch("cocycles live over different representations")
     relator = u.rep.presentation.relator
-    prefixes = u.rep.prefixes(relator)
-    sums, _letters, _closing = _walk(u, relator, prefixes)
-    _sums, letters, _closing = _walk(v, relator, prefixes)
+    actions = _actions(u.rep, relator)
+    sums, _letters, _closing = _walk(u, relator, actions)
+    _sums, letters, _closing = _walk(v, relator, actions)
     with complex128_stage("goldman_pairing"):
         return _contract(sums, letters)
 
@@ -262,14 +310,14 @@ def cocycle_gram(rep, cocycles):
     if any(u.rep is not rep for u in cocycles):
         raise BaseMismatch("cocycles live over different representations")
     relator = rep.presentation.relator
-    prefixes = rep.prefixes(relator)
-    sums, letters, closings = zip(*(_walk(u, relator, prefixes) for u in cocycles))
+    actions = _actions(rep, relator)
+    sums, letters, closings = zip(*(_walk(u, relator, actions) for u in cocycles))
     dim = len(cocycles)
     raw = [[0j] * dim for _row in range(dim)]
     with complex128_stage("cocycle_gram"):
         for a, b in itertools.permutations(range(dim), 2):
             raw[a][b] = _contract(sums[a], letters[b])
-        residual = max(m2.fmax_abs(closing) for closing in closings)
+        residual = max(m2.fmax_abs(_flat_of_triple(closing)) for closing in closings)
     pairs = [list(zip(row, column)) for row, column in zip(raw, zip(*raw))]
     asymmetry = max(abs(x + y) for row in pairs for x, y in row)
     # (G - G^T)/2 part by part: the bits of the complex128 array form, signed zeros included

@@ -29,7 +29,8 @@ There are two layers:
   or a matrix jet, a flat value with its flat derivatives
   (:func:`flat_jet`, :func:`jet_mul`).  The kernel gives the results of
   the same formulas on Fixed entries bit for bit, without an object per
-  scalar.
+  scalar.  A trace-free value can also be conjugated as a triple, by an
+  adjoint action built once per conjugating matrix (:func:`fadjoint`).
 """
 
 from __future__ import annotations
@@ -366,10 +367,6 @@ def fsub(x, y):
     return tuple(map(operator.sub, x, y))
 
 
-def fneg(x):
-    return tuple(map(operator.neg, x))
-
-
 def fscale(x, s):
     """s x, for s anything :func:`lift` takes."""
     s = lift(s)
@@ -415,6 +412,55 @@ def flat_from_array(m):
 
 def fmax_abs(x):
     return max(map(abs, flat_entries(x)))
+
+
+# -- the adjoint action on sl2 ------------------------------------------
+#
+# A trace-free matrix [[x1, x2], [x3, -x1]] is the triple (x1, x2, x3), held
+# as the six ints (x1r, x1i, x2r, x2i, x3r, x3i) at 2^-FRAC_BITS: the first
+# six parts of its flat matrix.  X -> p X adj(p) is linear on triples, so
+# one 3x3 matrix serves every X conjugated by the same p.
+
+def fadjoint(p):
+    """The action X -> p X adj(p) on triples, as the 18 ints of its 3x3
+    rows (re, im of each entry, row by row).
+
+    Its entries are the ten products of p's entries taken pairwise, exact:
+    unfloored, at the scale 2^-2 FRAC_BITS.  For a product p of
+    unit-determinant factors it is Ad(p) up to the determinant's rounding.
+    """
+    ar, ai, br, bi, cr, ci, dr, di = p
+    ac = (ar * cr - ai * ci, ar * ci + ai * cr)
+    bd = (br * dr - bi * di, br * di + bi * dr)
+    ab2 = (2 * (ar * br - ai * bi), 2 * (ar * bi + ai * br))
+    cd2 = (2 * (cr * dr - ci * di), 2 * (cr * di + ci * dr))
+    return (
+        ar * dr - ai * di + br * cr - bi * ci, ar * di + ai * dr + br * ci + bi * cr,
+        -ac[0], -ac[1], bd[0], bd[1],
+        -ab2[0], -ab2[1], ar * ar - ai * ai, 2 * ar * ai, bi * bi - br * br, -2 * br * bi,
+        cd2[0], cd2[1], ci * ci - cr * cr, -2 * cr * ci, dr * dr - di * di, 2 * dr * di,
+    )
+
+
+def fadjoint_apply(action, x):
+    """The triple of p X adj(p), for the action of :func:`fadjoint` and the
+    trace-free flat X (its d entry is not read).
+
+    Each part is an exact sum of three complex products at 2^-3 FRAC_BITS,
+    floored once to 2^-FRAC_BITS.
+    """
+    (m11r, m11i, m12r, m12i, m13r, m13i, m21r, m21i, m22r, m22i, m23r, m23i,
+     m31r, m31i, m32r, m32i, m33r, m33i) = action
+    x1r, x1i, x2r, x2i, x3r, x3i = x[:6]
+    shift = 2 * FRAC_BITS
+    return (
+        (m11r * x1r - m11i * x1i + m12r * x2r - m12i * x2i + m13r * x3r - m13i * x3i) >> shift,
+        (m11r * x1i + m11i * x1r + m12r * x2i + m12i * x2r + m13r * x3i + m13i * x3r) >> shift,
+        (m21r * x1r - m21i * x1i + m22r * x2r - m22i * x2i + m23r * x3r - m23i * x3i) >> shift,
+        (m21r * x1i + m21i * x1r + m22r * x2i + m22i * x2r + m23r * x3i + m23i * x3r) >> shift,
+        (m31r * x1r - m31i * x1i + m32r * x2r - m32i * x2i + m33r * x3r - m33i * x3i) >> shift,
+        (m31r * x1i + m31i * x1r + m32r * x2i + m32i * x2r + m33r * x3i + m33i * x3r) >> shift,
+    )
 
 
 # -- matrix jets --------------------------------------------------------

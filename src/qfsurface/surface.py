@@ -262,13 +262,17 @@ def assemble(graph, fn, differentiate):
         return m2.flat_jet(entries, directions)
 
     # exp(sigma / 2) of each curve's half-length sigma = l / 2, shared by the
-    # two cuffs it glues; the pants formulas derive the rest by arithmetic
+    # two cuffs it glues; the pants formulas derive the rest by arithmetic,
+    # once per distinct cuff triple (both pants of a standard genus-2 graph
+    # have the same three cuffs)
     halves = [m2.exp(l / 4) for l in lengths]
-    matrices = {}
-    frames = {}
-    for v, cuffs in enumerate(pants_cuffs):
-        (c1, c2), frames[v] = leaf_entries(tuple(halves[k] for k in cuffs))
-        matrices[v] = (leaf(c1), leaf(c2))
+    leaves = {}
+    for cuffs in pants_cuffs:
+        if cuffs not in leaves:
+            (c1, c2), frames = leaf_entries(tuple(halves[k] for k in cuffs))
+            leaves[cuffs] = (leaf(c1), leaf(c2)), frames
+    matrices = {v: leaves[cuffs][0] for v, cuffs in enumerate(pants_cuffs)}
+    frames = {v: leaves[cuffs][1] for v, cuffs in enumerate(pants_cuffs)}
 
     mul, adj = m2.jet_mul, m2.jet_adj
     axis_flip = leaf((0, 1, -1, 0))

@@ -12,7 +12,11 @@ The Fixed-tuple oracle is the assembly, jet basis and relator walk as they
 ran before the flat kernel of ``matrix2``: every matrix an (a, b, c, d)
 tuple of ``Fixed`` scalars, or of dict-gradient ``Jet`` scalars over them,
 and every product dispatched scalar by scalar.  The kernel floors each
-complex product as ``Fixed`` does, so it must reproduce these bit for bit.
+complex product as ``Fixed`` does, so it must reproduce the images, tables
+and prefixes bit for bit.  The walk here conjugates each step by two
+floored 2x2 products, where the production walk applies one exact adjoint
+action and floors once, so the Gram is compared within the oracle's own
+rounding.
 
 The finite-difference oracle is the central-difference cocycle pipeline
 that the forward-mode (jet) assembly replaced: two full holonomy builds per

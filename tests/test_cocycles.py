@@ -1,4 +1,5 @@
 import math
+import operator
 import sys
 from collections import Counter
 from importlib import resources
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
+from qfsurface import cli as cli_module
 from qfsurface import cocycles as cocycles_module
 from qfsurface import matrix2 as m2
 from qfsurface import surface
@@ -448,10 +450,34 @@ def bit_identity_cases():
         yield GENUS3_CHAIN, FNCoordinates([length] * 6, TWISTS3)
 
 
+def exact_step(prefix, value, letter):
+    """The step of one letter with the value X = [[a, b], [c, -a]] read off
+    a flat table value: p X adj(p), in Gaussian integers at 2^-3 FRAC_BITS,
+    floored once, as the (re, im) ints of its triple; negated on an inverse
+    letter."""
+    def gmul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def gadd(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def mat_mul(x, y):
+        return [[gadd(gmul(x[i][0], y[0][j]), gmul(x[i][1], y[1][j])) for j in (0, 1)]
+                for i in (0, 1)]
+
+    a, b, c, d = [(prefix[k], prefix[k + 1]) for k in range(0, 8, 2)]
+    x1, x2, x3 = [(value[k], value[k + 1]) for k in range(0, 6, 2)]
+    minus_x1 = (-x1[0], -x1[1])
+    adj = [[d, (-b[0], -b[1])], [(-c[0], -c[1]), a]]
+    exact = mat_mul(mat_mul([[a, b], [c, d]], [[x1, x2], [x3, minus_x1]]), adj)
+    sign = 1 if letter > 0 else -1
+    return tuple(sign * (part >> (2 * m2.FRAC_BITS))
+                 for entry in (exact[0][0], exact[0][1], exact[1][0]) for part in entry)
+
+
 def test_kernel_is_bit_identical_to_fixed_oracle():
     # the flat kernel floors every complex product as Fixed does, so images,
-    # tables, prefixes, walks and the Gram all reproduce the Fixed-tuple
-    # assembly and walk bit for bit
+    # tables and prefixes reproduce the Fixed-tuple assembly bit for bit
     for graph, fn in bit_identity_cases():
         rep, cocycles = fd_basis_cocycles(graph, fn)
         images, tables = oracles.fixed_basis(graph, fn)
@@ -464,15 +490,56 @@ def test_kernel_is_bit_identical_to_fixed_oracle():
         fixed_prefixes = oracles.fixed_relator_prefixes(relator, images)
         prefixes = rep.prefixes(relator)
         assert prefixes == [m2.flat(p) for p in fixed_prefixes]
-        for u, table in zip(cocycles, tables):
-            sums, letters, closing = oracles.fixed_relator_walk(relator, table, fixed_prefixes)
-            assert cocycles_module._walk(u, relator, prefixes) == (
-                sums, letters, m2.flat(closing))
+
+
+def test_walk_floors_each_step_once():
+    # a walk step is the exact p X adj(p), floored once per part, for the
+    # prefix p of its letter; the sums are its exact running sums, and a
+    # letter whose value is zero takes no step
+    for graph, fn in bit_identity_cases():
+        rep, cocycles = fd_basis_cocycles(graph, fn)
+        relator = rep.presentation.relator
+        prefixes = rep.prefixes(relator)
+        actions = cocycles_module._actions(rep, relator)
+        for u in cocycles:
+            sums, (mask, *letters), closing = cocycles_module._walk(u, relator, actions)
+            total, expected_sums, expected_letters, expected_mask = (0,) * 6, [], [], []
+            for j, letter in enumerate(relator):
+                value = u.flat[abs(letter)]
+                step = (0,) * 6
+                if any(value[:6]):
+                    step = exact_step(prefixes[j if letter > 0 else j + 1], value, letter)
+                    # the trace form tr(SL) = 2 s1 l1 + s2 l3 + s3 l2
+                    expected_letters += [2 * step[0], 2 * step[1], *step[4:6], *step[2:4]]
+                after = tuple(map(operator.add, total, step))
+                expected_sums += total if letter > 0 else after
+                expected_mask += [any(value[:6])] * 3
+                total = after
+            for parts, expected in ((sums, expected_sums), (letters, expected_letters)):
+                re, im, plus = parts
+                assert (re, im) == (expected[0::2], expected[1::2])
+                assert plus == list(map(operator.add, re, im))
+            assert mask == expected_mask
+            assert closing == total
+
+
+def test_gram_stays_within_the_fixed_oracle_rounding():
+    # the one-action walk floors once per step entry, where the oracle's
+    # walk floors twice per conjugation; the two Grams may differ by no more
+    # than the oracle's own rounding, which its worst cocycle residual (the
+    # relator sum, exactly 0 unrounded) measures, and the health numbers
+    # stay within twice the oracle's
+    for graph, fn in bit_identity_cases():
+        rep, cocycles = fd_basis_cocycles(graph, fn)
+        images, tables = oracles.fixed_basis(graph, fn)
+        relator = rep.presentation.relator
+        fixed_prefixes = oracles.fixed_relator_prefixes(relator, images)
         gram = cocycle_gram(rep, cocycles)
         matrix, asymmetry, residual = oracles.fixed_cocycle_gram(
             relator, tables, fixed_prefixes)
-        assert np.asarray(gram.matrix).tobytes() == matrix.tobytes()
-        assert (gram.raw_asymmetry, gram.cocycle_residual) == (asymmetry, residual)
+        assert np.max(np.abs(np.asarray(gram.matrix) - matrix)) <= residual
+        assert gram.raw_asymmetry <= 2 * asymmetry
+        assert gram.cocycle_residual <= 2 * residual
 
 
 def test_jet_gram_matches_fd_oracle():
@@ -509,6 +576,70 @@ def test_gram_runs_one_holonomy_assembly(monkeypatch):
     gram = symplectic_gram(graph, fn)
     assert len(calls) == 1
     assert gram.size == 2 * len(fn)
+
+
+def test_gram_builds_one_adjoint_action_per_relator_letter(monkeypatch):
+    # all 2N walks share one exact adjoint action per relator letter, 4g in
+    # all, and none is applied to a zero generator value: 8 of the 48 walk
+    # steps on the standard genus-2 graph are skipped
+    built, applied = [], []
+    fadjoint, fadjoint_apply = m2.fadjoint, m2.fadjoint_apply
+
+    def counted_build(p):
+        built.append(p)
+        return fadjoint(p)
+
+    def counted_apply(action, x):
+        applied.append(x)
+        return fadjoint_apply(action, x)
+
+    monkeypatch.setattr(m2, "fadjoint", counted_build)
+    monkeypatch.setattr(m2, "fadjoint_apply", counted_apply)
+    for graph, fn in [(GRAPH, FN), *oracle_cases()]:
+        rep, cocycles = fd_basis_cocycles(graph, fn)
+        relator = rep.presentation.relator
+        built.clear()
+        applied.clear()
+        gram = cocycle_gram(rep, cocycles)
+        assert len(built) == len(relator) == 2 * rep.presentation.num_generators
+        assert all(any(x[:6]) for x in applied)
+        steps = [u.flat[abs(letter)] for u in cocycles for letter in relator]
+        assert len(applied) == sum(any(value[:6]) for value in steps) < len(steps)
+        if graph is GRAPH:
+            assert len(steps) - len(applied) == 8
+        assert darboux_residual(gram) <= 1e-18
+
+
+def test_gram_frontier_on_the_genus3_chain():
+    # the working precision carries the genus-3 chain to lengths 30 with
+    # digits to spare, and past it at lengths 40 the Gram's own residual
+    # gate fails typed (the parent read 1.44e-15 at lengths 30)
+    at_30 = symplectic_gram(GENUS3_CHAIN, FNCoordinates([30.0] * 6, TWISTS3))
+    assert darboux_residual(at_30) <= 2e-15
+    at_40 = symplectic_gram(GENUS3_CHAIN, FNCoordinates([40.0] * 6, TWISTS3))
+    assert at_40.cocycle_residual > 1e-4
+    config = SurfaceConfig(
+        3, [f"P{k}" for k in range(4)], GENUS3_CHAIN_EDGES,
+        {label: (40.0, tau) for (label, _a, _b), tau in zip(GENUS3_CHAIN_EDGES, TWISTS3)},
+        {"tol": 1e-4, "word_length": 6})
+    with pytest.raises(cocycles_module.PrecisionExhausted, match="cocycle_residual"):
+        cli_module._gram_payload(config)
+
+
+def test_health_numbers_past_complex128_fail_typed():
+    # at lengths 100 the relator sum of a basis cocycle, and at lengths 120
+    # a coboundary's largest value, exceed complex128: both raise the typed
+    # error that the Gram and the pairing raise there, not OverflowError
+    rep, basis = fd_basis_cocycles(GENUS3_CHAIN, FNCoordinates([100.0] * 6, TWISTS3))
+    with pytest.raises(surface.DegenerateFN, match="cocycle_residual"):
+        cocycle_residual(basis[0])
+    with pytest.raises(surface.DegenerateFN, match="cocycle_gram"):
+        cocycle_gram(rep, basis)
+    with pytest.raises(surface.DegenerateFN, match="goldman_pairing"):
+        goldman_pairing(basis[0], basis[1])
+    far = holonomy(GENUS3_CHAIN, FNCoordinates([120.0] * 6, TWISTS3))
+    with pytest.raises(surface.DegenerateFN, match="cocycle_scale"):
+        cocycle_scale(coboundary(np.array([[1.0, 2.0], [3.0, -1.0]]), far))
 
 
 def test_darboux_at_genus3_lengths_12(tmp_path):
