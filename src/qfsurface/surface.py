@@ -269,10 +269,9 @@ def assemble(graph, fn, differentiate):
     leaves = {}
     for cuffs in pants_cuffs:
         if cuffs not in leaves:
-            (c1, c2), frames = leaf_entries(tuple(halves[k] for k in cuffs))
-            leaves[cuffs] = (leaf(c1), leaf(c2)), frames
-    matrices = {v: leaves[cuffs][0] for v, cuffs in enumerate(pants_cuffs)}
-    frames = {v: leaves[cuffs][1] for v, cuffs in enumerate(pants_cuffs)}
+            (c1, c2), cuff_frames = leaf_entries(tuple(halves[k] for k in cuffs))
+            leaves[cuffs] = (leaf(c1), leaf(c2)), cuff_frames
+    matrices, frames = zip(*(leaves[cuffs] for cuffs in pants_cuffs))
 
     mul, adj = m2.jet_mul, m2.jet_adj
     axis_flip = leaf((0, 1, -1, 0))

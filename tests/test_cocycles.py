@@ -477,7 +477,12 @@ def exact_step(prefix, value, letter):
 
 def test_kernel_is_bit_identical_to_fixed_oracle():
     # the flat kernel floors every complex product as Fixed does, so images,
-    # tables and prefixes reproduce the Fixed-tuple assembly bit for bit
+    # tables and prefixes reproduce the Fixed-tuple assembly bit for bit;
+    # the walk floors once per step entry where the oracle's walk floors
+    # twice per conjugation, so the two Grams may differ by no more than the
+    # oracle's own rounding, which its worst cocycle residual (the relator
+    # sum, exactly 0 unrounded) measures, and the health numbers stay within
+    # twice the oracle's
     for graph, fn in bit_identity_cases():
         rep, cocycles = fd_basis_cocycles(graph, fn)
         images, tables = oracles.fixed_basis(graph, fn)
@@ -488,8 +493,13 @@ def test_kernel_is_bit_identical_to_fixed_oracle():
             {g: m2.flat(m) for g, m in table.items()} for table in tables]
         relator = rep.presentation.relator
         fixed_prefixes = oracles.fixed_relator_prefixes(relator, images)
-        prefixes = rep.prefixes(relator)
-        assert prefixes == [m2.flat(p) for p in fixed_prefixes]
+        assert rep.prefixes(relator) == [m2.flat(p) for p in fixed_prefixes]
+        gram = cocycle_gram(rep, cocycles)
+        matrix, asymmetry, residual = oracles.fixed_cocycle_gram(
+            relator, tables, fixed_prefixes)
+        assert np.max(np.abs(np.asarray(gram.matrix) - matrix)) <= residual
+        assert gram.raw_asymmetry <= 2 * asymmetry
+        assert gram.cocycle_residual <= 2 * residual
 
 
 def test_walk_floors_each_step_once():
@@ -521,25 +531,6 @@ def test_walk_floors_each_step_once():
                 assert plus == list(map(operator.add, re, im))
             assert mask == expected_mask
             assert closing == total
-
-
-def test_gram_stays_within_the_fixed_oracle_rounding():
-    # the one-action walk floors once per step entry, where the oracle's
-    # walk floors twice per conjugation; the two Grams may differ by no more
-    # than the oracle's own rounding, which its worst cocycle residual (the
-    # relator sum, exactly 0 unrounded) measures, and the health numbers
-    # stay within twice the oracle's
-    for graph, fn in bit_identity_cases():
-        rep, cocycles = fd_basis_cocycles(graph, fn)
-        images, tables = oracles.fixed_basis(graph, fn)
-        relator = rep.presentation.relator
-        fixed_prefixes = oracles.fixed_relator_prefixes(relator, images)
-        gram = cocycle_gram(rep, cocycles)
-        matrix, asymmetry, residual = oracles.fixed_cocycle_gram(
-            relator, tables, fixed_prefixes)
-        assert np.max(np.abs(np.asarray(gram.matrix) - matrix)) <= residual
-        assert gram.raw_asymmetry <= 2 * asymmetry
-        assert gram.cocycle_residual <= 2 * residual
 
 
 def test_jet_gram_matches_fd_oracle():
@@ -611,13 +602,11 @@ def test_gram_builds_one_adjoint_action_per_relator_letter(monkeypatch):
 
 
 def test_gram_frontier_on_the_genus3_chain():
-    # the working precision carries the genus-3 chain to lengths 30 with
-    # digits to spare, and past it at lengths 40 the Gram's own residual
-    # gate fails typed (the parent read 1.44e-15 at lengths 30)
+    # the working precision carries the genus-3 chain to lengths 30, where
+    # the Darboux residual reads 1.44e-15 (as before the adjoint walk), and
+    # at lengths 40 the Gram's own residual gate fails typed
     at_30 = symplectic_gram(GENUS3_CHAIN, FNCoordinates([30.0] * 6, TWISTS3))
     assert darboux_residual(at_30) <= 2e-15
-    at_40 = symplectic_gram(GENUS3_CHAIN, FNCoordinates([40.0] * 6, TWISTS3))
-    assert at_40.cocycle_residual > 1e-4
     config = SurfaceConfig(
         3, [f"P{k}" for k in range(4)], GENUS3_CHAIN_EDGES,
         {label: (40.0, tau) for (label, _a, _b), tau in zip(GENUS3_CHAIN_EDGES, TWISTS3)},
