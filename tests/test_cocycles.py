@@ -10,7 +10,6 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
-from qfsurface import cli as cli_module
 from qfsurface import cocycles as cocycles_module
 from qfsurface import matrix2 as m2
 from qfsurface import surface
@@ -601,20 +600,6 @@ def test_gram_builds_one_adjoint_action_per_relator_letter(monkeypatch):
         assert darboux_residual(gram) <= 1e-18
 
 
-def test_gram_frontier_on_the_genus3_chain():
-    # the working precision carries the genus-3 chain to lengths 30, where
-    # the Darboux residual reads 1.44e-15 (as before the adjoint walk), and
-    # at lengths 40 the Gram's own residual gate fails typed
-    at_30 = symplectic_gram(GENUS3_CHAIN, FNCoordinates([30.0] * 6, TWISTS3))
-    assert darboux_residual(at_30) <= 2e-15
-    config = SurfaceConfig(
-        3, [f"P{k}" for k in range(4)], GENUS3_CHAIN_EDGES,
-        {label: (40.0, tau) for (label, _a, _b), tau in zip(GENUS3_CHAIN_EDGES, TWISTS3)},
-        {"tol": 1e-4, "word_length": 6})
-    with pytest.raises(cocycles_module.PrecisionExhausted, match="cocycle_residual"):
-        cli_module._gram_payload(config)
-
-
 def test_health_numbers_past_complex128_fail_typed():
     # at lengths 100 the relator sum of a basis cocycle, and at lengths 120
     # a coboundary's largest value, exceed complex128: both raise the typed
@@ -649,9 +634,13 @@ def test_darboux_at_genus3_lengths_12(tmp_path):
 
 
 def test_gram_past_its_precision_fails_typed(tmp_path, capsys):
-    # at lengths 40 the basis cocycles miss the relator by about 0.1, so
-    # their Gram is garbage: both commands name the stage and the quantity
-    # and exit 1 instead of printing it; at lengths 20 they pass
+    # the frontier of the working precision on the genus-3 chain: at
+    # lengths 30 the Darboux residual reads 1.44e-15 (as before the adjoint
+    # walk); at lengths 40 the basis cocycles miss the relator by about 0.1,
+    # so their Gram is garbage: both commands name the stage and the
+    # quantity and exit 1 instead of printing it; at lengths 20 they pass
+    at_30 = symplectic_gram(GENUS3_CHAIN, FNCoordinates([30.0] * 6, TWISTS3))
+    assert darboux_residual(at_30) <= 2e-15
     labels = [label for label, _end_a, _end_b in GENUS3_CHAIN_EDGES]
     for length, code in ((20.0, 0), (40.0, 1)):
         config = SurfaceConfig(
