@@ -173,8 +173,8 @@ def _cmd_limitset(args):
         raise SchemaError(f"--depth must be at least 1, got {depth}")
     graph = config.graph()
     rep = holonomy(graph, config.fn(graph))
-    # checked first: far past the tolerance the word products overflow, and
-    # the non-finite points all share one dedup cell, whose pairs grow as n^2
+    # checked first, so that a representation past the tolerance fails on its
+    # residual, before limit_set meets its overflowing word products
     _relator_residual(rep, config)
     cloud = limit_set(rep, depth)
     if args.format == "csv":

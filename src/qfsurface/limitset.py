@@ -14,9 +14,9 @@ small at any depth.
 Deduplication is greedy in word order: a point is kept iff no earlier kept
 point lies within chordal distance ``_DEDUP_TOL``.  A batch first drops
 every point near a point kept before it, then resolves the pairs inside
-the batch in word order.  Candidate pairs come from quantised sphere keys,
-looked up in sorted int64 entries that pack a key with a row, and are
-re-checked by exact distance.
+the batch in word order.  Candidate pairs are the points whose sphere
+vectors lie within a window along one coordinate, found by binary search
+in coordinates sorted once, and are re-checked by exact distance.
 
 The point at infinity is a legitimate member of the cloud (the
 representations built here usually have a cuff axis through infinity);
@@ -36,18 +36,11 @@ __all__ = ["LimitSetCloud", "limit_set", "cloud_to_csv", "cloud_to_svg",
 _DEDUP_TOL = 1e-10
 _TRACE_TOL = 1e-9
 _RADIUS = 2.0 * _DEDUP_TOL  # chordal distance is half the sphere distance
-# With cells four radii wide, a ball of one radius meets at most the eight
-# cells nearest its centre, with a margin of a radius on every side.
-_CELL = 4.0 * _RADIUS
-_HASH = np.array([73856093, 19349663, 83492791], dtype=np.int64)
-# An index entry is one nonnegative int64: a cell key of _KEY_BITS bits above
-# a position (a row) of _POSITION_BITS bits, so sorting entries sorts them by
-# key and then by row.  Keys are kept shifted into place, positions zero.
-_KEY_BITS = 39
-_POSITION_BITS = 63 - _KEY_BITS
-_KEY_MASK = (1 << _KEY_BITS) - 1
-_POSITION_MASK = (1 << _POSITION_BITS) - 1
-_BLOCK = 1 << 16            # words per batch; 8 keys each fit the positions
+# Vectors within _RADIUS differ by at most _RADIUS in every coordinate.  The
+# sweep window is a hair wider, since _within rounds the differences and the
+# distance it compares: by a few ulps of _RADIUS.
+_WINDOW = _RADIUS * (1.0 + 1e-12)
+_BLOCK = 1 << 16            # words per batch
 _SVG_WIDTH = 800            # pixels
 
 
@@ -109,8 +102,9 @@ def _attracting_fixed_points(a, b, c, d):
                            "(a length is too large)")
     a, b, c, d, lam = a[lox], b[lox], c[lox], d[lox], lam[lox]
     # c is rounding noise below 1e-14 of the largest entry
-    finite = _abs(c) > 1e-14 * np.maximum(np.maximum(_abs(a), _abs(b)),
-                                          np.maximum(_abs(c), _abs(d)))
+    abs_c = _abs(c)
+    finite = abs_c > 1e-14 * np.maximum(np.maximum(_abs(a), _abs(b)),
+                                        np.maximum(abs_c, _abs(d)))
     z, w = lam - d, c
     if not finite.all():
         # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
@@ -142,58 +136,11 @@ def _sphere_vectors(z, w):
                      (zz - ww) / norm], axis=1)
 
 
-def _hash(cells):
-    """Keys of integer cell coordinates (..., 3); collisions only add
-    candidates, which the exact distance check then drops."""
-    h = cells.astype(np.int64) * _HASH
-    return ((h[..., 0] ^ h[..., 1] ^ h[..., 2]) & _KEY_MASK) << _POSITION_BITS
-
-
-def _own_keys(vectors):
-    """Key of the cell each vector lies in."""
-    return _hash(np.floor(vectors / _CELL))
-
-
-def _cell_keys(vectors):
-    """(n, 8) keys of the eight cells nearest each vector; column 0 is the
-    vector's own cell."""
-    scaled = vectors / _CELL
-    own = np.floor(scaled)
-    side = own + np.where(scaled - own >= 0.5, 1.0, -1.0)
-    # the per-axis parts of the keys, for the own and the side cell
-    parts = ((np.stack([own, side], axis=1).astype(np.int64) * _HASH)
-             & _KEY_MASK) << _POSITION_BITS                     # (n, 2, 3)
-    keys = (parts[:, :, None, None, 0] ^ parts[:, None, :, None, 1]
-            ^ parts[:, None, None, :, 2])
-    return keys.reshape(-1, 8)
-
-
-def _sorted_entries(keys):
-    """The keys with their positions in the array filled in, sorted: a plain
-    sort orders them as a stable argsort of the keys would, at a fraction of
-    its cost."""
-    entries = keys | np.arange(len(keys))
-    entries.sort()
-    return entries
-
-
-def _equal_keys(entries, queries):
-    """(query index, position in entries) of every entry under a query's
-    key, in no particular order.  Sorted queries search fastest."""
-    pos = np.searchsorted(entries, queries)
-    query = np.arange(len(queries))
-    found = []
-    # keys repeat only a few times, so walking each run of equal keys costs
-    # less than a second search for its end
-    while True:
-        inside = pos < len(entries)
-        query, pos = query[inside], pos[inside]
-        equal = entries[pos] - queries[query] <= _POSITION_MASK
-        query, pos = query[equal], pos[equal]
-        found.append((query, pos))
-        if not len(query):
-            return tuple(map(np.concatenate, zip(*found)))
-        pos = pos + 1
+def _ranges(lo, hi):
+    """(k, p) for every p in range(lo[k], hi[k]), k ascending."""
+    counts = hi - lo
+    k = np.repeat(np.arange(len(lo)), counts)
+    return k, np.arange(len(k)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def _greedy(n, later, earlier):
@@ -220,75 +167,70 @@ def _greedy(n, later, earlier):
     return kept
 
 
-def _fresh_keep(vectors, first):
-    """Greedy-in-order keep mask of points that no earlier point is near,
-    with the sorted entries of the kept points' eight cells, whose positions
-    number the kept points from row ``first`` on."""
-    entries = _sorted_entries(_cell_keys(vectors).ravel())
-    position = entries & _POSITION_MASK
-    keys = entries - position
-    own_at = np.flatnonzero(position & 7 == 0)
-    rows = position >> 3
-    later, pos = _equal_keys(entries, keys[own_at])
-    later, earlier = rows[own_at[later]], rows[pos]
-    pairs = earlier < later
-    later, earlier = later[pairs], earlier[pairs]
-    pairs = _within(vectors[later], vectors[earlier])
-    kept = _greedy(len(vectors), later[pairs], earlier[pairs])
-    on = kept[rows]
-    # rows ascend within a key, and so do the kept points' new rows
-    return kept, keys[on] | (first - 1 + np.cumsum(kept))[rows[on]]
-
-
 class _Dedup:
-    """Points kept so far, indexed under the eight cells nearest each.
+    """Points kept so far, swept along one coordinate.
 
-    If two sphere vectors lie within _RADIUS, the cell of one is among the
-    eight nearest cells of the other, so one lookup of a query's own cell
-    finds every kept point near it.  The index is a few sorted runs of
-    entries, each a key with the row of self.vectors it belongs to, and each
-    run at least twice as long as the next, so adding a batch does not
-    rewrite it.
+    Every kept point near a query has its coordinate on the sweep axis
+    within _WINDOW of the query's, so one binary search per side of that
+    window finds it.  The axis is the one along which the first batch, the
+    letters' fixed points, spreads most: along it a round cloud spreads by
+    at least sqrt(2/3) of its diameter, where along a fixed axis a cloud in
+    a plane across it would make every pair a candidate.  The index is a
+    few sorted runs of (coordinate, row of self.vectors), each run at least
+    twice as long as the next, so adding a batch does not rewrite it.
     """
 
     def __init__(self):
+        self.axis = None
         self.vectors = np.empty((0, 3))
         self.runs = []
 
     def keep(self, vectors):
         """Greedy-in-order keep mask of a batch that follows every point
         seen so far; the kept points join the index."""
+        if self.axis is None:
+            # initial values: a first batch with no loxodromic letter is empty
+            spread = vectors.max(0, initial=-np.inf) - vectors.min(0, initial=np.inf)
+            self.axis = int(np.argmax(spread))
+        order = np.argsort(vectors[:, self.axis])
+        swept = vectors[order]
+        coords = swept[:, self.axis]
         # the pairs inside the batch, among the points no kept point is near
-        fresh = np.flatnonzero(~self._near(vectors))
-        kept, run = _fresh_keep(vectors[fresh], len(self.vectors))
+        fresh = ~self._near(swept, coords)
+        order, swept, coords = order[fresh], swept[fresh], coords[fresh]
+        # each point with the ones after it in the sweep, within the window
+        first, second = _ranges(np.arange(1, len(coords) + 1),
+                                np.searchsorted(coords, coords + _WINDOW, "right"))
+        pairs = _within(swept[first], swept[second])
+        first, second = order[first[pairs]], order[second[pairs]]
+        kept = _greedy(len(vectors), np.maximum(first, second), np.minimum(first, second))
         mask = np.zeros(len(vectors), dtype=bool)
-        mask[fresh[kept]] = True
+        mask[order] = kept[order]
+        rows = len(self.vectors) - 1 + np.cumsum(mask)
+        on = mask[order]
+        self._add_run(coords[on], rows[order[on]])
         self.vectors = np.concatenate([self.vectors, vectors[mask]])
-        if len(self.vectors) > _POSITION_MASK + 1:
-            raise ValueError(f"more than 2^{_POSITION_BITS} points to index")
-        self._add_run(run)
         return mask
 
-    def _near(self, vectors):
-        """Mask of the vectors within _RADIUS of a kept point."""
-        near = np.zeros(len(vectors), dtype=bool)
-        queries = _sorted_entries(_own_keys(vectors))
-        order = queries & _POSITION_MASK
-        queries -= order
-        for run in self.runs:
-            query, pos = _equal_keys(run, queries)
-            query = order[query]
-            owners = run[pos] & _POSITION_MASK
-            near[query[_within(vectors[query], self.vectors[owners])]] = True
+    def _near(self, swept, coords):
+        """Mask of the vectors within _RADIUS of a kept point, in the
+        ascending order of their coordinates on the axis."""
+        near = np.zeros(len(swept), dtype=bool)
+        for run_coords, run_rows in self.runs:
+            query, pos = _ranges(np.searchsorted(run_coords, coords - _WINDOW, "left"),
+                                 np.searchsorted(run_coords, coords + _WINDOW, "right"))
+            near[query[_within(swept[query], self.vectors[run_rows[pos]])]] = True
         return near
 
-    def _add_run(self, run):
-        self.runs.append(run)
-        while len(self.runs) > 1 and len(self.runs[-2]) < 2 * len(self.runs[-1]):
-            run = np.concatenate(self.runs[-2:])
+    def _add_run(self, coords, rows):
+        self.runs.append((coords, rows))
+        while len(self.runs) > 1 and len(self.runs[-2][0]) < 2 * len(self.runs[-1][0]):
+            (coords, rows), (more_coords, more_rows) = self.runs[-2:]
             del self.runs[-2:]
-            run.sort(kind="stable")     # of two sorted runs: one linear merge
-            self.runs.append(run)
+            coords = np.concatenate([coords, more_coords])
+            # of two sorted runs: one linear merge
+            order = np.argsort(coords, kind="stable")
+            self.runs.append((coords[order], np.concatenate([rows, more_rows])[order]))
 
 
 def _within(u, v):

@@ -1,6 +1,7 @@
 import cmath
 import json
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -23,7 +24,7 @@ from qfsurface.limitset import (
     cross_ratio_imag_spread,
     limit_set,
 )
-from qfsurface.moebius import ProjectivePoint
+from qfsurface.moebius import MoebiusMap, ProjectivePoint
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import DegenerateFN, FNCoordinates, holonomy, twist_flow
 from qfsurface.words import reduce_word, reduced_words_up_to
@@ -234,9 +235,105 @@ def test_cloud_is_the_same_in_small_batches(monkeypatch):
         assert np.array_equal(getattr(small, name), getattr(cloud, name))
 
 
+def greedy_by_all_pairs(vectors):
+    """Keep mask of the greedy pass in order, by every pair's distance."""
+    kept = np.zeros(len(vectors), dtype=bool)
+    for i, vector in enumerate(vectors):
+        earlier = vectors[kept]
+        kept[i] = not limitset._within(earlier, np.broadcast_to(vector, earlier.shape)).any()
+    return kept
+
+
+def dedup_vectors(rng):
+    """Sphere vectors whose first coordinate is the one the dedup sweeps,
+    with the pair cases the sweep must get right; the first two spread the
+    first batch along that coordinate."""
+    radius = limitset._RADIUS
+    below, above = radius * (1 - 1e-9), radius * (1 + 1e-9)
+    # the exact difference exceeds _RADIUS by 3e-17 of it, but _within
+    # rounds it down and accepts the pair
+    edge = np.array([[-8.194704787238937e-12, 0.6, -0.8],
+                     [1.9180529521276108e-10, 0.6, -0.8]])
+    assert Fraction(edge[1, 0]) - Fraction(edge[0, 0]) > Fraction(radius)
+    assert limitset._within(edge[:1], edge[1:])[0]
+    root = np.sqrt(0.75)
+    pairs = [
+        # along the sweep axis, and across it at one sweep coordinate
+        (0.0, 0.6, 0.8), (below, 0.6, 0.8),
+        (0.0, -0.6, 0.8), (above, -0.6, 0.8),
+        (0.5, 0.0, root), (0.5, below, root), (0.5, -above, root),
+        (0.6, 0.8, 0.0), (0.6, 0.8, below), (0.6, 0.8, -above),
+        *edge,
+    ]
+    # a chain tied on the sweep coordinate, each point near the next only
+    chain = [(0.25, -0.3 + 0.7 * radius * j, np.sqrt(1 - 0.25**2 - 0.09))
+             for j in range(20)]
+    # a tight cluster, chains of near pairs among its 50 points
+    centre = np.array([0.3, 0.5, np.sqrt(0.66)])
+    cluster = centre + rng.uniform(-1.5 * radius, 1.5 * radius, size=(50, 3))
+    far = rng.normal(size=(80, 3))
+    far /= np.linalg.norm(far, axis=1)[:, None]
+    rest = np.concatenate([pairs, chain, cluster, far])
+    anchors = np.array([[0.8, 0.6, 0.0], [-0.8, 0.6, 0.0]])
+    return np.concatenate([anchors, rest[rng.permutation(len(rest))]])
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_dedup_matches_greedy_over_all_pairs(axis):
+    rng = np.random.default_rng(1700 + axis)
+    vectors = np.roll(dedup_vectors(rng), axis, axis=1)
+    expected = greedy_by_all_pairs(vectors)
+    # every case occurs: some points are dropped, and not all of the cluster
+    assert 100 < expected.sum() < len(vectors) - 30
+    n = len(vectors)
+    for cuts in ([2], [2, 3, 60], list(range(2, n, 7)), list(range(2, n))):
+        dedup = limitset._Dedup()
+        mask = np.concatenate([dedup.keep(batch) for batch in np.split(vectors, cuts)])
+        assert dedup.axis == axis
+        assert np.array_equal(mask, expected)
+        assert np.array_equal(dedup.vectors, vectors[expected])
+
+
+def sphere_rotations():
+    """SU(2) matrices whose rotations put the real line, the genus-2
+    Fuchsian limit circle, in the planes y = 0, x = 0 and z = 0, then
+    seeded random ones."""
+    half = np.sqrt(0.5)
+    rotations = [np.eye(2), np.diag([cmath.exp(0.25j * cmath.pi), cmath.exp(-0.25j * cmath.pi)]),
+                 np.array([[half, 1j * half], [1j * half, half]])]
+    rng = np.random.default_rng(1701)
+    for _ in range(4):
+        q = rng.normal(size=4)
+        a, b = complex(*q[:2]) / np.linalg.norm(q), complex(*q[2:]) / np.linalg.norm(q)
+        rotations.append(np.array([[a, b], [-b.conjugate(), a.conjugate()]]))
+    return rotations
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_dedup_sweep_axis_follows_the_cloud(index, monkeypatch):
+    # in a plane across a fixed sweep axis every pair of points is a candidate
+    depth = 3
+    rep = bundled_rep("genus2_fuchsian").conjugated(MoebiusMap(sphere_rotations()[index]))
+    candidates = []
+    within = limitset._within
+
+    def counted(u, v):
+        candidates.append(len(u))
+        return within(u, v)
+
+    monkeypatch.setattr(limitset, "_within", counted)
+    cloud = limit_set(rep, depth)
+    if index < 3:   # the cloud fits in one window across the plane
+        assert np.ptp(cloud.vectors[:, (1, 0, 2)[index]]) < limitset._RADIUS
+    words = sum(1 for _ in reduced_words_up_to(rep.presentation.num_generators, depth))
+    assert len(cloud) > words // 2
+    assert sum(candidates) < words
+
+
 def test_overflowing_products_are_degenerate():
     # at Re l = 150 some depth-3 fixed points overflow complex128; kept, the
-    # NaN points all share one dedup cell and the candidate pairs grow as n^2.
+    # NaN points would sort together at the end of the dedup sweep, every
+    # pair of them a candidate, and the candidate pairs grow as n^2.
     # At depth 2 a trace square overflows: its eigenvalue is NaN, and the
     # c = 0 branch would give the word its repelling fixed point
     doc = json.loads(
