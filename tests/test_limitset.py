@@ -18,8 +18,11 @@ from qfsurface import matrix2 as m2
 from qfsurface.config import parse_config
 from qfsurface.limitset import (
     _DEDUP_TOL,
+    _MARGIN,
     _children,
+    _fixed_points,
     _letter_matrices,
+    _parts,
     cloud_to_csv,
     cross_ratio_imag_spread,
     limit_set,
@@ -210,7 +213,8 @@ BUNDLED = ("genus2_fuchsian", "genus2_quasifuchsian", "genus2_separating", "genu
 @pytest.mark.parametrize("stem", BUNDLED)
 def test_children_round_as_per_word_products(stem):
     # the oracle match rests on this: the product of a whole level by one
-    # letter rounds each word as that word's own 2x2 product does
+    # letter rounds each word as that word's own 2x2 product does, and the
+    # real parts gathered for the fixed-point kernel are those products'
     letters = _letter_matrices(bundled_rep(stem))
     level, last = letters, np.arange(len(letters))
     for _length in (2, 3):
@@ -220,9 +224,16 @@ def test_children_round_as_per_word_products(stem):
                 if index != end ^ 1:
                     expected.append(matrix @ letter)
                     expected_last.append(index)
-        level, last = _children(level, last, letters)
+        expected = np.array(expected)
+        products, rows, last = _children(level, last, letters)
         assert np.array_equal(last, expected_last)
-        assert np.array_equal(level, np.array(expected))
+        level = products[rows]
+        assert np.array_equal(level, expected)
+        parts = _parts(products, rows)
+        assert all(part.flags.c_contiguous for part in parts)
+        entries = expected.reshape(-1, 4).T     # a, b, c, d
+        for got, want in zip(parts, [f(entry) for entry in entries for f in (np.real, np.imag)]):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cloud_is_the_same_in_small_batches(monkeypatch):
@@ -348,6 +359,141 @@ def test_overflowing_products_are_degenerate():
             limit_set(rep, 2)
         with pytest.raises(DegenerateFN, match="^limit_set: "):
             limit_set(rep, 3)
+
+
+def nudged(x, steps):
+    """x moved by the given number of units in the last place."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.copysign(np.inf, steps))
+    return float(x)
+
+
+# ratios at the exact tie, and at the margins of squared and plain moduli
+EDGES = [nudged(1.0 + edge, steps) for edge in (0.0, _MARGIN / 2, -_MARGIN / 2, _MARGIN, -_MARGIN)
+         for steps in (-3, -2, -1, 0, 1, 2, 3)]
+
+
+def eigenvalue_of(a, d):
+    """The eigenvalue the fixed-point formulas pick, from the trace alone."""
+    tr = a + d
+    disc = cmath.sqrt(tr * tr - 4.0)
+    lam = (tr + disc) / 2.0
+    return (tr - disc) / 2.0 if abs(lam) < 1.0 else lam
+
+
+def branch_edge_matrices():
+    """(label, matrix, error) at the edges of every branch test the kernel
+    decides from squared moduli; error is the message a DegenerateFN must
+    start with, or None where the oracle's point is expected."""
+    cases = []
+    for radius in (1.0, 1.0 + 1e-12, 1.0 - 1e-12):
+        for steps in (-3, -1, 0, 1, 3):
+            lam = nudged(radius, steps) * cmath.exp(0.7j)
+            tr = lam + 1.0 / lam
+            a = tr / 2.0 + 0.3
+            cases.append((f"|lam| {radius} {steps:+d} ulp",
+                          [[a, 1.0], [a * (tr - a) - 1.0, tr - a]], None))
+    a, b, d = 3.0 + 0.5j, 1.0 - 2.0j, 0.25 + 0.1j
+    for angle in (0.0, 0.3):
+        for ratio in EDGES:
+            c = 1e-14 * abs(a) * ratio * cmath.exp(1j * angle)
+            cases.append((f"|c| {ratio!r} at {angle}", [[a, b], [c, d]], None))
+    for a, d in ((3.0, 1.0 / 3.0), (1.0 / 3.0, 3.0),
+                 (2.0 + 1.0j, 0.4 - 0.2j), (0.4 - 0.2j, 2.0 + 1.0j)):
+        for c in (0.0, 1e-17, complex(-0.0, 1e-18)):
+            cases.append((f"c = {c} at a = {a}", [[a, 0.5 - 0.25j], [c, d]], None))
+    # tr = 4 with a, d mirrored across the real eigenvalue: |lam - a| = |lam - d|
+    for height in (0.5, 1.25):
+        for ratio in EDGES:
+            cases.append((f"c = 0, |lam - a| = |lam - d| {ratio!r}",
+                          [[complex(2.0, height), 0.5], [0.0, complex(2.0, -height * ratio)]],
+                          None))
+    a, d = 2.0 + 0.5j, 0.3 - 0.2j
+    z = eigenvalue_of(a, d) - d
+    for turn in (1.0, 1.0j, -1.0, z.conjugate() / z):
+        for ratio in EDGES:
+            cases.append((f"|z| = |w| {ratio!r} turned {turn}",
+                          [[a, 1.0], [z * turn * ratio, d]], None))
+    huge = complex(1.3e154, 1.3e154)    # its squared modulus overflows
+    past = complex(1.5e308, 1.5e308)    # and this one's modulus
+    return cases + [
+        ("tr^2 near the largest float", [[1.2e154, 1.0], [1.0, 0.1]], None),
+        ("|b|^2 overflows, c = 0", [[3.0, 2e154], [1.0, 1.0 / 3.0]], None),
+        ("|b|^2 overflows, c not 0", [[3.0, 2e154], [3e140, 1.0 / 3.0]], None),
+        ("|b|^2 overflows, |c| at the edge", [[3.0, 2e154], [2e140, 1.0 / 3.0]], None),
+        ("|c|^2 overflows", [[3.0, 1.0], [huge, 1.0 / 3.0]], None),
+        ("|c| overflows, so c = 0", [[3.0, 1.0], [past, 1.0 / 3.0]], None),
+        ("|a|^2 and tr^2 overflow", [[huge, 1.0], [1.0, 0.0]], "limit_set: a trace square"),
+        ("tr^2 overflows", [[1.4e154, 1.0], [1.0, 1.4e154]], "limit_set: a trace square"),
+        ("|b| overflows, z = b", [[1.0 / 3.0, past], [1.0, 3.0]],
+         "limit_set: fixed points exceed"),
+        ("NaN in a", [[complex(np.nan, 0.0), 1.0], [1.0, 1.0 / 3.0]],
+         "limit_set: a trace square"),
+        ("NaN in c", [[3.0, 1.0], [complex(np.nan, 1.0), 1.0 / 3.0]], None),
+        ("tiny entries", [[3e-160, 1e-170], [2e-170, 4e-160]], None),
+    ]
+
+
+def kernel_points(matrices):
+    """(z, w) parts of each kept fixed point of the kernel, as int64 bits."""
+    entries = np.array(matrices, dtype=complex).reshape(-1, 4)
+    parts = np.stack([f(entries[:, k]) for k in range(4) for f in (np.real, np.imag)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_r, z_i, w_r, w_i, _vectors = _fixed_points(*parts)
+    return np.stack([z_r, z_i, w_r, w_i], axis=1).view(np.int64)
+
+
+def oracle_bits(point):
+    return np.array([point.z.real, point.z.imag, point.w.real, point.w.imag]).view(np.int64)
+
+
+def test_fixed_point_branches_match_the_oracle_at_their_edges():
+    # each word's normalised (z, w) has the oracle's bits, or the word fails
+    # with the typed error of an overflowing or NaN entry
+    expected, matrices = [], []
+    for label, matrix, error in branch_edge_matrices():
+        if error is not None:
+            with pytest.raises(DegenerateFN, match="^" + error):
+                kernel_points([matrix])
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            point = attracting_fixed_point(np.array(matrix, dtype=complex))
+        got = kernel_points([matrix])
+        if point is None:
+            assert len(got) == 0, label
+            continue
+        assert np.array_equal(got, oracle_bits(point)[None, :]), label
+        expected.append(oracle_bits(point))
+        matrices.append(matrix)
+    # one batch of all of them: the words the margins leave to hypot are
+    # picked out and put back in place
+    assert np.array_equal(kernel_points(matrices), np.array(expected))
+
+
+def test_underflowed_squares_decide_nothing():
+    # |x|^2 = 4.5e-324 > |y|^2 = 2.5e-324, but x's squared parts round to 0
+    # and y's up to the smallest subnormal
+    x2 = limitset._squared(np.array([1.5e-162]), np.array([1.5e-162]))
+    y2 = limitset._squared(np.array([1.58e-162]), np.array([0.0]))
+    assert x2[0] < y2[0]
+    assert not limitset._surely_less(x2, y2)[0] and not limitset._surely_less(y2, x2)[0]
+
+
+def test_fixed_points_leave_three_hypot_values_per_word(monkeypatch):
+    # the scale and the two sphere norms; every other modulus test is
+    # decided from squares on these words
+    rep = bundled_rep("genus2_quasifuchsian")
+    loxodromic = sum(point is not None for _, point in word_points(rep, 4))
+    seen = []
+    hypot = np.hypot
+
+    def counted(x, y, *args, **kwargs):
+        seen.append(np.size(x))
+        return hypot(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "hypot", counted)
+    limit_set(rep, 4)
+    assert sum(seen) <= 3 * loxodromic
 
 
 def test_csv_matches_fstring_formatter():
