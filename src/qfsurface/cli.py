@@ -92,15 +92,17 @@ def _cmd_holonomy(args):
 
 
 def _cmd_lengths(args):
+    if args.curve is not None and args.word is not None:
+        raise SchemaError("--curve and --word exclude each other")
     config = _load_config(args.config)
     graph = config.graph()
     rep = holonomy(graph, config.fn(graph))
     lengths = {}
-    if args.word:
+    if args.word is not None:
         word = rep.presentation.word_from_string(args.word)
         lengths[args.word] = _complex_json(complex_length_of_curve(rep, word))
     else:
-        labels = [args.curve] if args.curve else graph.curve_labels
+        labels = graph.curve_labels if args.curve is None else [args.curve]
         for label in labels:
             if label not in rep.presentation.marking:
                 raise SchemaError(f"no decomposition curve {label!r}")

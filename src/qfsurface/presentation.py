@@ -40,12 +40,17 @@ __all__ = [
     "GluingEdge",
     "PantsDecompositionGraph",
     "SurfaceGroupPresentation",
+    "UnknownGenerator",
     "build_presentation",
 ]
 
 
 class MalformedGraph(Exception):
     """Counts, cuff usage, or connectivity of the gluing graph are wrong."""
+
+
+class UnknownGenerator(Exception):
+    """A word refers to a generator the presentation does not have."""
 
 
 class GluingEdge:
@@ -186,13 +191,13 @@ class SurfaceGroupPresentation:
             if name.endswith("^-1"):
                 inverse = True
                 name = name[:-3]
-            if name[0].isupper():
+            if name[:1].isupper():
                 inverse = True
                 name = name.lower()
             try:
                 idx = self.generator_names.index(name) + 1
             except ValueError:
-                raise KeyError(f"unknown generator {token!r}") from None
+                raise UnknownGenerator(f"unknown generator {token!r}") from None
             letters.append(-idx if inverse else idx)
         return reduce_word(letters)
 

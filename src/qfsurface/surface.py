@@ -38,6 +38,7 @@ from . import matrix2 as m2
 
 from .moebius import _CLASSIFY_TOL, NotLoxodromic, displacement_from_trace
 from .pants import ReduciblePants, leaf_entries, validate_pants
+from .presentation import UnknownGenerator
 from .words import cyclic_reduce
 
 __all__ = [
@@ -64,10 +65,6 @@ class DegenerateFN(Exception):
 
 class BranchFailure(Exception):
     """Length coordinate too close to the Im = +-pi seam."""
-
-
-class UnknownGenerator(Exception):
-    """A word refers to a generator the presentation does not have."""
 
 
 def _coordinate(value):

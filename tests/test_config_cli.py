@@ -116,6 +116,22 @@ def test_cli_holonomy_and_lengths(tmp_path, capsys):
     assert "a1*b1" in payload["lengths"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--word", "x9"], "unknown generator 'x9'"),
+    (["--word", "^-1"], "unknown generator '^-1'"),
+    (["--word", ""], "the identity"),
+    (["--curve", ""], "no decomposition curve ''"),
+    (["--curve", "alpha1", "--word", "a1"], "--curve and --word exclude each other"),
+])
+def test_cli_lengths_rejects_bad_words(tmp_path, capsys, extra, message):
+    # an empty --word or --curve names nothing, not every curve
+    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    assert cli_main(["lengths", path, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ") and message in err
+
+
 def test_cli_darboux_check(tmp_path, capsys):
     for name in BUNDLED:
         assert cli_main(["darboux-check", bundled_path(name, tmp_path)]) == 0
