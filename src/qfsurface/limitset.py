@@ -314,10 +314,10 @@ class _Dedup:
     the one along which the first batch, the letters' fixed points, spreads
     most: along it a round cloud spreads by at least sqrt(2/3) of its
     diameter, where along a fixed axis a cloud in a plane across it would
-    make every pair a candidate.  The index is a
-    few sorted runs of (coordinate, row of self.vectors), each run at least
-    twice as long as the next, so adding a batch does not rewrite it; each
-    run's coordinates end in +inf, so no step passes its end.
+    make every pair a candidate.  The index is a few sorted runs of
+    (coordinate, row of self.vectors), each run at least twice as long as
+    the next, so adding a batch does not rewrite it; each run's coordinates
+    end in +inf, so no step passes its end.
     """
 
     def __init__(self):
