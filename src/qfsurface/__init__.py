@@ -42,22 +42,7 @@ from .config import (
     config_to_json,
     parse_config,
 )
-from .moebius import (
-    DegenerateGeodesic,
-    MoebiusMap,
-    NotLoxodromic,
-    OrientedGeodesic,
-    ParabolicOrIdentity,
-    ProjectivePoint,
-    SharedEndpoint,
-    apply,
-    classify,
-    complex_displacement,
-    complex_distance,
-    fixed_points,
-    normalize_complex_length,
-)
-from .pants import PantsBoundaryData, ReduciblePants, pants_representation
+from .pants import ReduciblePants
 from .presentation import (
     GluingEdge,
     MalformedGraph,
@@ -69,11 +54,13 @@ from .surface import (
     BranchFailure,
     DegenerateFN,
     FNCoordinates,
+    NotLoxodromic,
     Representation,
     UnknownGenerator,
     complex_length_of_curve,
     fuchsian_residual,
     holonomy,
+    normalize_complex_length,
     twist_flow,
 )
 

@@ -23,11 +23,11 @@ import sys
 from . import matrix2 as m2
 from .cocycles import PrecisionExhausted, darboux_residual, symplectic_gram
 from .config import SchemaError, config_to_json, parse_config
-from .moebius import NotLoxodromic
 from .presentation import MalformedGraph
 from .surface import (
     BranchFailure,
     DegenerateFN,
+    NotLoxodromic,
     UnknownGenerator,
     complex128_stage,
     complex_length_of_curve,

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .moebius import normalize_complex_length
+from .surface import normalize_complex_length
 
 __all__ = ["DegenerateSide", "Hexagon", "solve_hexagon", "hexagon_residuals"]
 

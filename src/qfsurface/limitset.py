@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .moebius import _POINT_TOL     # |w| at or below it is the point at infinity
 from .surface import DegenerateFN
 
 __all__ = ["LimitSetCloud", "limit_set", "cloud_to_csv", "cloud_to_svg",
            "cross_ratio_imag_spread"]
 
 _DEDUP_TOL = 1e-10
+_POINT_TOL = 1e-12           # |w| at or below it is the point at infinity
 _TRACE_TOL = 1e-9
 # Branch tests compare moduli as hypot rounds them.  Squared moduli decide a
 # test that they clear by the relative _MARGIN, far wider than their own
@@ -149,10 +149,6 @@ def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
     lam_r, lam_i = _halve(lam_r, lam_i)
     # identity-like and parabolic/elliptic-like words have none
     lox = ~((np.abs(tr_i) <= _TRACE_TOL) & (np.abs(tr_r) <= 2.0 + _TRACE_TOL))
-    size = _squared(lam_r, lam_i)
-    unsure = ~((size < 1.0 - _MARGIN) | (size > 1.0 + _MARGIN))
-    if unsure.any():
-        lox[unsure] &= ~(np.abs(np.hypot(lam_r[unsure], lam_i[unsure]) - 1.0) <= 1e-12)
     # past complex128 the eigenvalue is NaN, and the c = 0 branch below
     # would read the repelling fixed point as the attracting one
     if not (finite_square | ~lox).all():
@@ -421,7 +417,8 @@ class LimitSetCloud:
         return _divide(self.z[finite], self.w[finite]), self.word_length[finite]
 
     def contains(self, point, tol=1e-8):
-        """Membership of a ProjectivePoint up to chordal distance tol."""
+        """Membership of a point (z : w), given as an object with complex
+        attributes z and w, up to chordal distance tol."""
         parts = np.array([[point.z.real], [point.z.imag], [point.w.real], [point.w.imag]])
         gap = self.vectors - _sphere_vectors(*parts)
         return bool(np.sqrt(np.min(np.sum(gap * gap, axis=1), initial=np.inf)) <= 2.0 * tol)

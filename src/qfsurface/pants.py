@@ -1,8 +1,8 @@
 """Pair-of-pants representations with prescribed boundary traces.
 
 For boundary data (sigma_1, sigma_2, sigma_3) with positive real parts,
-builds the representation of <c1, c2, c3 | c1 c2 c3 = 1> into SL2(C) with
-tr(C_i) = -2 cosh(sigma_i), in a fixed normal form:
+the representation of <c1, c2, c3 | c1 c2 c3 = 1> into SL2(C) with
+tr(C_i) = -2 cosh(sigma_i) is taken in a fixed normal form:
 
     C1 = [[t1, -1], [1, 0]]            (companion matrix, t1 = -2 cosh s1)
     C2 = [[0, zeta], [-1/zeta, t2]]    (zeta = -exp(s3))
@@ -26,45 +26,20 @@ on fixed-point numbers (:class:`matrix2.Fixed`) or on jets that carry exact
 derivatives (:class:`matrix2.Jet`).  They return (a, b, c, d) tuples, which
 the assembly turns into the flat matrices of the :mod:`matrix2` kernel.
 :func:`leaf_entries` evaluates C1, C2 and the three frames, all the
-assembly reads of a pants, once; :func:`pants_entries` adds C3.  The
-complex128 arrays of :func:`pants_matrices` and :func:`cuff_frames` are the
-same leaves at the working precision, rounded once.
+assembly reads of a pants, once.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from . import matrix2 as m2
-from .moebius import MoebiusMap
-
-__all__ = ["ReduciblePants", "PantsBoundaryData", "pants_representation",
-           "pants_matrices", "cuff_frames", "leaf_entries", "pants_entries",
-           "frame_entries", "validate_pants"]
+__all__ = ["ReduciblePants", "leaf_entries", "validate_pants"]
 
 _SINH_TOL = 1e-12
 
 
 class ReduciblePants(Exception):
     """The trace triple forces a reducible (degenerate) representation."""
-
-
-class PantsBoundaryData:
-    """Three complex half-lengths with positive real part."""
-
-    __slots__ = ("sigmas",)
-
-    def __init__(self, sigma1, sigma2, sigma3):
-        sigmas = (complex(sigma1), complex(sigma2), complex(sigma3))
-        for s in sigmas:
-            if s.real <= 0.0:
-                raise ValueError(f"boundary data needs Re > 0, got {s}")
-            if abs(cmath.sinh(s)) <= _SINH_TOL:
-                raise ValueError(f"degenerate boundary (sinh ~ 0) at {s}")
-        self.sigmas = sigmas
-
-    def __iter__(self):
-        return iter(self.sigmas)
 
 
 def validate_pants(sigmas):
@@ -99,46 +74,3 @@ def leaf_entries(halves):
               (zeta_scale, zeta_scale, lam * scale, scale / lam),
               (1, t1 * zeta - t2, 0, zeta - 1 / zeta))
     return matrices, frames
-
-
-def pants_entries(halves):
-    """Boundary matrices (C1, C2, C3) as flat tuples, C3 = (C1 C2)^(-1)."""
-    (c1, c2), frames = leaf_entries(halves)
-    zeta = c2[1]
-    # the second entry of F3 is t1 zeta - t2
-    return c1, c2, (zeta, -frames[2][1], 0, 1 / zeta)
-
-
-def frame_entries(halves):
-    """Cuff frames (F1, F2, F3) as flat tuples."""
-    return leaf_entries(halves)[1]
-
-
-def _rounded(entries, sigmas):
-    """The matrices of an entry formula at the working precision, rounded
-    once to complex128 2x2 arrays."""
-    halves = tuple(m2.exp(m2.lift(s) / 2) for s in sigmas)
-    return tuple(m2.flat_to_complex(m2.flat(m)) for m in entries(halves))
-
-
-def pants_matrices(sigmas):
-    """The three boundary matrices as complex128 2x2 arrays."""
-    validate_pants(sigmas)
-    return _rounded(pants_entries, sigmas)
-
-
-def cuff_frames(sigmas):
-    """Frame matrices (F1, F2, F3) as complex128 2x2 arrays."""
-    return _rounded(frame_entries, sigmas)
-
-
-def pants_representation(data):
-    """Boundary holonomies (C1, C2, C3) with C1 C2 C3 = I as MoebiusMaps."""
-    if not isinstance(data, PantsBoundaryData):
-        data = PantsBoundaryData(*data)
-    c1, c2, c3 = pants_matrices(data.sigmas)
-    return (
-        MoebiusMap(c1, normalize=False),
-        MoebiusMap(c2, normalize=False),
-        MoebiusMap(c3, normalize=False),
-    )

@@ -180,7 +180,11 @@ class SurfaceGroupPresentation:
         return "*".join(self.name_of(letter) for letter in word) or "1"
 
     def word_from_string(self, text):
-        """Parse words like 'a1*b1*A1' (uppercase means inverse)."""
+        """Parse words like 'a1*b1*A1^-1'.
+
+        A capital letter and a ``^-1`` suffix each invert the letter, so
+        'A1' and 'a1^-1' are the inverse of a1 and 'A1^-1' is a1 itself.
+        """
         text = text.strip()
         if text in ("", "1"):
             return ()
@@ -189,10 +193,10 @@ class SurfaceGroupPresentation:
             inverse = False
             name = token
             if name.endswith("^-1"):
-                inverse = True
+                inverse = not inverse
                 name = name[:-3]
             if name[:1].isupper():
-                inverse = True
+                inverse = not inverse
                 name = name.lower()
             try:
                 idx = self.generator_names.index(name) + 1

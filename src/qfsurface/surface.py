@@ -24,6 +24,14 @@ them runs on the flat kernel of :mod:`matrix2`.
 
 The zero-twist origin is the frame alignment itself; it is a convention,
 and only twist differences are meaningful.
+
+Complex lengths are read from traces.  A "complex length" is a plain
+complex number, the real part a hyperbolic length and the imaginary part a
+rotation angle, reduced modulo 2*pi*i to the strip Im in (-pi, pi].  The
+projective sign of a trace is resolved by flipping it so that its real part
+is nonnegative; half of the complex length is then the principal arccosh of
+half the trace, taken as in Kahan's formula (see
+:func:`displacement_from_trace`).
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ import math
 
 from . import matrix2 as m2
 
-from .moebius import _CLASSIFY_TOL, NotLoxodromic, displacement_from_trace
 from .pants import ReduciblePants, leaf_entries, validate_pants
 from .presentation import UnknownGenerator
 from .words import cyclic_reduce
@@ -44,6 +51,7 @@ from .words import cyclic_reduce
 __all__ = [
     "DegenerateFN",
     "BranchFailure",
+    "NotLoxodromic",
     "UnknownGenerator",
     "FNCoordinates",
     "Representation",
@@ -51,12 +59,16 @@ __all__ = [
     "assemble",
     "twist_flow",
     "complex_length_of_curve",
+    "normalize_complex_length",
+    "displacement_from_trace",
     "fuchsian_residual",
 ]
 
 # Keep lengths away from the Im = +-pi seam, where the normalized complex
 # length no longer recovers the input coordinate.
 _IM_LENGTH_MARGIN = 1e-2
+# A word with |tr^2 - 4| at or below it is parabolic or the identity.
+_CLASSIFY_TOL = 1e-9
 
 
 class DegenerateFN(Exception):
@@ -65,6 +77,10 @@ class DegenerateFN(Exception):
 
 class BranchFailure(Exception):
     """Length coordinate too close to the Im = +-pi seam."""
+
+
+class NotLoxodromic(Exception):
+    """Complex length requested for a parabolic word or the identity."""
 
 
 def _coordinate(value):
@@ -196,14 +212,6 @@ class Representation:
         except KeyError:
             raise UnknownGenerator(f"no decomposition curve {label!r}") from None
 
-    def conjugated(self, mapping):
-        """The representation g -> M g M^-1 (same marked structure), for
-        the MoebiusMap M."""
-        leaf = tuple(m2.lift(z) for z in mapping.m.ravel())
-        m, inverse = m2.flat(leaf), m2.flat(m2.inverse_entries(leaf))
-        images = {gen: m2.fmul(m2.fmul(m, x), inverse) for gen, x in self.mp_images.items()}
-        return Representation(self.graph, self.presentation, self.fn, images)
-
 
 def holonomy(graph, fn):
     """Representation realizing the coordinates on the graph's curves."""
@@ -313,6 +321,43 @@ def assemble(graph, fn, differentiate):
         for gen, word in plan.presentation.generator_assembly_words.items()
     }
     return plan.presentation, images
+
+
+def normalize_complex_length(value):
+    """Reduce a complex length modulo 2*pi*i so that Im lies in (-pi, pi]."""
+    value = complex(value)
+    im = math.remainder(value.imag, 2.0 * math.pi)
+    if im <= -math.pi:
+        im += 2.0 * math.pi
+    return complex(value.real, im)
+
+
+def _lift_trace(tr):
+    """Resolve the PSL2 sign: flip so Re(tr) >= 0, tie-broken by Im."""
+    if tr.real < 0.0 or (tr.real == 0.0 and tr.imag < 0.0):
+        return -tr
+    return tr
+
+
+def displacement_from_trace(trace):
+    """Solve 2 cosh(phi/2) = +-tr for the normalized representative.
+
+    phi/2 is the principal arccosh of w = tr/2, taken from s = sqrt(w - 1)
+    and t = sqrt(w + 1) as in Kahan's formula: Im(phi/2) is arg(w + s t),
+    and Re(phi/2) is asinh(x), x = Re(conj(s) t) = sinh(Re(phi/2)), while
+    x < 1, else log|w + s t|.  x adds two nonnegative products, so a small
+    real part keeps its relative precision (a curve whose length is tiny
+    next to its angle) and is exactly 0 on the elliptic segment |w| < 1;
+    the logarithm reads large lengths back closer (``cmath.acosh``, which
+    takes asinh(x) throughout, doubles the worst seeded-length error).
+    """
+    w = _lift_trace(complex(trace)) / 2.0
+    s, t = cmath.sqrt(w - 1.0), cmath.sqrt(w + 1.0)
+    half = cmath.log(w + s * t)
+    x = s.real * t.real + s.imag * t.imag
+    if x < 1.0:
+        half = complex(math.asinh(x), half.imag)
+    return normalize_complex_length(2.0 * half)
 
 
 def complex_length_of_curve(rep, word):

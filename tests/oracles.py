@@ -27,8 +27,14 @@ The limit-set oracle is the per-word walk that the level-batched engine
 replaced: one 2x2 product, one scalar fixed point and one grid-hash lookup
 per word, and an f-string per CSV row, kept verbatim as the reference.
 
-The complex-distance oracle is the half-turn construction that the closed
-cross-ratio form replaced: the axis of the product of the two geodesics'
+The geodesic references work on complex128 2x2 arrays: a projective point
+is a homogeneous pair (z : w) scaled so that max(|z|, |w|) = 1, whose
+rounding defines the bits of the limit-set oracle's fixed points; an
+oriented geodesic is its repelling and attracting endpoint; and
+``fixed_points`` (by an eigen-solve) and ``complex_distance`` (by the
+closed cross-ratio form) are the reference a trace-only route to complex
+distances must reproduce.  The half-turn construction that the closed form
+replaced checks it in turn: the axis of the product of the two geodesics'
 half-turns is their common perpendicular, found by an eigen-solve, and the
 distance is read off the endpoints in that frame.
 """
@@ -49,15 +55,14 @@ from qfsurface.cocycles import (
     TangentCocycle,
     cocycle_gram,
 )
-from qfsurface.moebius import (
-    MoebiusMap,
-    ProjectivePoint,
-    SharedEndpoint,
-    _POINT_TOL,
+from qfsurface.pants import leaf_entries
+from qfsurface.surface import (
+    _CLASSIFY_TOL,
+    NotLoxodromic,
+    Representation,
+    holonomy,
     normalize_complex_length,
 )
-from qfsurface.pants import frame_entries, pants_entries
-from qfsurface.surface import holonomy
 from qfsurface.words import reduced_words_up_to
 
 G = np.diag([1.0, 1.0, -1.0])
@@ -233,6 +238,26 @@ def fconj(p, x):
 
 def fmax_abs(flat):
     return max(abs(complex(v)) for v in flat)
+
+
+def pants_entries(halves):
+    """Boundary matrices (C1, C2, C3) as flat tuples, C3 = (C1 C2)^(-1)."""
+    (c1, c2), frames = leaf_entries(halves)
+    zeta = c2[1]
+    # the second entry of F3 is t1 zeta - t2
+    return c1, c2, (zeta, -frames[2][1], 0, 1 / zeta)
+
+
+def frame_entries(halves):
+    """Cuff frames (F1, F2, F3) as flat tuples."""
+    return leaf_entries(halves)[1]
+
+
+def rounded(entries, sigmas):
+    """The matrices of an entry formula at h_k = exp(sigma_k / 2), evaluated
+    at the working precision and rounded once to complex128 2x2 arrays."""
+    halves = tuple(m2.exp(m2.lift(s) / 2) for s in sigmas)
+    return [m2.flat_to_complex(m2.flat(m)) for m in entries(halves)]
 
 
 def fixed_assemble(graph, fn, lift):
@@ -498,6 +523,15 @@ class _SphereHash:
         return True
 
 
+def attracting_eigenvalue(tr):
+    """The eigenvalue of modulus at least 1 of an SL2 matrix with trace tr."""
+    disc = cmath.sqrt(tr * tr - 4.0)
+    lam = (tr + disc) / 2.0
+    if abs(lam) < 1.0:
+        lam = (tr - disc) / 2.0
+    return lam
+
+
 def attracting_fixed_point(matrix):
     """Attracting fixed point of a loxodromic SL2 matrix, or None."""
     a, b = matrix[0, 0], matrix[0, 1]
@@ -506,12 +540,7 @@ def attracting_fixed_point(matrix):
     # skip identity-like and parabolic/elliptic-like words quickly
     if abs(tr.imag) <= _TRACE_TOL and abs(tr.real) <= 2.0 + _TRACE_TOL:
         return None
-    disc = cmath.sqrt(tr * tr - 4.0)
-    lam = (tr + disc) / 2.0
-    if abs(lam) < 1.0:
-        lam = (tr - disc) / 2.0
-    if abs(abs(lam) - 1.0) <= 1e-12:
-        return None
+    lam = attracting_eigenvalue(tr)
     # c is rounding noise below 1e-14 of the largest entry
     if abs(c) > 1e-14 * max(abs(a), abs(b), abs(c), abs(d)):
         return ProjectivePoint(lam - d, c)
@@ -564,6 +593,139 @@ def csv_by_word_walk(finite_points):
     return "\n".join(lines) + "\n"
 
 
+# -- projective points, oriented geodesics, conjugation --------------------
+
+_POINT_TOL = 1e-12
+
+
+class SharedEndpoint(Exception):
+    """Two geodesics share an ideal endpoint; their distance degenerates."""
+
+
+class ProjectivePoint:
+    """Point of the complex projective line as a homogeneous pair (z : w)."""
+
+    __slots__ = ("z", "w")
+
+    def __init__(self, z, w=1.0):
+        z = complex(z)
+        w = complex(w)
+        scale = max(abs(z), abs(w))
+        if scale == 0.0:
+            raise ValueError("(0 : 0) is not a projective point")
+        self.z = z / scale
+        self.w = w / scale
+
+    @classmethod
+    def infinity(cls):
+        return cls(1.0, 0.0)
+
+    @property
+    def is_infinity(self):
+        return abs(self.w) <= _POINT_TOL
+
+    def as_complex(self):
+        """Affine coordinate z/w; raises for the point at infinity."""
+        if self.is_infinity:
+            raise ZeroDivisionError("point at infinity has no affine coordinate")
+        return self.z / self.w
+
+    def chordal_distance(self, other):
+        """Fubini-Study chordal distance; zero iff projectively equal."""
+        num = abs(self.z * other.w - other.z * self.w)
+        den = math.hypot(abs(self.z), abs(self.w)) * math.hypot(abs(other.z), abs(other.w))
+        return num / den
+
+    def close_to(self, other, tol=1e-10):
+        return self.chordal_distance(other) <= tol
+
+    def __repr__(self):
+        return f"ProjectivePoint({self.z!r}, {self.w!r})"
+
+
+class OrientedGeodesic:
+    """Geodesic of H^3 oriented from its repelling to its attracting endpoint."""
+
+    __slots__ = ("repelling", "attracting")
+
+    def __init__(self, repelling, attracting):
+        if not isinstance(repelling, ProjectivePoint):
+            repelling = ProjectivePoint(repelling)
+        if not isinstance(attracting, ProjectivePoint):
+            attracting = ProjectivePoint(attracting)
+        if repelling.chordal_distance(attracting) <= _POINT_TOL:
+            raise ValueError("endpoints coincide")
+        self.repelling = repelling
+        self.attracting = attracting
+
+    def reversed(self):
+        return OrientedGeodesic(self.attracting, self.repelling)
+
+    def __repr__(self):
+        return f"OrientedGeodesic({self.repelling!r}, {self.attracting!r})"
+
+
+def fixed_points(matrix):
+    """Oriented axis of a loxodromic 2x2 matrix, repelling then attracting point."""
+    tr = complex(matrix[0, 0] + matrix[1, 1])
+    if abs(tr * tr - 4.0) <= _CLASSIFY_TOL or (abs(tr.imag) <= _CLASSIFY_TOL
+                                              and abs(tr.real) < 2.0):
+        raise NotLoxodromic("fixed points ordered by attraction need a loxodromic map")
+    eigvals, eigvecs = np.linalg.eig(matrix)
+    order = np.argsort(np.abs(eigvals))
+    return OrientedGeodesic(ProjectivePoint(*eigvecs[:, order[0]]),
+                            ProjectivePoint(*eigvecs[:, order[1]]))
+
+
+def complex_distance(g1, g2):
+    """Complex distance between two oriented geodesics in H^3.
+
+    In closed form, from the four endpoints (r1, a1) and (r2, a2):
+
+        cosh(sigma) = -1 - 2 [a1, r2][r1, a2] / ([a1, r1][a2, r2]),
+
+    with [p, q] = p.z q.w - q.z p.w; each endpoint enters the numerator and
+    the denominator once, so the homogeneous scaling cancels.  sigma is the
+    principal arccosh, normalized so Re >= 0 and Im in (-pi, pi].
+    """
+    r1, a1, r2, a2 = g1.repelling, g1.attracting, g2.repelling, g2.attracting
+    if r1.close_to(r2, _POINT_TOL) and a1.close_to(a2, _POINT_TOL):
+        return 0.0 + 0.0j
+    if r1.close_to(a2, _POINT_TOL) and a1.close_to(r2, _POINT_TOL):
+        return complex(0.0, math.pi)
+    if any(e1.close_to(e2, _POINT_TOL) for e1 in (r1, a1) for e2 in (r2, a2)):
+        raise SharedEndpoint("geodesics share an ideal endpoint")
+
+    def bracket(p, q):
+        return p.z * q.w - q.z * p.w
+
+    ratio = bracket(a1, r2) * bracket(r1, a2) / (bracket(a1, r1) * bracket(a2, r2))
+    sigma = cmath.acosh(-1.0 - 2.0 * ratio)
+    if abs(sigma.real) <= 1e-13 and sigma.imag < 0.0:
+        sigma = -sigma
+    return normalize_complex_length(sigma)
+
+
+def unit_determinant(matrix):
+    """A complex 2x2 matrix divided by the square root of its determinant."""
+    m = np.asarray(matrix, dtype=complex)
+    return m / cmath.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def random_sl2(rng):
+    """A unit-determinant complex 2x2 matrix with Gaussian entries."""
+    return unit_determinant(rng.randn(2, 2) + 1j * rng.randn(2, 2))
+
+
+def conjugated(rep, matrix):
+    """The representation g -> M g M^-1 of the same marked structure, for a
+    unit-determinant 2x2 matrix M, lifted to the working precision."""
+    leaf = tuple(m2.lift(z) for z in np.ravel(matrix))
+    m, inverse = m2.flat(leaf), m2.flat(m2.inverse_entries(leaf))
+    images = {gen: m2.fmul(m2.fmul(m, x), inverse) for gen, x in rep.mp_images.items()}
+    return Representation(rep.graph, rep.presentation, rep.fn, images)
+
+
 # -- the half-turn complex distance ---------------------------------------
 
 def half_turn(geodesic):
@@ -573,7 +735,7 @@ def half_turn(geodesic):
     j = np.diag([1j, -1j])
     det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
     inv = np.array([[basis[1, 1], -basis[0, 1]], [-basis[1, 0], basis[0, 0]]]) / det
-    return MoebiusMap(basis @ j @ inv, normalize=False)
+    return basis @ j @ inv
 
 
 def _endpoint_sets_match(g1, g2, tol=1e-12):
@@ -604,8 +766,7 @@ def complex_distance_by_half_turns(g1, g2):
 
     # Axis of the composition of the two half-turns is the common
     # perpendicular; its translation is twice the sought distance.
-    prod = half_turn(g2) @ half_turn(g1)
-    eigvals, eigvecs = np.linalg.eig(prod.m)
+    eigvals, eigvecs = np.linalg.eig(unit_determinant(half_turn(g2) @ half_turn(g1)))
     if abs(abs(eigvals[0]) - abs(eigvals[1])) > 1e-14 * max(1.0, abs(eigvals[0])):
         order = np.argsort(np.abs(eigvals))
     else:

@@ -22,8 +22,6 @@ from qfsurface.cocycles import (
 )
 from qfsurface.hexagon import hexagon_residuals, solve_hexagon
 from qfsurface.limitset import cross_ratio_imag_spread, limit_set
-from qfsurface.moebius import MoebiusMap
-from qfsurface.pants import pants_matrices
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.schwarzian import SELFTEST_DRAWS, selftest
 from qfsurface.surface import (
@@ -36,7 +34,15 @@ from qfsurface.surface import (
 from qfsurface.cocycles import TangentCocycle
 from qfsurface import matrix2 as m2
 
-from oracles import fd_basis_cocycles, fd_symplectic_gram, real_hexagon_even_sides
+from oracles import (
+    conjugated,
+    fd_basis_cocycles,
+    fd_symplectic_gram,
+    pants_entries,
+    random_sl2,
+    real_hexagon_even_sides,
+    rounded,
+)
 
 GRAPH = PantsDecompositionGraph(2, [
     ("alpha1", (0, 0), (1, 0)),
@@ -154,7 +160,7 @@ def test_criterion_6_construction_residuals():
             for c in (0, 1, 2):
                 label = next(e.label for e in GRAPH.edges if (v, c) in e.ends())
                 sigmas.append(fn.lengths[GRAPH.curve_index(label)] / 2.0)
-            for mat, sigma in zip(pants_matrices(sigmas), sigmas):
+            for mat, sigma in zip(rounded(pants_entries, sigmas), sigmas):
                 trace = mat[0, 0] + mat[1, 1]
                 worst_trace = max(worst_trace, abs(trace + 2.0 * cmath.cosh(sigma)))
     passed = worst_relator <= 1e-9 and worst_trace <= 1e-12 and worst_round_trip <= 1e-9
@@ -232,11 +238,11 @@ def test_criterion_8_cohomology_suite():
     bilinear_ok = abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     # gauge invariance under global conjugation
-    m = MoebiusMap(rng.randn(2, 2) + 1j * rng.randn(2, 2))
-    conj = rep.conjugated(m)
-    minv = np.linalg.inv(m.m)
+    m = random_sl2(rng)
+    conj = conjugated(rep, m)
+    minv = np.linalg.inv(m)
     moved = [
-        TangentCocycle(conj, {g: m2.flat_from_array(m.m @ m2.flat_to_complex(u.flat[g]) @ minv)
+        TangentCocycle(conj, {g: m2.flat_from_array(m @ m2.flat_to_complex(u.flat[g]) @ minv)
                               for g in u.flat})
         for u in cocycles
     ]

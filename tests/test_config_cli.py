@@ -111,9 +111,12 @@ def test_cli_holonomy_and_lengths(tmp_path, capsys):
     assert abs(payload["lengths"]["alpha1"][0] - 2.0) <= 1e-9
     assert abs(payload["lengths"]["alpha2"][0] - 2.5) <= 1e-9
 
-    assert cli_main(["lengths", path, "--word", "a1*b1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "a1*b1" in payload["lengths"]
+    # B1^-1 inverts b1 twice, so a1*B1^-1 is the word a1*b1
+    printed = []
+    for word in ("a1*b1", "a1*B1^-1"):
+        assert cli_main(["lengths", path, "--word", word]) == 0
+        printed.append(json.loads(capsys.readouterr().out)["lengths"][word])
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -365,6 +368,39 @@ def test_cli_checks_hold_under_optimize(tmp_path):
     result = run("limitset", long_alpha1_path(tmp_path), "--depth", "3")
     assert result.returncode == 1
     assert result.stdout.startswith("FAIL holonomy: relator_residual ")
+
+
+PUBLIC_NAMES = [
+    "BaseMismatch", "BranchFailure", "COEFFICIENT_SCALE", "CountMismatch",
+    "CriticalPoint", "DanglingCuff", "DegenerateFN", "DegenerateSide", "FNCoordinates",
+    "GluingEdge", "Hexagon", "HolomorphicSample", "LimitSetCloud", "MalformedGraph",
+    "NotLoxodromic", "PAIRING_SIGN", "PantsDecompositionGraph", "PrecisionExhausted",
+    "ReduciblePants", "Representation", "SchemaError", "SurfaceConfig",
+    "SurfaceGroupPresentation", "SymplecticGram", "TangentCocycle", "UnknownGenerator",
+    "build_presentation", "cloud_to_csv", "cloud_to_svg", "coboundary", "cocycle_check",
+    "cocycle_gram", "cocycle_residual", "cocycles", "complex_length_of_curve", "config",
+    "config_to_json", "darboux_residual", "fd_basis_cocycles", "fuchsian_residual",
+    "goldman_pairing", "hexagon", "hexagon_residuals", "holonomy", "importlib",
+    "limit_set", "limitset", "matrix2", "normalize_complex_length", "pants",
+    "parse_config", "presentation", "schwarzian", "schwarzian_at", "solve_hexagon",
+    "surface", "symplectic_gram", "twist_flow", "words",
+]
+
+
+def test_package_public_names_are_pinned():
+    # the names bound on a fresh import, and those given on first access: an
+    # export added or removed is an edit of this list
+    src = Path(qfsurface.__file__).resolve().parent.parent
+    script = """
+import json, qfsurface
+names = {name for name in dir(qfsurface) if not name.startswith("_")}
+names |= set(qfsurface._ON_ACCESS) | set(qfsurface._HOME)
+print(json.dumps(sorted(names)))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == PUBLIC_NAMES
 
 
 def test_commands_do_not_import_mpmath(tmp_path):

@@ -39,7 +39,7 @@ def test_real_case_against_hyperboloid_oracle():
 
 def cylinder_distance(a, b):
     """Distance between complex lengths modulo the 2*pi*i period."""
-    from qfsurface.moebius import normalize_complex_length
+    from qfsurface.surface import normalize_complex_length
 
     return abs(normalize_complex_length(a - b))
 

@@ -6,12 +6,16 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from oracles import (
+    ProjectivePoint,
+    attracting_eigenvalue,
     attracting_fixed_point,
+    conjugated,
     csv_by_word_walk,
     limit_set_by_word_walk,
+    unit_determinant,
 )
 from qfsurface import limitset
 from qfsurface import matrix2 as m2
@@ -19,6 +23,7 @@ from qfsurface.config import parse_config
 from qfsurface.limitset import (
     _DEDUP_TOL,
     _MARGIN,
+    _TRACE_TOL,
     _children,
     _fixed_points,
     _letter_matrices,
@@ -27,7 +32,6 @@ from qfsurface.limitset import (
     cross_ratio_imag_spread,
     limit_set,
 )
-from qfsurface.moebius import MoebiusMap, ProjectivePoint
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import DegenerateFN, FNCoordinates, holonomy, twist_flow
 from qfsurface.words import reduce_word, reduced_words_up_to
@@ -324,7 +328,7 @@ def sphere_rotations():
 def test_dedup_sweep_axis_follows_the_cloud(index, monkeypatch):
     # in a plane across a fixed sweep axis every pair of points is a candidate
     depth = 3
-    rep = bundled_rep("genus2_fuchsian").conjugated(MoebiusMap(sphere_rotations()[index]))
+    rep = conjugated(bundled_rep("genus2_fuchsian"), unit_determinant(sphere_rotations()[index]))
     candidates = []
     within = limitset._within
 
@@ -494,6 +498,25 @@ def test_fixed_points_leave_three_hypot_values_per_word(monkeypatch):
     monkeypatch.setattr(np, "hypot", counted)
     limit_set(rep, 4)
     assert sum(seen) <= 3 * loxodromic
+
+
+# traces on both sides of the edges of the band the trace test drops
+_EDGE = 2.0 + _TRACE_TOL
+_past = float(np.nextafter(_TRACE_TOL, 1.0))
+trace_re = st.one_of(st.floats(-3.0, 3.0), st.floats(_EDGE, _EDGE + 1e-6),
+                     st.floats(-_EDGE - 1e-6, -_EDGE), st.floats(-1e150, 1e150))
+trace_im = st.one_of(st.floats(-1e-8, 1e-8), st.sampled_from([_past, -_past]),
+                     st.floats(-3.0, 3.0), st.floats(-1e150, 1e150))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(re=trace_re, im=trace_im)
+def test_kept_traces_have_eigenvalues_off_the_unit_circle(re, im):
+    # lam is a root of x^2 - tr x + 1, so ||lam| - 1| <= 1e-12 would force
+    # |Im tr| <= about 2e-12 and |Re tr| <= 2 + 1e-24: the trace test drops
+    # every such word, and the fixed points need no near-unit test after it
+    assume(not (abs(im) <= _TRACE_TOL and abs(re) <= 2.0 + _TRACE_TOL))
+    assert abs(abs(attracting_eigenvalue(complex(re, im))) - 1.0) > 1e-12
 
 
 def test_csv_matches_fstring_formatter():

@@ -6,35 +6,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qfsurface.moebius import (
-    _lift_trace,
-    MoebiusMap,
-    NotLoxodromic,
+from oracles import (
     OrientedGeodesic,
-    ParabolicOrIdentity,
     ProjectivePoint,
     SharedEndpoint,
-    apply,
-    classify,
-    complex_displacement,
     complex_distance,
-    displacement_from_trace,
     fixed_points,
+    random_sl2,
+)
+from qfsurface.surface import (
+    NotLoxodromic,
+    _lift_trace,
+    displacement_from_trace,
     normalize_complex_length,
 )
 
+E = np.diag([math.e, 1.0 / math.e]).astype(complex)
 
 
-def random_sl2(rng):
-    while True:
-        m = rng.randn(2, 2) + 1j * rng.randn(2, 2)
-        if abs(np.linalg.det(m)) > 1e-3:
-            return MoebiusMap(m)
+def image(matrix, point):
+    """The point moved by the Moebius map of the matrix."""
+    return ProjectivePoint(*(matrix @ [point.z, point.w]))
 
 
-def displacement_by_eigenvalue_log(mapping):
+def displacement_by_eigenvalue_log(matrix):
     """Independent route: twice the log of the expanding eigenvalue."""
-    eigvals = np.linalg.eigvals(mapping.m)
+    eigvals = np.linalg.eigvals(matrix)
     lam = eigvals[np.argmax(np.abs(eigvals))]
     return normalize_complex_length(2.0 * cmath.log(lam))
 
@@ -61,58 +58,19 @@ def real_distance_oracle(g1, g2):
     return abs(n1 @ g @ n2)
 
 
-def test_compose_identity_and_inverse():
-    rng = np.random.RandomState(000 + 1)
-    a = random_sl2(rng)
-    eye = MoebiusMap.identity()
-    assert np.max(np.abs((eye @ a).m - a.m)) <= 1e-12
-    assert (a @ a.inverse()).distance_to_identity() <= 1e-12
-
-
-def test_compose_diagonal():
-    d = MoebiusMap.diagonal(math.e)
-    dd = d @ d
-    assert abs(dd.a - math.e**2) <= 1e-12
-    assert abs(dd.d - math.e**-2) <= 1e-12
-
-
-def test_unit_determinant_preserved():
-    rng = np.random.RandomState(000 + 2)
-    for _ in range(50):
-        a, b = random_sl2(rng), random_sl2(rng)
-        assert abs((a @ b).det() - 1.0) <= 1e-12
-
-
-def test_classify_basics():
-    assert classify(MoebiusMap.identity()) == "identity"
-    assert classify(MoebiusMap([[-1, 0], [0, -1]], normalize=False)) == "identity"
-    assert classify(MoebiusMap([[1, 1], [0, 1]], normalize=False)) == "parabolic"
-    assert classify(MoebiusMap.diagonal(math.e)) == "loxodromic"
-    rot = MoebiusMap([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
-    assert classify(rot) == "elliptic"
-
-
 def test_displacement_diagonal():
-    assert abs(complex_displacement(MoebiusMap.diagonal(math.e)) - 2.0) <= 1e-12
+    assert abs(displacement_from_trace(math.e + 1.0 / math.e) - 2.0) <= 1e-12
     lam = cmath.exp((1.0 + 1.0j) / 2.0)
-    phi = complex_displacement(MoebiusMap.diagonal(lam))
+    phi = displacement_from_trace(lam + 1.0 / lam)
     assert abs(phi - (1.0 + 1.0j)) <= 1e-12
-
-
-def test_displacement_rejects_parabolic_and_identity():
-    with pytest.raises(ParabolicOrIdentity):
-        complex_displacement(MoebiusMap.identity())
-    with pytest.raises(ParabolicOrIdentity):
-        complex_displacement(MoebiusMap([[1, 1], [0, 1]], normalize=False))
 
 
 def test_displacement_conjugation_invariance_and_oracle():
     rng = np.random.RandomState(000 + 3)
-    base = MoebiusMap.diagonal(math.e)
     for _ in range(30):
         m = random_sl2(rng)
-        conj = m @ base @ m.inverse()
-        phi = complex_displacement(conj)
+        conj = m @ E @ np.linalg.inv(m)
+        phi = displacement_from_trace(np.trace(conj))
         assert abs(phi - 2.0) <= 1e-10
         assert abs(phi - displacement_by_eigenvalue_log(conj)) <= 1e-10
 
@@ -122,19 +80,17 @@ def test_displacement_matches_eigenvalue_log_on_random_loxodromics():
     for _ in range(50):
         lam = cmath.exp(rng.uniform(0.2, 1.5) + 1j * rng.uniform(-2.8, 2.8))
         m = random_sl2(rng)
-        a = m @ MoebiusMap.diagonal(lam) @ m.inverse()
-        if classify(a) != "loxodromic":
-            continue
-        assert abs(complex_displacement(a) - displacement_by_eigenvalue_log(a)) <= 1e-9
+        a = m @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(m)
+        assert abs(displacement_from_trace(np.trace(a)) - displacement_by_eigenvalue_log(a)) <= 1e-9
 
 
 def test_fixed_points_diagonal_and_conjugated():
-    g = fixed_points(MoebiusMap.diagonal(math.e))
+    g = fixed_points(E)
     assert g.repelling.close_to(ProjectivePoint(0.0, 1.0))
     assert g.attracting.close_to(ProjectivePoint.infinity())
 
-    s = MoebiusMap([[0, 1], [-1, 0]], normalize=False)
-    g2 = fixed_points(s @ MoebiusMap.diagonal(math.e) @ s.inverse())
+    s = np.array([[0, 1], [-1, 0]], dtype=complex)
+    g2 = fixed_points(s @ E @ np.linalg.inv(s))
     assert g2.repelling.close_to(ProjectivePoint.infinity())
     assert g2.attracting.close_to(ProjectivePoint(0.0, 1.0))
 
@@ -143,29 +99,21 @@ def test_fixed_points_residual_and_equivariance():
     rng = np.random.RandomState(000 + 5)
     for _ in range(30):
         m = random_sl2(rng)
-        a = m @ MoebiusMap.diagonal(cmath.exp(0.7 + 0.4j)) @ m.inverse()
+        lam = cmath.exp(0.7 + 0.4j)
+        a = m @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(m)
         g = fixed_points(a)
         for pt in (g.repelling, g.attracting):
-            assert apply(a, pt).chordal_distance(pt) <= 1e-10
-        conj = m @ a @ m.inverse()
+            assert image(a, pt).chordal_distance(pt) <= 1e-10
+        conj = m @ a @ np.linalg.inv(m)
         gc = fixed_points(conj)
-        assert gc.repelling.close_to(apply(m, g.repelling), 1e-10)
-        assert gc.attracting.close_to(apply(m, g.attracting), 1e-10)
+        assert gc.repelling.close_to(image(m, g.repelling), 1e-10)
+        assert gc.attracting.close_to(image(m, g.attracting), 1e-10)
 
 
 def test_fixed_points_rejects_elliptic():
-    rot = MoebiusMap([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    rot = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]], dtype=complex)
     with pytest.raises(NotLoxodromic):
         fixed_points(rot)
-
-
-def test_apply_basics():
-    p = ProjectivePoint(0.3 + 0.2j)
-    assert apply(MoebiusMap.identity(), p).close_to(p)
-    par = MoebiusMap([[1, 1], [0, 1]], normalize=False)
-    assert apply(par, ProjectivePoint.infinity()).close_to(ProjectivePoint.infinity())
-    d = MoebiusMap.diagonal(math.e)
-    assert apply(d, ProjectivePoint(1.0, 1.0)).close_to(ProjectivePoint(math.e**2, 1.0))
 
 
 def test_complex_distance_quarter_turn():

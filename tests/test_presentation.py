@@ -204,6 +204,10 @@ def test_word_string_round_trip():
     word = (1, -2, 3, 4, -1)
     assert pres.word_from_string(pres.word_to_string(word)) == word
     assert pres.word_from_string("a1*B1*a2") == (1, -2, 3)
+    # a capital and a ^-1 suffix each invert the letter, so together they cancel
+    assert pres.word_from_string("A1") == pres.word_from_string("a1^-1") == (-1,)
+    assert pres.word_from_string("A1^-1") == (1,)
+    assert pres.word_from_string("a1*B1^-1") == (1, 2)
 
 
 def test_malformed_graphs_rejected():

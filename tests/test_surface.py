@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfsurface.moebius import MoebiusMap, NotLoxodromic, classify, normalize_complex_length
+from oracles import conjugated, random_sl2
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import (
     BranchFailure,
     DegenerateFN,
     FNCoordinates,
+    NotLoxodromic,
     UnknownGenerator,
     complex_length_of_curve,
     fuchsian_residual,
@@ -158,14 +159,14 @@ def test_twist_periodicity():
 def test_matrix_of_word_basics():
     rep = holonomy(standard_graph(), FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1]))
 
-    def image(word):
-        return MoebiusMap(rep.matrix_of_word(word), normalize=False)
+    def distance_to_identity(word):
+        m, eye = rep.matrix_of_word(word), np.eye(2)
+        return min(np.max(np.abs(m - eye)), np.max(np.abs(m + eye)))
 
-    assert image(()).distance_to_identity() == 0.0
-    assert image(rep.presentation.relator).distance_to_identity() <= 1e-9
+    assert distance_to_identity(()) == 0.0
+    assert distance_to_identity(rep.presentation.relator) <= 1e-9
     word = (1, 2, -1)
-    prod = image(word + tuple(-x for x in reversed(word)))
-    assert prod.distance_to_identity() <= 1e-12
+    assert distance_to_identity(word + tuple(-x for x in reversed(word))) <= 1e-12
     with pytest.raises(UnknownGenerator):
         rep.matrix_of_word((9,))
 
@@ -194,9 +195,7 @@ def test_fuchsian_residual_conjugation_stable():
     rng = np.random.RandomState(2300 + 3)
     graph = standard_graph()
     rep = holonomy(graph, FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1]))
-    m = MoebiusMap(rng.randn(2, 2) + 1j * rng.randn(2, 2))
-    conjugated = rep.conjugated(m)
-    assert fuchsian_residual(conjugated) <= 1e-8
+    assert fuchsian_residual(conjugated(rep, random_sl2(rng))) <= 1e-8
 
 
 def test_fuchsian_residual_is_exact_on_real_long_points():
