@@ -268,6 +268,14 @@ def exp(x):
     to the value where it grows and absolutely where it shrinks, so the
     result is off by about 2^(7 - _EXP_GUARD_BITS) units of 2^-FRAC_BITS
     before the final floor.
+
+    The Taylor terms are multiplied by x's significant bits only.  A lifted
+    double fills about 53 of the FRAC_BITS bits below the binary point, so
+    x's two parts share some 130 trailing zero bits: they are shifted out
+    of x, and each product is shifted right by that much less.  A product
+    with x = x' 2^z, floored at 2^shift, is the product with x' floored at
+    2^(shift - z), bit for bit, so every term, the sum and its floors, and
+    with them the error bound above, are unchanged.
     """
     if isinstance(x, Jet):
         value = exp(x.value)
@@ -278,8 +286,12 @@ def exp(x):
     bits = FRAC_BITS + max(0, _exp_bits(re)) + s + _EXP_GUARD_BITS
     # term k is term k-1 times x / 2^s / k; x / 2^s at scale 2^-bits is x
     # shifted left by bits - FRAC_BITS - s, so the product shifts right by
-    # FRAC_BITS + s
+    # FRAC_BITS + s, less the zero bits taken off x
     shift = FRAC_BITS + s
+    low = re | im
+    if low:
+        zeros = min((low & -low).bit_length() - 1, shift)
+        re, im, shift = re >> zeros, im >> zeros, shift - zeros
     term_re = sum_re = 1 << bits
     term_im = sum_im = 0
     k = 1

@@ -15,7 +15,10 @@ aligns the cuff frames of the two sides through
 where twist(tau) = diag(exp(tau/2), exp(-tau/2)) translates by tau along
 the glued axis and S = [[0, 1], [-1, 0]] reverses the axis orientation, so
 the two cuff holonomies are exact inverses.  Edges outside the tree get a
-stable-letter matrix built from the same frame data.  All entries are
+stable-letter matrix built from the same frame data.  The root pants sits
+in its own normal form, so its frame is the identity: its symbols are its
+leaves, and no product with that frame is formed (the kernel would return
+the other factor's bits unchanged).  All entries are
 entire functions of the coordinates, so the same assembly run over jets
 (see :func:`assemble`) gives their exact derivatives in every l and tau
 direction, with no branch cut to cross.  Scalars appear only in the leaf
@@ -214,21 +217,24 @@ class Representation:
 
 
 def holonomy(graph, fn):
-    """Representation realizing the coordinates on the graph's curves."""
+    """Representation realizing the coordinates on the graph's curves.
+
+    The images are the flat matrices of one value-only assembly: no jets.
+    """
     presentation, images = assemble(graph, fn, False)
-    return Representation(graph, presentation, fn,
-                          {gen: value for gen, (value, _grads) in images.items()})
+    return Representation(graph, presentation, fn, images)
 
 
 def assemble(graph, fn, differentiate):
     """Presentation and generator images realizing the coordinates.
 
-    The images are matrix jets (value, grads) of the :mod:`matrix2` kernel.
-    With ``differentiate`` every coordinate enters the leaf formulas as a
-    :class:`matrix2.Jet` with unit derivative in its own direction (k < N is
-    length k, N + k is twist k), and grads holds the exact derivative of
-    the image in each of the 2N directions; without it, grads is empty.
-    The values are bit-identical either way.
+    Without ``differentiate`` the images are flat matrices of the
+    :mod:`matrix2` kernel.  With it they are matrix jets (value, grads):
+    every coordinate enters the leaf formulas as a :class:`matrix2.Jet`
+    with unit derivative in its own direction (k < N is length k, N + k is
+    twist k), and grads holds the exact derivative of the image in each of
+    the 2N directions.  The kernel is picked once, here; the values are
+    bit-identical either way.
     """
     n = len(fn)
     if n != graph.num_curves:
@@ -256,15 +262,14 @@ def assemble(graph, fn, differentiate):
             raise DegenerateFN(str(exc)) from exc
 
     coordinates = [m2.lift(x) for x in fn.lengths + fn.twists]
-    directions = 0
     if differentiate:
-        directions = 2 * n
         unit = m2.lift(1)
         coordinates = [m2.Jet(x, {k: unit}) for k, x in enumerate(coordinates)]
+        leaf = functools.partial(m2.flat_jet, directions=2 * n)
+        mul, adj = m2.jet_mul, m2.jet_adj
+    else:
+        leaf, mul, adj = m2.flat, m2.fmul, m2.fadj
     lengths, twists = coordinates[:n], coordinates[n:]
-
-    def leaf(entries):
-        return m2.flat_jet(entries, directions)
 
     # exp(sigma / 2) of each curve's half-length sigma = l / 2, shared by the
     # two cuffs it glues; the pants formulas derive the rest by arithmetic,
@@ -278,7 +283,6 @@ def assemble(graph, fn, differentiate):
             leaves[cuffs] = (leaf(c1), leaf(c2)), cuff_frames
     matrices, frames = zip(*(leaves[cuffs] for cuffs in pants_cuffs))
 
-    mul, adj = m2.jet_mul, m2.jet_adj
     axis_flip = leaf((0, 1, -1, 0))
 
     def gluing_map(label, from_end, to_end):
@@ -293,22 +297,30 @@ def assemble(graph, fn, differentiate):
             leaf(m2.inverse_entries(frames[w][j])),
         )
 
-    conj = {plan.root: leaf((1, 0, 0, 1))}
+    # conj[v] places pants v; the root's is the identity and is left out,
+    # so no product with it is formed
+    conj = {}
     for label, parent_end, child_end in plan.tree_gluings:
-        conj[child_end[0]] = mul(
-            conj[parent_end[0]], gluing_map(label, parent_end, child_end)
-        )
+        step = gluing_map(label, parent_end, child_end)
+        parent = conj.get(parent_end[0])
+        conj[child_end[0]] = step if parent is None else mul(parent, step)
 
     symbol_matrix = {}
     for v in range(graph.num_pants):
-        m = conj[v]
-        minv = adj(m)
-        symbol_matrix[graph.symbol_a(v)] = mul(mul(m, matrices[v][0]), minv)
-        symbol_matrix[graph.symbol_b(v)] = mul(mul(m, matrices[v][1]), minv)
+        a, b = matrices[v]
+        if v in conj:
+            m, minv = conj[v], adj(conj[v])
+            a, b = mul(mul(m, a), minv), mul(mul(m, b), minv)
+        symbol_matrix[graph.symbol_a(v)] = a
+        symbol_matrix[graph.symbol_b(v)] = b
 
     for label, s_end, t_end, z_symbol in plan.nontree_gluings:
         v, w = s_end[0], t_end[0]
-        forward = mul(mul(conj[v], gluing_map(label, s_end, t_end)), adj(conj[w]))
+        forward = gluing_map(label, s_end, t_end)
+        if v in conj:
+            forward = mul(conj[v], forward)
+        if w in conj:
+            forward = mul(forward, adj(conj[w]))
         symbol_matrix[z_symbol] = adj(forward)
 
     def eval_symbols(word):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import sys
@@ -498,6 +499,38 @@ def test_kernel_is_bit_identical_to_fixed_oracle():
         assert np.max(np.abs(np.asarray(gram.matrix) - matrix)) <= residual
         assert gram.raw_asymmetry <= 2 * asymmetry
         assert gram.cocycle_residual <= 2 * residual
+
+
+# sha256 of the working-precision images and coordinate cocycle tables of
+# the cases below, as the jet assembly first produced them.  The Fixed oracle
+# shares m2.exp and pants.leaf_entries with the kernel, so it cannot see a
+# change to the bits of either; these digests can.
+HOLONOMY_DIGEST = "555b0b6636f29d6b67ba0a7cb099952e695110ad8aeea65f6f8c944fd4a1503a"
+BASIS_DIGEST = "1c2f20fe07fb4d6f9a0b01182528eb1570ad7aef8929d94fd791e11a6b4417a7"
+
+
+def digest_cases():
+    yield from bit_identity_cases()
+    rng = np.random.RandomState(2006)
+    for graph in (standard_graph(), separating_graph(), GENUS3_CHAIN, GENUS4_CHAIN):
+        for _ in range(2):
+            n = graph.num_curves
+            lengths = rng.uniform(1.0, 8.0, n) + 1j * rng.uniform(-0.3, 0.3, n)
+            twists = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-0.3, 0.3, n)
+            yield graph, FNCoordinates(lengths, twists)
+
+
+def working_precision_digests(cases):
+    images, tables = hashlib.sha256(), hashlib.sha256()
+    for graph, fn in cases:
+        images.update(repr(sorted(holonomy(graph, fn).mp_images.items())).encode())
+        _rep, cocycles = fd_basis_cocycles(graph, fn)
+        tables.update(repr([sorted(u.flat.items()) for u in cocycles]).encode())
+    return images.hexdigest(), tables.hexdigest()
+
+
+def test_working_precision_bits_match_pinned_digests():
+    assert working_precision_digests(digest_cases()) == (HOLONOMY_DIGEST, BASIS_DIGEST)
 
 
 def test_walk_floors_each_step_once():

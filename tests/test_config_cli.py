@@ -83,6 +83,99 @@ def test_schema_errors_have_pointer_paths():
     assert "/gluings/1/ends/0" in str(err.value)
 
 
+def mutated(edit):
+    doc = json.loads(bundled("genus2_fuchsian.json"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def disconnected_genus3():
+    # two genus-2 halves: the counts of genus 3, but two components
+    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc["genus"] = 3
+    doc["pants"] = [{"id": f"P{k}"} for k in range(4)]
+    doc["gluings"] += [{"curve": f"beta{k}", "ends": [[2, k], [3, k]]} for k in range(3)]
+    doc["fn"].update({f"beta{k}": doc["fn"]["alpha1"] for k in range(3)})
+    return json.dumps(doc)
+
+
+def nan_text():
+    return bundled("genus2_fuchsian.json").replace('"l": [2.5, 0.0]', '"l": [NaN, 0.0]')
+
+
+# (document, error type, message): every error parse_config raises, one row
+# per raising branch
+CONFIG_ERRORS = [
+    ("", SchemaError, "invalid JSON at line 1 column 1: Expecting value"),
+    ("[]", SchemaError, "/: expected a JSON object"),
+    (mutated(lambda d: d.update(genus=1)), SchemaError,
+     "/genus: expected an integer >= 2, got 1"),
+    (mutated(lambda d: d.update(genus=True)), SchemaError,
+     "/genus: expected an integer >= 2, got True"),
+    (mutated(lambda d: d.update(pants=[])), SchemaError, "/pants: expected a nonempty list"),
+    (mutated(lambda d: d["pants"].__setitem__(1, {})), SchemaError,
+     "/pants/1: expected an object with an 'id'"),
+    (mutated(lambda d: d["pants"].__setitem__(1, {"id": "P0"})), SchemaError,
+     "/pants: duplicate pants ids"),
+    (mutated(lambda d: d["pants"].append({"id": "P2"})), CountMismatch,
+     "/pants: 3 pants for genus 2, expected 2"),
+    (mutated(lambda d: d.update(gluings={})), SchemaError, "/gluings: expected a list"),
+    (mutated(lambda d: d["gluings"].pop()), CountMismatch,
+     "/gluings: 2 gluing edges for genus 2, expected 3"),
+    (mutated(lambda d: d["gluings"].__setitem__(1, [])), SchemaError,
+     "/gluings/1: expected an object"),
+    (mutated(lambda d: d["gluings"][1].update(curve="")), SchemaError,
+     "/gluings/1/curve: expected a nonempty string"),
+    (mutated(lambda d: d["gluings"][1].update(curve="alpha1")), SchemaError,
+     "/gluings/1/curve: duplicate curve label 'alpha1'"),
+    (mutated(lambda d: d["gluings"][1].update(ends=[[0, 1]])), SchemaError,
+     "/gluings/1/ends: expected two [pants, cuff] pairs"),
+    (mutated(lambda d: d["gluings"][1]["ends"].__setitem__(1, [1, 1.0])), SchemaError,
+     "/gluings/1/ends/1: expected [pantsIndex, cuffIndex]"),
+    (mutated(lambda d: d["gluings"][1]["ends"].__setitem__(0, [2, 1])), SchemaError,
+     "/gluings/1/ends/0: pants index 2 out of range"),
+    (mutated(lambda d: d["gluings"][1]["ends"].__setitem__(0, [0, 7])), SchemaError,
+     "/gluings/1/ends/0: cuff index 7 not in 0..2"),
+    (mutated(lambda d: d["gluings"][2].update(ends=[[0, 1], [1, 2]])), DanglingCuff,
+     "/gluings/2/ends/0: cuff [0, 1] already used by curve 'alpha2'"),
+    # a cuff glued to itself is a cuff used twice
+    (mutated(lambda d: d["gluings"][1].update(ends=[[0, 1], [0, 1]])), DanglingCuff,
+     "/gluings/1/ends/1: cuff [0, 1] already used by curve 'alpha2'"),
+    (disconnected_genus3(), CountMismatch, "/gluings: gluing graph is not connected"),
+    (mutated(lambda d: d.update(fn=[])), SchemaError,
+     "/fn: expected an object keyed by curve label"),
+    (mutated(lambda d: d["fn"].pop("alpha2")), SchemaError,
+     "/fn/alpha2: missing coordinates for this curve"),
+    (mutated(lambda d: d["fn"].update(alpha2=[2.5, 0.0])), SchemaError,
+     "/fn/alpha2: expected an object"),
+    (mutated(lambda d: d["fn"]["alpha2"].update(l=[2.0])), SchemaError,
+     "/fn/alpha2/l: expected a finite [re, im] pair, got [2.0]"),
+    (nan_text(), SchemaError, "/fn/alpha2/l: expected a finite [re, im] pair, got [nan, 0.0]"),
+    (mutated(lambda d: d["fn"]["alpha3"].pop("tau")), SchemaError,
+     "/fn/alpha3/tau: expected a finite [re, im] pair, got None"),
+    (mutated(lambda d: d["fn"]["alpha1"].update(l=[0.0, 1.0])), SchemaError,
+     "/fn/alpha1/l: real part must be positive"),
+    (mutated(lambda d: d["fn"].update(alpha4=d["fn"]["alpha1"])), SchemaError,
+     "/fn/alpha4: no gluing edge with this label"),
+    (mutated(lambda d: d.update(options=[])), SchemaError, "/options: expected an object"),
+    (mutated(lambda d: d["options"].update(depth=3)), SchemaError,
+     "/options/depth: unknown option"),
+    (mutated(lambda d: d["options"].update(word_length=0)), SchemaError,
+     "/options/word_length: expected a positive integer"),
+    (mutated(lambda d: d["options"].update(tol=-1.0)), SchemaError,
+     "/options/tol: expected a finite positive number"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", CONFIG_ERRORS,
+                         ids=[message for _text, _error, message in CONFIG_ERRORS])
+def test_config_errors_keep_their_messages(text, error, message):
+    with pytest.raises(SchemaError) as err:
+        parse_config(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_config_round_trip():
     config = parse_config(bundled("genus2_fuchsian.json"))
     again = parse_config(config_to_json(config))
