@@ -10,15 +10,19 @@ Assembly scheme: each pants is realized in the fixed normal form of
 into place walking a spanning tree of the graph.  Gluing across a curve
 aligns the cuff frames of the two sides through
 
-    F_parent @ twist(tau) @ S @ F_child^(-1),
+    F_parent @ twist(tau) @ (S @ F_child^(-1)),
 
 where twist(tau) = diag(exp(tau/2), exp(-tau/2)) translates by tau along
 the glued axis and S = [[0, 1], [-1, 0]] reverses the axis orientation, so
-the two cuff holonomies are exact inverses.  Edges outside the tree get a
-stable-letter matrix built from the same frame data.  The root pants sits
-in its own normal form, so its frame is the identity: its symbols are its
-leaves, and no product with that frame is formed (the kernel would return
-the other factor's bits unchanged).  All entries are
+the two cuff holonomies are exact inverses.  S @ F_child^(-1) is formed as
+a leaf, by swapping and negating entries, so each gluing costs two
+products.  Its bits are those of ((F_parent @ twist(tau)) @ S) @
+F_child^(-1): a product with S only swaps and negates, and (-x) y = x (-y)
+holds exactly in the integers before each floor.  Edges outside the tree
+get a stable-letter matrix built from the same frame data.  The root pants
+sits in its own normal form, so its frame is the identity: its symbols are
+its leaves, and no product with that frame is formed (the kernel would
+return the other factor's bits unchanged).  All entries are
 entire functions of the coordinates, so the same assembly run over jets
 (see :func:`assemble`) gives their exact derivatives in every l and tau
 direction, with no branch cut to cross.  Scalars appear only in the leaf
@@ -168,6 +172,15 @@ class Representation:
     enough.  Every check reads a word through one chain, :meth:`prefixes`,
     and rounds its result to complex128 once, at the end; the one exit for a
     matrix is :meth:`matrix_of_word` (a generator g is the word ``(g,)``).
+
+    :meth:`prefixes` keeps every prefix product it forms in a trie keyed by
+    the letters, so words that share a prefix (the relator and the marking
+    words, or a curve word and a longer one that starts with it) form its
+    products once per representation.  A memoized prefix is the same left
+    fold, with the same floors, as a fresh one, so the bits do not depend on
+    the order in which words are read.  The memo, like :attr:`mp_inverses`,
+    relies on ``mp_images`` never changing after construction: a changed
+    image means a new Representation.
     """
 
     def __init__(self, graph, presentation, fn, mp_images):
@@ -175,6 +188,8 @@ class Representation:
         self.presentation = presentation
         self.fn = fn
         self.mp_images = mp_images
+        # letter -> (prefix image, subtrie of the words that continue it)
+        self._prefix_trie = {}
 
     @functools.cached_property
     def mp_inverses(self):
@@ -190,9 +205,19 @@ class Representation:
 
     def prefixes(self, word):
         """Working-precision images p_0 = 1, p_1, ..., p_m of the prefixes
-        of a word y_1...y_m, as flat matrices: p_j = p_{j-1} rho(y_j)."""
-        return list(itertools.accumulate(map(self.generator_flat, word), m2.fmul,
-                                         initial=m2.FEYE))
+        of a word y_1...y_m, as flat matrices: p_j = p_{j-1} rho(y_j).
+
+        Only the products that no earlier word formed are formed here.
+        """
+        result, node = [m2.FEYE], self._prefix_trie
+        for letter in word:
+            entry = node.get(letter)
+            if entry is None:
+                entry = node[letter] = (
+                    m2.fmul(result[-1], self.generator_flat(letter)), {})
+            result.append(entry[0])
+            node = entry[1]
+        return result
 
     def flat_of_word(self, word):
         """Working-precision image of a word, as a flat matrix."""
@@ -283,19 +308,17 @@ def assemble(graph, fn, differentiate):
             leaves[cuffs] = (leaf(c1), leaf(c2)), cuff_frames
     matrices, frames = zip(*(leaves[cuffs] for cuffs in pants_cuffs))
 
-    axis_flip = leaf((0, 1, -1, 0))
-
     def gluing_map(label, from_end, to_end):
         # Frame determinants on both sides equal -2 sinh(length/2) of the
         # same curve, so this product has unit determinant by construction,
-        # to the working precision; it is used as it is.
+        # to the working precision; it is used as it is.  S is folded into
+        # the inverse frame's leaf: S (a, b, c, d) = (c, d, -a, -b).
         tau = twists[label_index[label]]
         v, i = from_end
         w, j = to_end
-        return mul(
-            mul(mul(leaf(frames[v][i]), leaf(m2.twist_entries(tau))), axis_flip),
-            leaf(m2.inverse_entries(frames[w][j])),
-        )
+        a, b, c, d = m2.inverse_entries(frames[w][j])
+        return mul(mul(leaf(frames[v][i]), leaf(m2.twist_entries(tau))),
+                   leaf((c, d, -a, -b)))
 
     # conj[v] places pants v; the root's is the identity and is left out,
     # so no product with it is formed

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -461,6 +462,18 @@ def test_cli_checks_hold_under_optimize(tmp_path):
     result = run("limitset", long_alpha1_path(tmp_path), "--depth", "3")
     assert result.returncode == 1
     assert result.stdout.startswith("FAIL holonomy: relator_residual ")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so an invariant of the package raises a
+    # typed error instead
+    package = Path(qfsurface.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    asserts = [f"{path.name}:{node.lineno}" for path in sources
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, asserts
 
 
 PUBLIC_NAMES = [

@@ -146,3 +146,31 @@ def test_matrix_jet_product_matches_jet_products(x, y):
     assert value == expected_value
     # a gradient dropped by a product with 0 is a zero derivative
     assert [g or m2.FZERO for g in grads] == [g or m2.FZERO for g in expected_grads]
+
+
+# the axis flip S of a gluing, and S x formed as a leaf: S (a, b, c, d) =
+# (c, d, -a, -b); the assembly glues with (F T) (S G) for ((F T) S) G
+AXIS_FLIP = (0, 1, -1, 0)
+
+
+def flipped(x):
+    a, b, c, d = x
+    return (c, d, -a, -b)
+
+
+@fixed_settings
+@given(x=leaves, y=leaves)
+def test_axis_flip_folded_into_the_right_factor_keeps_the_bits(x, y):
+    # S swaps and negates, and (-x) y = x (-y) before each floor; the leaves
+    # have negative, zero and +-1 parts
+    chain = m2.fmul(m2.fmul(m2.flat(x), m2.flat(AXIS_FLIP)), m2.flat(y))
+    assert m2.fmul(m2.flat(x), m2.flat(flipped(y))) == chain
+
+
+@fixed_settings
+@given(x=jet_leaves(3), y=jet_leaves(3))
+def test_axis_flip_folded_into_the_right_jet_keeps_the_bits(x, y):
+    # values and derivatives alike, down to which derivatives are absent
+    flip = m2.flat_jet(AXIS_FLIP, 3)
+    chain = m2.jet_mul(m2.jet_mul(m2.flat_jet(x, 3), flip), m2.flat_jet(y, 3))
+    assert m2.jet_mul(m2.flat_jet(x, 3), m2.flat_jet(flipped(y), 3)) == chain

@@ -1,17 +1,23 @@
 import cmath
+import functools
+import itertools
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import conjugated, random_sl2
+from qfsurface import matrix2 as m2
+from qfsurface.config import parse_config
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import (
     BranchFailure,
     DegenerateFN,
     FNCoordinates,
     NotLoxodromic,
+    Representation,
     UnknownGenerator,
     complex_length_of_curve,
     fuchsian_residual,
@@ -169,6 +175,36 @@ def test_matrix_of_word_basics():
     assert distance_to_identity(word + tuple(-x for x in reversed(word))) <= 1e-12
     with pytest.raises(UnknownGenerator):
         rep.matrix_of_word((9,))
+
+
+@functools.cache
+def bundled_holonomy(name):
+    config = parse_config(resources.files("qfsurface.data").joinpath(name).read_text())
+    graph = config.graph()
+    return holonomy(graph, config.fn(graph))
+
+
+@pytest.mark.parametrize("name", ["genus2_fuchsian.json", "genus3.json"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_memoized_prefixes_match_the_plain_fold(name, data):
+    # a fresh memo per draw; words drawn in any order, each later one
+    # continuing a cut of an earlier word or of the relator
+    base = bundled_holonomy(name)
+    rep = Representation(base.graph, base.presentation, base.fn, base.mp_images)
+    generators = sorted(rep.mp_images)
+    letter = st.sampled_from(generators + [-g for g in generators])
+    words = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        stem = ()
+        if words:
+            source = data.draw(st.sampled_from(words + [rep.presentation.relator]))
+            stem = source[:data.draw(st.integers(0, len(source)))]
+        words.append(stem + tuple(data.draw(st.lists(letter, max_size=10))))
+    for word in words + words[::-1]:
+        plain = itertools.accumulate(map(rep.generator_flat, word), m2.fmul,
+                                     initial=m2.FEYE)
+        assert rep.prefixes(word) == list(plain)
 
 
 def test_length_is_class_function():
