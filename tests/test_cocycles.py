@@ -755,8 +755,7 @@ def test_commands_form_each_flat_product_once(monkeypatch, capsys, command, name
     # the bounds are the measured counts: each gluing map takes two
     # products, with the axis flip folded into a leaf, and a prefix that
     # several words share (the relator and the marking words, c5 in c3 in
-    # genus 3) is formed once; before, lengths took 52 and 76, gram 275 and
-    # 442
+    # genus 3) is formed once
     calls = Counter()
     fmul = m2.fmul
 
