@@ -48,7 +48,6 @@ from .presentation import (
     MalformedGraph,
     PantsDecompositionGraph,
     SurfaceGroupPresentation,
-    build_presentation,
 )
 from .surface import (
     BranchFailure,
@@ -58,7 +57,6 @@ from .surface import (
     Representation,
     UnknownGenerator,
     complex_length_of_curve,
-    fuchsian_residual,
     holonomy,
     normalize_complex_length,
     twist_flow,

@@ -88,7 +88,6 @@ __all__ = [
     "fd_basis_cocycles",
     "coboundary",
     "cocycle_residual",
-    "cocycle_scale",
     "goldman_pairing",
     "SymplecticGram",
     "cocycle_gram",
@@ -132,16 +131,6 @@ class TangentCocycle:
         closing sum of the word's walk."""
         return _flat_of_triple(_walk(self, word, _actions(self.rep, word))[2])
 
-    def scaled(self, factor):
-        table = {g: m2.fscale(v, factor) for g, v in self.flat.items()}
-        return TangentCocycle(self.rep, table)
-
-    def plus(self, other):
-        if other.rep is not self.rep:
-            raise BaseMismatch("cocycles live over different representations")
-        table = {g: m2.fadd(self.flat[g], other.flat[g]) for g in self.flat}
-        return TangentCocycle(self.rep, table)
-
 
 def fd_basis_cocycles(graph, fn):
     """The 2N coordinate cocycles (all length, then all twist directions).
@@ -179,12 +168,6 @@ def cocycle_residual(u):
     closing = u.evaluate_flat(u.rep.presentation.relator)
     with complex128_stage("cocycle_residual"):
         return m2.fmax_abs(closing)
-
-
-def cocycle_scale(u):
-    """Largest entry magnitude over the generator table (>= 1)."""
-    with complex128_stage("cocycle_scale"):
-        return max(1.0, max(m2.fmax_abs(v) for v in u.flat.values()))
 
 
 def _actions(rep, word):

@@ -20,6 +20,7 @@ field.  Counts are checked against the closed-surface relations
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -115,7 +116,10 @@ class SurfaceConfig:
             raise SchemaError(f"/fn/{curve}: no such curve")
         table = dict(self.fn_table)
         l, tau = table[curve]
-        table[curve] = (l, tau + delta)
+        tau += delta
+        if not cmath.isfinite(tau):
+            raise SchemaError(f"/fn/{curve}/tau: the twisted value {tau} is not finite")
+        table[curve] = (l, tau)
         return SurfaceConfig(self.genus, self.pants_ids, self.gluings,
                              table, self.options)
 

@@ -38,8 +38,7 @@ import numpy as np
 
 from .surface import DegenerateFN
 
-__all__ = ["LimitSetCloud", "limit_set", "cloud_to_csv", "cloud_to_svg",
-           "cross_ratio_imag_spread"]
+__all__ = ["LimitSetCloud", "limit_set", "cloud_to_csv", "cloud_to_svg"]
 
 _DEDUP_TOL = 1e-10
 _POINT_TOL = 1e-12           # |w| at or below it is the point at infinity
@@ -153,7 +152,7 @@ def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
     # would read the repelling fixed point as the attracting one
     if not (finite_square | ~lox).all():
         raise DegenerateFN("limit_set: a trace square exceeds complex128 "
-                           "(a length is too large)")
+                           "(a length or twist is too large)")
     if not lox.all():
         ar, ai, br, bi, cr, ci, dr, di, lam_r, lam_i = (
             part[lox] for part in (ar, ai, br, bi, cr, ci, dr, di, lam_r, lam_i))
@@ -196,7 +195,7 @@ def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
     # which no dedup radius would ever hold
     if not np.all(np.isfinite(scale)):
         raise DegenerateFN("limit_set: fixed points exceed complex128 "
-                           "(a length is too large)")
+                           "(a length or twist is too large)")
     if not np.all(scale != 0.0):
         raise ValueError("(0 : 0) is not a projective point")
     z_r, z_i = _divide_real(z_r, z_i, scale)
@@ -404,9 +403,6 @@ class LimitSetCloud:
         self.vectors = vectors
         self.depth = depth
 
-    def __len__(self):
-        return len(self.z)
-
     @property
     def is_infinity(self):
         return _abs(self.w) <= _POINT_TOL
@@ -415,13 +411,6 @@ class LimitSetCloud:
         """Affine coordinates and word lengths, skipping the point at infinity."""
         finite = ~self.is_infinity
         return _divide(self.z[finite], self.w[finite]), self.word_length[finite]
-
-    def contains(self, point, tol=1e-8):
-        """Membership of a point (z : w), given as an object with complex
-        attributes z and w, up to chordal distance tol."""
-        parts = np.array([[point.z.real], [point.z.imag], [point.w.real], [point.w.imag]])
-        gap = self.vectors - _sphere_vectors(*parts)
-        return bool(np.sqrt(np.min(np.sum(gap * gap, axis=1), initial=np.inf)) <= 2.0 * tol)
 
 
 def _letter_matrices(rep):
@@ -495,27 +484,6 @@ def limit_set(rep, depth):
             last = np.concatenate([block_last for _, block_last in blocks])
     return LimitSetCloud(np.concatenate(z_parts), np.concatenate(w_parts),
                          np.concatenate(length_parts), dedup.vectors, depth)
-
-
-def cross_ratio_imag_spread(cloud, trials, rng):
-    """Largest |Im| of the cross ratio over random 4-tuples of cloud points.
-
-    Zero (to numerics) iff the sampled points lie on a circle in the
-    projective line, the Fuchsian signature.
-    """
-    if len(cloud) < 4:
-        raise ValueError("need at least four points")
-    idx = np.array([rng.choice(len(cloud), size=4, replace=False)
-                    for _ in range(trials)]).reshape(trials, 4)
-    z, w = cloud.z[idx], cloud.w[idx]
-
-    def det(i, j):
-        return z[:, i] * w[:, j] - z[:, j] * w[:, i]
-
-    num = det(0, 2) * det(1, 3)
-    den = det(0, 3) * det(1, 2)
-    usable = np.abs(den) >= 1e-30
-    return float(np.max(np.abs((num[usable] / den[usable]).imag), initial=0.0))
 
 
 def cloud_to_csv(cloud):

@@ -74,12 +74,6 @@ class Fixed:
     def __bool__(self):
         return bool(self.re or self.im)
 
-    def __eq__(self, other):
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
     def __neg__(self):
         return Fixed(-self.re, -self.im)
 
@@ -100,12 +94,6 @@ class Fixed:
             if other is None:
                 return NotImplemented
         return Fixed(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return Fixed(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         if type(other) is not Fixed:
@@ -215,9 +203,6 @@ class Jet:
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if not other:
@@ -314,11 +299,6 @@ def value_of(x):
     return x.value if isinstance(x, Jet) else x
 
 
-def partial(x, direction):
-    """The derivative of a jet in one direction; 0 for a plain number."""
-    return x.grad.get(direction, 0) if isinstance(x, Jet) else 0
-
-
 def twist_entries(tau):
     """The twist diag(exp(tau/2), exp(-tau/2)) as a leaf (a, b, c, d)."""
     half = exp(tau / 2)
@@ -377,12 +357,6 @@ def fadd(x, y):
 
 def fsub(x, y):
     return tuple(map(operator.sub, x, y))
-
-
-def fscale(x, s):
-    """s x, for s anything :func:`lift` takes."""
-    s = lift(s)
-    return fmul(flat((s, 0, 0, s)), x)
 
 
 def fadj(x):

@@ -2,8 +2,9 @@
 
 A genus-g pants decomposition is a connected trivalent gluing graph with
 2g-2 vertices (pairs of pants, each with cuffs 0, 1, 2) and 3g-3 edges
-(decomposition curves).  ``build_presentation`` turns such a graph into the
-standard one-relator presentation
+(decomposition curves).  ``PantsDecompositionGraph.plan`` turns such a graph
+into an assembly plan whose presentation is the standard one-relator
+presentation
 
     < a1, b1, ..., ag, bg | [a1,b1]...[ag,bg] >
 
@@ -41,7 +42,6 @@ __all__ = [
     "PantsDecompositionGraph",
     "SurfaceGroupPresentation",
     "UnknownGenerator",
-    "build_presentation",
 ]
 
 
@@ -91,7 +91,6 @@ class PantsDecompositionGraph:
                 self.edges.append(GluingEdge(label, end_a, end_b))
         self._validate()
         self.curve_labels = sorted(edge.label for edge in self.edges)
-        self._plan = None
 
     @property
     def genus(self):
@@ -100,9 +99,6 @@ class PantsDecompositionGraph:
     @property
     def num_curves(self):
         return len(self.edges)
-
-    def curve_index(self, label):
-        return self.curve_labels.index(label)
 
     def _validate(self):
         labels = [edge.label for edge in self.edges]
@@ -152,10 +148,9 @@ class PantsDecompositionGraph:
         return 2 * self.num_pants + nontree_index + 1
 
     def plan(self):
-        if self._plan is None:
-            gluings = tuple((edge.label, edge.end_a, edge.end_b) for edge in self.edges)
-            self._plan = _plan_of(self.num_pants, gluings)
-        return self._plan
+        """The assembly plan, built once per distinct graph (:func:`_plan_of`)."""
+        gluings = tuple((edge.label, edge.end_a, edge.end_b) for edge in self.edges)
+        return _plan_of(self.num_pants, gluings)
 
 
 class SurfaceGroupPresentation:
@@ -535,8 +530,3 @@ def _parse_commutator_blocks(word, genus):
             if len(set(seen)) == 2 * genus:
                 return blocks
     return None
-
-
-def build_presentation(graph):
-    """Standard presentation with marking words for the graph's curves."""
-    return graph.plan().presentation

@@ -46,7 +46,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
-import itertools
 import math
 
 from . import matrix2 as m2
@@ -68,7 +67,6 @@ __all__ = [
     "complex_length_of_curve",
     "normalize_complex_length",
     "displacement_from_trace",
-    "fuchsian_residual",
 ]
 
 # Keep lengths away from the Im = +-pi seam, where the normalized complex
@@ -76,6 +74,9 @@ __all__ = [
 _IM_LENGTH_MARGIN = 1e-2
 # A word with |tr^2 - 4| at or below it is parabolic or the identity.
 _CLASSIFY_TOL = 1e-9
+# Past it exp(-|Re tau| / 2), the small entry of a twist leaf, is below
+# 2^-FRAC_BITS and floors to 0.
+_TWIST_BOUND = 2 * m2.FRAC_BITS * math.log(2)
 
 
 class DegenerateFN(Exception):
@@ -151,12 +152,13 @@ def twist_flow(fn, index, t):
 
 @contextlib.contextmanager
 def complex128_stage(stage):
-    """Working-precision values past 2^1024 (long curves) as DegenerateFN."""
+    """Working-precision values past 2^1024 (long curves or large twists) as
+    DegenerateFN."""
     try:
         yield
     except OverflowError as exc:
         raise DegenerateFN(
-            f"{stage}: entries exceed complex128 (a length is too large)"
+            f"{stage}: entries exceed complex128 (a length or twist is too large)"
         ) from exc
 
 
@@ -271,6 +273,11 @@ def assemble(graph, fn, differentiate):
             raise BranchFailure(
                 f"Im(length) = {complex(l).imag} too close to the +-pi seam"
             )
+    for label, tau in zip(graph.curve_labels, fn.twists):
+        if abs(complex(tau).real) > _TWIST_BOUND:
+            raise DegenerateFN(
+                f"twist {complex(tau)} of {label!r}: |Re| past {_TWIST_BOUND:.1f}, "
+                f"where exp(-|Re tau|/2) floors to 0 at 2^-{m2.FRAC_BITS}")
     plan = graph.plan()
     label_index = {label: k for k, label in enumerate(graph.curve_labels)}
     cuff_index = {}
@@ -286,7 +293,14 @@ def assemble(graph, fn, differentiate):
         except (ReduciblePants, ValueError, OverflowError) as exc:
             raise DegenerateFN(str(exc)) from exc
 
-    coordinates = [m2.lift(x) for x in fn.lengths + fn.twists]
+    coordinates = []
+    for kind, values in (("length", fn.lengths), ("twist", fn.twists)):
+        for label, x in zip(graph.curve_labels, values):
+            try:
+                coordinates.append(m2.lift(x))
+            except OverflowError:
+                raise DegenerateFN(f"{kind} {x} of {label!r} exceeds the working "
+                                   f"precision") from None
     if differentiate:
         unit = m2.lift(1)
         coordinates = [m2.Jet(x, {k: unit}) for k, x in enumerate(coordinates)]
@@ -409,23 +423,3 @@ def complex_length_of_curve(rep, word):
     if abs(trace * trace - 4.0) <= _CLASSIFY_TOL:
         raise NotLoxodromic("holonomy of the word is parabolic or the identity")
     return displacement_from_trace(trace)
-
-
-def fuchsian_residual(rep):
-    """Largest |Im tr rho(w)| over w = g_i, g_i g_j and g_i g_j g_k (i < j < k).
-
-    These traces generate every trace of a 2x2 representation as integer
-    polynomials (Procesi 1976; Horowitz 1972), so all traces are real iff
-    they are.  An irreducible representation with real traces is conjugate
-    into SL2(R) exactly when it has a hyperbolic element (|tr| > 2), and into
-    SU(2) otherwise.  The holonomies built here meet both conditions (their
-    pants have loxodromic cuffs with distinct axes), so zero means conjugate
-    into SL2(R).  The number is a trace deviation, not an entry deviation in
-    a normal frame; each trace is taken at the working precision and rounded
-    once.
-    """
-    generators = sorted(rep.mp_images)
-    words = [word for size in (1, 2, 3)
-             for word in itertools.combinations(generators, size)]
-    with complex128_stage("fuchsian_residual"):
-        return max(abs(m2.ftrace(rep.flat_of_word(word)).imag) for word in words)

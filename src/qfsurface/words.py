@@ -14,7 +14,6 @@ __all__ = [
     "cyclic_reduce",
     "expand",
     "rotate",
-    "exponent_sums",
     "reduced_words_up_to",
 ]
 
@@ -78,14 +77,6 @@ def expand(word, image):
             else:
                 out.append(piece)
     return tuple(out)
-
-
-def exponent_sums(word, num_generators):
-    """Image in the abelianization Z^num_generators."""
-    sums = [0] * num_generators
-    for letter in word:
-        sums[abs(letter) - 1] += 1 if letter > 0 else -1
-    return tuple(sums)
 
 
 def reduced_words_up_to(num_generators, max_length):

@@ -27,6 +27,12 @@ The limit-set oracle is the per-word walk that the level-batched engine
 replaced: one 2x2 product, one scalar fixed point and one grid-hash lookup
 per word, and an f-string per CSV row, kept verbatim as the reference.
 
+The measures are what the tests read off a representation, a word or a
+point cloud, and no command prints: the imaginary parts of the generating
+traces (zero iff conjugate into SL2(R)), abelianized words, cross ratios of
+cloud points (real iff the points lie on a circle), cloud membership, and
+linear combinations of cocycles by table sums.
+
 The geodesic references work on complex128 2x2 arrays: a projective point
 is a homogeneous pair (z : w) scaled so that max(|z|, |w|) = 1, whose
 rounding defines the bits of the limit-set oracle's fixed points; an
@@ -204,6 +210,17 @@ def fscale(x, s):
     return (s * x[0], s * x[1], s * x[2], s * x[3])
 
 
+def partial(x, direction):
+    """The derivative of a jet in one direction; 0 for a plain number."""
+    return x.grad.get(direction, 0) if isinstance(x, m2.Jet) else 0
+
+
+def flat_scale(x, s):
+    """s x for a flat kernel matrix x, for s anything ``m2.lift`` takes."""
+    s = m2.lift(s)
+    return m2.fmul(m2.flat((s, 0, 0, s)), x)
+
+
 def fdet(x):
     return x[0] * x[3] - x[1] * x[2]
 
@@ -333,7 +350,7 @@ def fixed_basis(graph, fn):
         images[gen] = tuple(m2.value_of(x) for x in m)
         inverse = fadj(images[gen])
         for direction, table in enumerate(tables):
-            derivative = tuple(m2.partial(x, direction) for x in m)
+            derivative = tuple(partial(x, direction) for x in m)
             table[gen] = (ftraceless(fmul(derivative, inverse))
                           if any(derivative) else FZERO)
     return images, tables
@@ -418,6 +435,20 @@ def pairing_by_prefix_walk(u, v):
     return complex(PAIRING_SIGN * COEFFICIENT_SCALE * complex(total))
 
 
+def cocycle_scale(u):
+    """Largest entry magnitude over the generator table (>= 1)."""
+    return max(1.0, max(m2.fmax_abs(v) for v in u.flat.values()))
+
+
+def linear_combination(terms):
+    """The cocycle sum of s u over (s, u) pairs of cocycles over one
+    representation, by sums of their scaled tables."""
+    rep = terms[0][1].rep
+    table = {g: functools.reduce(m2.fadd, (flat_scale(u.flat[g], s) for s, u in terms))
+             for g in rep.mp_images}
+    return TangentCocycle(rep, table)
+
+
 # Central-difference step.  Its truncation error goes like h^2, its roundoff
 # like eps * M / h, with eps = 2^-FRAC_BITS the absolute resolution of the
 # working scalar and M the growth of the entries along the assembly.  At
@@ -446,8 +477,8 @@ def fd_tangent_cocycle(graph, fn, kind, index, h=STEP, base=None):
     inv_step = 1 / (2 * step)
     table = {}
     for gen, m0 in rep.mp_images.items():
-        diff = m2.fadd(plus.mp_images[gen], m2.fscale(minus.mp_images[gen], -1))
-        derivative = m2.fscale(diff, inv_step)
+        diff = m2.fsub(plus.mp_images[gen], minus.mp_images[gen])
+        derivative = flat_scale(diff, inv_step)
         table[gen] = m2.ftraceless(m2.fmul(derivative, m2.fadj(m0)))
     return TangentCocycle(rep, table)
 
@@ -591,6 +622,63 @@ def csv_by_word_walk(finite_points):
     for z, length in finite_points:
         lines.append(f"{z.real:.17g},{z.imag:.17g},{length}")
     return "\n".join(lines) + "\n"
+
+
+# -- measures of representations, words and clouds ------------------------
+
+def fuchsian_residual(rep):
+    """Largest |Im tr rho(w)| over w = g_i, g_i g_j and g_i g_j g_k (i < j < k).
+
+    These traces generate every trace of a 2x2 representation as integer
+    polynomials (Procesi 1976; Horowitz 1972), so all traces are real iff
+    they are.  An irreducible representation with real traces is conjugate
+    into SL2(R) exactly when it has a hyperbolic element (|tr| > 2), and into
+    SU(2) otherwise.  The holonomies built here meet both conditions (their
+    pants have loxodromic cuffs with distinct axes), so zero means conjugate
+    into SL2(R).  The number is a trace deviation, not an entry deviation in
+    a normal frame; each trace is taken at the working precision and rounded
+    once.
+    """
+    generators = sorted(rep.mp_images)
+    words = [word for size in (1, 2, 3)
+             for word in itertools.combinations(generators, size)]
+    return max(abs(m2.ftrace(rep.flat_of_word(word)).imag) for word in words)
+
+
+def exponent_sums(word, num_generators):
+    """Image in the abelianization Z^num_generators."""
+    sums = [0] * num_generators
+    for letter in word:
+        sums[abs(letter) - 1] += 1 if letter > 0 else -1
+    return tuple(sums)
+
+
+def cross_ratio_imag_spread(cloud, trials, rng):
+    """Largest |Im| of the cross ratio over random 4-tuples of cloud points.
+
+    Zero (to numerics) iff the sampled points lie on a circle in the
+    projective line, the Fuchsian signature.
+    """
+    if len(cloud.z) < 4:
+        raise ValueError("need at least four points")
+    idx = np.array([rng.choice(len(cloud.z), size=4, replace=False)
+                    for _ in range(trials)]).reshape(trials, 4)
+    z, w = cloud.z[idx], cloud.w[idx]
+
+    def det(i, j):
+        return z[:, i] * w[:, j] - z[:, j] * w[:, i]
+
+    num = det(0, 2) * det(1, 3)
+    den = det(0, 3) * det(1, 2)
+    usable = np.abs(den) >= 1e-30
+    return float(np.max(np.abs((num[usable] / den[usable]).imag), initial=0.0))
+
+
+def cloud_contains(cloud, point, tol=1e-8):
+    """Membership of a point (z : w), given as an object with complex
+    attributes z and w, in a limit-set cloud up to chordal distance tol."""
+    gap = cloud.vectors - np.array(_sphere_vector(point))
+    return bool(np.sqrt(np.min(np.sum(gap * gap, axis=1), initial=np.inf)) <= 2.0 * tol)
 
 
 # -- projective points, oriented geodesics, conjugation --------------------

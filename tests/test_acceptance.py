@@ -15,19 +15,17 @@ from qfsurface.cocycles import (
     canonical_form,
     coboundary,
     cocycle_residual,
-    cocycle_scale,
     darboux_residual,
     goldman_pairing,
     symplectic_gram,
 )
 from qfsurface.hexagon import hexagon_residuals, solve_hexagon
-from qfsurface.limitset import cross_ratio_imag_spread, limit_set
+from qfsurface.limitset import limit_set
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.schwarzian import SELFTEST_DRAWS, selftest
 from qfsurface.surface import (
     FNCoordinates,
     complex_length_of_curve,
-    fuchsian_residual,
     holonomy,
     twist_flow,
 )
@@ -35,9 +33,13 @@ from qfsurface.cocycles import TangentCocycle
 from qfsurface import matrix2 as m2
 
 from oracles import (
+    cocycle_scale,
     conjugated,
+    cross_ratio_imag_spread,
     fd_basis_cocycles,
     fd_symplectic_gram,
+    fuchsian_residual,
+    linear_combination,
     pants_entries,
     random_sl2,
     real_hexagon_even_sides,
@@ -159,7 +161,7 @@ def test_criterion_6_construction_residuals():
             sigmas = []
             for c in (0, 1, 2):
                 label = next(e.label for e in GRAPH.edges if (v, c) in e.ends())
-                sigmas.append(fn.lengths[GRAPH.curve_index(label)] / 2.0)
+                sigmas.append(fn.lengths[GRAPH.curve_labels.index(label)] / 2.0)
             for mat, sigma in zip(rounded(pants_entries, sigmas), sigmas):
                 trace = mat[0, 0] + mat[1, 1]
                 worst_trace = max(worst_trace, abs(trace + 2.0 * cmath.cosh(sigma)))
@@ -233,7 +235,7 @@ def test_criterion_8_cohomology_suite():
     # bilinearity to roundoff
     u, up, v = cocycles[0], cocycles[2], cocycles[4]
     a, b = 0.37 - 1.1j, 2.2 + 0.5j
-    lhs = goldman_pairing(u.scaled(a).plus(up.scaled(b)), v)
+    lhs = goldman_pairing(linear_combination([(a, u), (b, up)]), v)
     rhs = a * goldman_pairing(u, v) + b * goldman_pairing(up, v)
     bilinear_ok = abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -52,7 +53,7 @@ def test_bundled_configs_parse():
         product = m2.FEYE
         for letter in rep.presentation.relator:
             product = m2.fmul(product, rep.generator_flat(letter))
-        residual = m2.fmax_abs(m2.fadd(product, m2.fscale(m2.FEYE, -1)))
+        residual = m2.fmax_abs(m2.fsub(product, m2.FEYE))
         assert residual <= 1e-25
 
 
@@ -255,6 +256,35 @@ def test_cli_twist_round_trip(tmp_path, capsys):
     assert cli_main(["twist", path, "--curve", "alpha2", "--t", "0.5,-0.25"]) == 0
     moved = parse_config(capsys.readouterr().out)
     assert moved.fn_table["alpha2"][1] == -0.4 + 0.5 - 0.25j
+
+
+def test_cli_twist_to_infinity_is_input_error(tmp_path, capsys):
+    # each increment is finite and their sum is not: written out, the
+    # config would hold an Infinity that parse_config rejects
+    once = tmp_path / "once.json"
+    argv = ["--curve", "alpha1", "--t", "1.7e308,0"]
+    assert cli_main(["twist", bundled_path("genus2_fuchsian.json", tmp_path), *argv,
+                     "--output", str(once)]) == 0
+    assert cli_main(["twist", str(once), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: /fn/alpha1/tau: ")
+
+
+@pytest.mark.parametrize("tau", [[-300.0, 0.0], [1e7, 0.0], [1e260, 0.0], [0.0, 1e260]])
+def test_cli_large_twist_is_input_error(tmp_path, capsys, tau):
+    # past |Re tau| = 2 FRAC_BITS log 2 the small entry exp(-|Re tau|/2) of
+    # the twist leaf floors to 0, and past 2^(1024 - FRAC_BITS) the twist
+    # does not lift: each fails at once, naming the twist
+    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc["fn"]["alpha1"]["tau"] = tau
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(doc))
+    for command in ("lengths", "holonomy", "gram"):
+        start = time.perf_counter()
+        assert cli_main([command, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: twist ") and "'alpha1'" in err
 
 
 def test_cli_limitset_csv(tmp_path, capsys):
@@ -483,9 +513,9 @@ PUBLIC_NAMES = [
     "NotLoxodromic", "PAIRING_SIGN", "PantsDecompositionGraph", "PrecisionExhausted",
     "ReduciblePants", "Representation", "SchemaError", "SurfaceConfig",
     "SurfaceGroupPresentation", "SymplecticGram", "TangentCocycle", "UnknownGenerator",
-    "build_presentation", "cloud_to_csv", "cloud_to_svg", "coboundary", "cocycle_check",
+    "cloud_to_csv", "cloud_to_svg", "coboundary", "cocycle_check",
     "cocycle_gram", "cocycle_residual", "cocycles", "complex_length_of_curve", "config",
-    "config_to_json", "darboux_residual", "fd_basis_cocycles", "fuchsian_residual",
+    "config_to_json", "darboux_residual", "fd_basis_cocycles",
     "goldman_pairing", "hexagon", "hexagon_residuals", "holonomy", "importlib",
     "limit_set", "limitset", "matrix2", "normalize_complex_length", "pants",
     "parse_config", "presentation", "schwarzian", "schwarzian_at", "solve_hexagon",

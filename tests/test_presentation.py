@@ -12,12 +12,9 @@ import qfsurface
 
 from qfsurface import presentation as presentation_module
 from qfsurface.config import parse_config
-from qfsurface.presentation import (
-    MalformedGraph,
-    PantsDecompositionGraph,
-    build_presentation,
-)
-from qfsurface.words import exponent_sums, reduce_word
+from oracles import exponent_sums
+from qfsurface.presentation import MalformedGraph, PantsDecompositionGraph
+from qfsurface.words import cyclic_reduce, expand, reduce_word, rotate
 
 
 
@@ -79,7 +76,7 @@ def assert_standard_relator(pres):
 
 
 def test_genus2_counts():
-    pres = build_presentation(standard_genus2_graph())
+    pres = standard_genus2_graph().plan().presentation
     assert pres.genus == 2
     assert pres.num_generators == 4
     assert len(pres.relator) == 8
@@ -90,7 +87,7 @@ def test_genus2_counts():
 
 
 def test_genus3_counts():
-    pres = build_presentation(genus3_graph())
+    pres = genus3_graph().plan().presentation
     assert pres.genus == 3
     assert pres.num_generators == 6
     assert len(pres.relator) == 12
@@ -99,7 +96,7 @@ def test_genus3_counts():
 
 
 def test_separating_curve_abelianization():
-    pres = build_presentation(separating_genus2_graph())
+    pres = separating_genus2_graph().plan().presentation
     assert_standard_relator(pres)
     sums = {
         label: exponent_sums(word, pres.num_generators)
@@ -112,7 +109,7 @@ def test_separating_curve_abelianization():
 
 
 def test_nonseparating_curves_standard_graph():
-    pres = build_presentation(standard_genus2_graph())
+    pres = standard_genus2_graph().plan().presentation
     nontrivial = [
         label for label, word in pres.marking.items()
         if exponent_sums(word, 4) != (0, 0, 0, 0)
@@ -162,11 +159,40 @@ def test_random_graphs_all_reach_standard_form():
     for genus in (2, 3, 4):
         for _ in range(8):
             graph = random_trivalent_graph(rng, genus)
-            pres = build_presentation(graph)
+            pres = graph.plan().presentation
             assert_standard_relator(pres)
             assert len(pres.marking) == 3 * genus - 3
             for word in pres.marking.values():
                 assert word == reduce_word(word) and len(word) > 0
+
+
+@pytest.mark.parametrize("genus, word", [
+    (1, (1, -2, -1, 2)),
+    (2, (1, 3, -2, 4, -1, -3, 2, -4)),
+])
+def test_collection_flips_a_negative_inner_letter(monkeypatch, genus, word):
+    # the y inside x ... x^-1 occurs inverted, so y is flipped before the
+    # basis change; no bundled or random graph's relator reaches this branch
+    flips = []
+    flip = presentation_module._flip_generator
+
+    def counted(*args):
+        flips.append(args[1])
+        return flip(*args)
+
+    monkeypatch.setattr(presentation_module, "_flip_generator", counted)
+    phi = {g: (g,) for g in range(1, 2 * genus + 1)}
+    psi = dict(phi)
+    collected = presentation_module._collect_pair(word, (1, 2), phi, psi)
+    assert flips == [2]
+    blocks = presentation_module._parse_commutator_blocks(collected, genus)
+    assert blocks is not None and (1, 2) in blocks
+    # the new word is the old one in the new basis, and the basis changes
+    # are mutually inverse
+    moved = cyclic_reduce(expand(word, phi))
+    assert any(rotate(moved, r) == collected for r in range(len(moved)))
+    for g in phi:
+        assert expand(phi[g], psi) == (g,) and expand(psi[g], phi) == (g,)
 
 
 # sha256 of the plans below as the reducer first produced them; any change to
@@ -200,7 +226,7 @@ def test_plans_match_pinned_digest():
 
 
 def test_word_string_round_trip():
-    pres = build_presentation(standard_genus2_graph())
+    pres = standard_genus2_graph().plan().presentation
     word = (1, -2, 3, 4, -1)
     assert pres.word_from_string(pres.word_to_string(word)) == word
     assert pres.word_from_string("a1*B1*a2") == (1, -2, 3)
