@@ -104,8 +104,6 @@ def _cmd_lengths(args):
     else:
         labels = graph.curve_labels if args.curve is None else [args.curve]
         for label in labels:
-            if label not in rep.presentation.marking:
-                raise SchemaError(f"no decomposition curve {label!r}")
             word = rep.curve_word(label)
             lengths[label] = _complex_json(complex_length_of_curve(rep, word))
     payload = {"lengths": lengths, "relator_residual": _relator_residual(rep, config)}
@@ -125,7 +123,7 @@ def _gram_payload(config):
     labels = [f"l:{c}" for c in graph.curve_labels] + \
              [f"tau:{c}" for c in graph.curve_labels]
     matrix = [[_complex_json(entry) for entry in row] for row in gram.matrix]
-    return gram, {
+    return {
         "basis": labels,
         "matrix": matrix,
         "darboux_residual": residual,
@@ -136,14 +134,14 @@ def _gram_payload(config):
 
 def _cmd_gram(args):
     config = _load_config(args.config)
-    _gram, payload = _gram_payload(config)
+    payload = _gram_payload(config)
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
 
 def _cmd_darboux_check(args):
     config = _load_config(args.config)
-    _gram, payload = _gram_payload(config)
+    payload = _gram_payload(config)
     residual = payload["darboux_residual"]
     tol = config.options["tol"]
     passed = residual <= tol

@@ -12,10 +12,10 @@ kept, and long levels run in blocks of parents, so the working arrays stay
 small at any depth.
 
 The fixed points come from the eight real parts of the entries, gathered
-contiguous in word order straight from the letter-major products.  The
-scalar formulas' branch tests compare moduli as hypot rounds them; squared
-moduli decide each test they clear by a wide margin, and hypot decides the
-rest, so the points keep the formulas' bits with three hypot calls a word.
+contiguous in word order straight from the letter-major products.  Each
+branch test compares squared moduli summed from squared parts, with no
+tie rule: the trace test leaves no kept eigenvalue near the unit circle,
+and an entry whose square is not finite fails the word as degenerate.
 
 Deduplication is greedy in word order: a point is kept iff no earlier kept
 point lies within chordal distance ``_DEDUP_TOL``.  A batch first drops
@@ -43,11 +43,6 @@ __all__ = ["LimitSetCloud", "limit_set", "cloud_to_csv", "cloud_to_svg"]
 _DEDUP_TOL = 1e-10
 _POINT_TOL = 1e-12           # |w| at or below it is the point at infinity
 _TRACE_TOL = 1e-9
-# Branch tests compare moduli as hypot rounds them.  Squared moduli decide a
-# test that they clear by the relative _MARGIN, far wider than their own
-# rounding, unless they sit below _TINY, where they may have underflowed.
-_MARGIN = 1e-9
-_TINY = 1e-290
 _RADIUS = 2.0 * _DEDUP_TOL  # chordal distance is half the sphere distance
 # Vectors within _RADIUS differ by at most _RADIUS in every coordinate.  The
 # sweep window is a hair wider, since _within rounds the differences and the
@@ -69,54 +64,18 @@ def _complex(re, im):
     return out
 
 
-def _abs(z):
-    """|z| as CPython's abs rounds it (numpy's complex abs may not)."""
-    return np.hypot(z.real, z.imag)
-
-
-def _divide(num, den):
-    """num / den elementwise, rounded as CPython's complex division rounds.
-
-    numpy multiplies by a reciprocal of the denominator, which moves the
-    result by an ulp; this keeps the generators' fixed points equal to the
-    scalar formulas'.
-    """
-    nr, ni = num.real, num.imag
-    dr, di = np.real(den), np.imag(den)
-    by_re = np.abs(dr) >= np.abs(di)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_re, di / dr, dr / di)
-        scale = np.where(by_re, dr + di * ratio, dr * ratio + di)
-        re = np.where(by_re, nr + ni * ratio, nr * ratio + ni) / scale
-        im = np.where(by_re, ni - nr * ratio, ni * ratio - nr) / scale
-    return _complex(re, im)
-
-
-def _squared(re, im):
-    """|re + i im|^2, as a sum of squared parts."""
-    out = re * re
-    out += im * im
-    return out
-
-
-def _surely_less(x2, y2):
-    """Where |x| < |y| by more than any rounding, for squared moduli x2 and
-    y2 summed from squared parts: false at near ties and NaN, and where y2
-    is too small to carry its relative precision.  An x2 or y2 that
-    overflowed to inf stands for a modulus past every finite one."""
-    return x2 * (1.0 + _MARGIN) + _TINY < y2
-
-
 def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
     """(zr, zi, wr, wi, vectors) of the attracting fixed points of the
     loxodromic matrices among [[a, b], [c, d]], in their order, from the
     real and imaginary parts of the entries: (z : w) scaled so that
     max(|z|, |w|) = 1, and its sphere vector.
 
-    The bits are those of the scalar formulas in complex arithmetic.  Their
-    branch tests compare moduli as rounded by hypot; each is decided here
-    from squared moduli wherever those clear the test by _MARGIN, and by
-    hypot itself on the few words that they do not.
+    The three modulus tests compare squared moduli, each summed from the
+    squares of the real and imaginary parts, with no tie rule: lam is
+    (tr - disc) / 2 where |tr + disc|^2 < 4; c counts as 0 where
+    |c|^2 <= 1e-28 max |entry|^2; and then the point is infinity where
+    |lam - a|^2 <= |lam - d|^2.  A word whose entry squares or point are not
+    finite raises DegenerateFN.
     """
     tr_r, tr_i = ar + dr, ai + di
     # tr * tr - 4 on the parts: numpy's complex product may fuse a
@@ -131,21 +90,9 @@ def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
     np.sqrt(disc, out=disc)
     # lam = (tr + disc) / 2, or (tr - disc) / 2 where the first has |lam| < 1
     plus_r, plus_i = tr_r + disc.real, tr_i + disc.imag
-    size = _squared(plus_r, plus_i)             # 4 |lam|^2
-    swap = size < 4.0
-    unsure = ~((size < 4.0 * (1.0 - _MARGIN)) | (size > 4.0 * (1.0 + _MARGIN)))
-    if unsure.any():
-        swap[unsure] = np.hypot(*_halve(plus_r[unsure], plus_i[unsure])) < 1.0
-    # tr + sign disc with sign = -1 is tr - disc, signed zeros included, and
-    # costs no np.where over a mask that flips from word to word
-    sign = swap * -2.0
-    sign += 1.0
-    lam_r, lam_i = plus_r, plus_i
-    np.multiply(sign, disc.real, out=lam_r)
-    lam_r += tr_r
-    np.multiply(sign, disc.imag, out=lam_i)
-    lam_i += tr_i
-    lam_r, lam_i = _halve(lam_r, lam_i)
+    swap = plus_r * plus_r + plus_i * plus_i < 4.0
+    lam_r = 0.5 * np.where(swap, tr_r - disc.real, plus_r)
+    lam_i = 0.5 * np.where(swap, tr_i - disc.imag, plus_i)
     # identity-like and parabolic/elliptic-like words have none
     lox = ~((np.abs(tr_i) <= _TRACE_TOL) & (np.abs(tr_r) <= 2.0 + _TRACE_TOL))
     # past complex128 the eigenvalue is NaN, and the c = 0 branch below
@@ -157,92 +104,43 @@ def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
         ar, ai, br, bi, cr, ci, dr, di, lam_r, lam_i = (
             part[lox] for part in (ar, ai, br, bi, cr, ci, dr, di, lam_r, lam_i))
     # c is rounding noise below 1e-14 of the largest entry
-    cc = _squared(cr, ci)
-    bound = np.maximum(_squared(ar, ai), cc)
-    np.maximum(bound, _squared(br, bi), out=bound)
-    np.maximum(bound, _squared(dr, di), out=bound)
+    cc = cr * cr + ci * ci
+    bound = np.maximum(np.maximum(ar * ar + ai * ai, br * br + bi * bi),
+                       np.maximum(cc, dr * dr + di * di))
     bound *= 1e-28                              # (1e-14 of the largest |entry|)^2
-    finite = _surely_less(bound, cc)
-    # an entry whose square overflows leaves the bound inf, not past |c|
-    unsure = ~(finite | _surely_less(cc, bound) & (bound < np.inf))
-    if unsure.any():
-        parts = [part[unsure] for part in (ar, ai, br, bi, cr, ci, dr, di)]
-        abs_a, abs_b, abs_c, abs_d = (np.hypot(*parts[k:k + 2]) for k in range(0, 8, 2))
-        finite[unsure] = abs_c > 1e-14 * np.maximum(np.maximum(abs_a, abs_b),
-                                                    np.maximum(abs_c, abs_d))
+    finite = cc > bound
     z_r, z_i, w_r, w_i = lam_r - dr, lam_i - di, cr, ci
     if not finite.all():
         # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
         zero = ~finite
         a_r, a_i, d_r, d_i = ar[zero], ai[zero], dr[zero], di[zero]
-        at_infinity = _at_infinity(lam_r[zero] - a_r, lam_i[zero] - a_i,
-                                   z_r[zero], z_i[zero])
+        to_a_r, to_a_i = lam_r[zero] - a_r, lam_i[zero] - a_i
+        to_d_r, to_d_i = z_r[zero], z_i[zero]
+        at_infinity = to_a_r * to_a_r + to_a_i * to_a_i <= to_d_r * to_d_r + to_d_i * to_d_i
         w_r, w_i = cr.copy(), ci.copy()
         z_r[zero] = np.where(at_infinity, 1.0, br[zero])
         z_i[zero] = np.where(at_infinity, 0.0, bi[zero])
         w_r[zero] = np.where(at_infinity, 0.0, d_r - a_r)
         w_i[zero] = np.where(at_infinity, 0.0, d_i - a_i)
-    # scale = max(|z|, |w|): the larger one's hypot, where squares tell which
-    zz, ww = _squared(z_r, z_i), _squared(w_r, w_i)
-    z_larger = _surely_less(ww, zz)
-    w_larger = _surely_less(zz, ww)
-    scale = np.hypot(np.where(z_larger, z_r, w_r), np.where(z_larger, z_i, w_i))
-    unsure = ~(z_larger | w_larger)
-    if unsure.any():
-        scale[unsure] = np.maximum(np.hypot(z_r[unsure], z_i[unsure]),
-                                   np.hypot(w_r[unsure], w_i[unsure]))
-    # an entry past complex128 leaves a non-finite scale and a NaN point,
-    # which no dedup radius would ever hold
-    if not np.all(np.isfinite(scale)):
+    zz, ww = z_r * z_r + z_i * z_i, w_r * w_r + w_i * w_i
+    top = np.maximum(zz, ww)                    # max(|z|, |w|)^2
+    # an entry past about 1.3e154, or NaN, leaves the c test undecided, and a
+    # point past complex128 would be NaN, which no dedup radius holds
+    if not (np.isfinite(bound).all() and np.isfinite(top).all()):
         raise DegenerateFN("limit_set: fixed points exceed complex128 "
                            "(a length or twist is too large)")
-    if not np.all(scale != 0.0):
+    if not np.all(top != 0.0):
         raise ValueError("(0 : 0) is not a projective point")
-    z_r, z_i = _divide_real(z_r, z_i, scale)
-    w_r, w_i = _divide_real(w_r, w_i, scale)
-    return z_r, z_i, w_r, w_i, _sphere_vectors(z_r, z_i, w_r, w_i)
+    scale = np.sqrt(top)
+    zz /= top
+    ww /= top
+    z_r, z_i, w_r, w_i = z_r / scale, z_i / scale, w_r / scale, w_i / scale
+    return z_r, z_i, w_r, w_i, _sphere_vectors(z_r, z_i, w_r, w_i, zz, ww)
 
 
-def _halve(re, im):
-    """(re + i im) / 2.0 as numpy divides by 2.0 + 0j (signed zeros, inf),
-    in place."""
-    re_zero = re * 0.0
-    re += im * 0.0
-    re *= 0.5
-    im -= re_zero
-    im *= 0.5
-    return re, im
-
-
-def _divide_real(re, im, den):
-    """(re + i im) / den for real den, rounded as CPython divides by
-    complex(den, 0), whose zero imaginary part still enters the products
-    (signed zeros)."""
-    out_re = im * 0.0
-    out_re += re
-    out_re /= den
-    out_im = re * 0.0
-    np.subtract(im, out_im, out=out_im)
-    out_im /= den
-    return out_re, out_im
-
-
-def _at_infinity(xr, xi, yr, yi):
-    """|x| <= |y| elementwise, as hypot rounds the two moduli."""
-    xx, yy = _squared(xr, xi), _squared(yr, yi)
-    out = _surely_less(xx, yy)
-    unsure = ~(out | _surely_less(yy, xx))
-    if unsure.any():
-        out[unsure] = np.hypot(xr[unsure], xi[unsure]) <= np.hypot(yr[unsure], yi[unsure])
-    return out
-
-
-def _sphere_vectors(zr, zi, wr, wi):
-    """Chordal embedding of the projective line as the unit sphere."""
-    zz = np.hypot(zr, zi)
-    zz *= zz
-    ww = np.hypot(wr, wi)
-    ww *= ww
+def _sphere_vectors(zr, zi, wr, wi, zz, ww):
+    """Chordal embedding of the projective line as the unit sphere, given
+    the squared moduli zz and ww (overwritten)."""
     norm = zz + ww
     out = np.empty((len(zr), 3))
     # 2 z conj(w) on the parts: numpy's complex product may fuse a
@@ -396,21 +294,20 @@ class LimitSetCloud:
     distance is twice the chordal distance.
     """
 
-    def __init__(self, z, w, word_length, vectors, depth):
+    def __init__(self, z, w, word_length, vectors):
         self.z = z
         self.w = w
         self.word_length = word_length
         self.vectors = vectors
-        self.depth = depth
 
     @property
     def is_infinity(self):
-        return _abs(self.w) <= _POINT_TOL
+        return np.abs(self.w) <= _POINT_TOL
 
     def finite_points(self):
         """Affine coordinates and word lengths, skipping the point at infinity."""
         finite = ~self.is_infinity
-        return _divide(self.z[finite], self.w[finite]), self.word_length[finite]
+        return self.z[finite] / self.w[finite], self.word_length[finite]
 
 
 def _letter_matrices(rep):
@@ -483,7 +380,7 @@ def limit_set(rep, depth):
             level = np.concatenate([products for products, _ in blocks])
             last = np.concatenate([block_last for _, block_last in blocks])
     return LimitSetCloud(np.concatenate(z_parts), np.concatenate(w_parts),
-                         np.concatenate(length_parts), dedup.vectors, depth)
+                         np.concatenate(length_parts), dedup.vectors)
 
 
 def cloud_to_csv(cloud):

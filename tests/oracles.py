@@ -25,7 +25,9 @@ derivatives and of the FD convergence criteria.
 
 The limit-set oracle is the per-word walk that the level-batched engine
 replaced: one 2x2 product, one scalar fixed point and one grid-hash lookup
-per word, and an f-string per CSV row, kept verbatim as the reference.
+per word, and an f-string per CSV row, kept as the reference.  Its three
+modulus tests compare squared moduli summed from squared parts, the same
+IEEE operations the engine's kernel does, so the two agree on every tie.
 
 The measures are what the tests read off a representation, a word or a
 point cloud, and no command prints: the imaginary parts of the generating
@@ -554,11 +556,16 @@ class _SphereHash:
         return True
 
 
+def _squared(z):
+    """|z|^2 summed from the squared parts, as the limit-set kernel sums it."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def attracting_eigenvalue(tr):
     """The eigenvalue of modulus at least 1 of an SL2 matrix with trace tr."""
     disc = cmath.sqrt(tr * tr - 4.0)
     lam = (tr + disc) / 2.0
-    if abs(lam) < 1.0:
+    if _squared(lam) < 1.0:
         lam = (tr - disc) / 2.0
     return lam
 
@@ -573,10 +580,10 @@ def attracting_fixed_point(matrix):
         return None
     lam = attracting_eigenvalue(tr)
     # c is rounding noise below 1e-14 of the largest entry
-    if abs(c) > 1e-14 * max(abs(a), abs(b), abs(c), abs(d)):
+    if _squared(c) > 1e-28 * max(_squared(a), _squared(b), _squared(c), _squared(d)):
         return ProjectivePoint(lam - d, c)
     # c = 0: fixed points are infinity (eigenvalue a) and b/(d - a)
-    if abs(lam - a) <= abs(lam - d):
+    if _squared(lam - a) <= _squared(lam - d):
         return ProjectivePoint.infinity()
     return ProjectivePoint(b, d - a)
 

@@ -24,7 +24,6 @@ from qfsurface import matrix2 as m2
 from qfsurface.config import parse_config
 from qfsurface.limitset import (
     _DEDUP_TOL,
-    _MARGIN,
     _TRACE_TOL,
     _children,
     _fixed_points,
@@ -242,13 +241,16 @@ def test_children_round_as_per_word_products(stem):
 
 
 def test_cloud_is_the_same_in_small_batches(monkeypatch):
-    # over 600 batches and their run merges in place of five
+    # over 600 batches and their run merges in place of five; then also
+    # kernel and distance chunks of 29 words or pairs in place of 16,384
     rep = bundled_rep("genus2_quasifuchsian")
     cloud = limit_set(rep, 5)
-    monkeypatch.setattr(limitset, "_BLOCK", 37)
-    small = limit_set(rep, 5)
-    for name in ("z", "w", "word_length", "vectors"):
-        assert np.array_equal(getattr(small, name), getattr(cloud, name))
+    for name, value in (("_BLOCK", 37), ("_CHUNK", 29)):
+        monkeypatch.setattr(limitset, name, value)
+        small = limit_set(rep, 5)
+        for field in ("z", "w", "word_length", "vectors"):
+            assert np.array_equal(getattr(small, field).view(np.int64),
+                                  getattr(cloud, field).view(np.int64)), field
 
 
 def greedy_by_all_pairs(vectors):
@@ -373,17 +375,10 @@ def nudged(x, steps):
     return float(x)
 
 
-# ratios at the exact tie, and at the margins of squared and plain moduli
-EDGES = [nudged(1.0 + edge, steps) for edge in (0.0, _MARGIN / 2, -_MARGIN / 2, _MARGIN, -_MARGIN)
-         for steps in (-3, -2, -1, 0, 1, 2, 3)]
-
-
-def eigenvalue_of(a, d):
-    """The eigenvalue the fixed-point formulas pick, from the trace alone."""
-    tr = a + d
-    disc = cmath.sqrt(tr * tr - 4.0)
-    lam = (tr + disc) / 2.0
-    return (tr - disc) / 2.0 if abs(lam) < 1.0 else lam
+# ratios at the exact tie and a few ulps to either side
+EDGES = [nudged(1.0, steps) for steps in (-3, -2, -1, 0, 1, 2, 3)]
+# the error of a word with an entry whose square, or a point, is past complex128
+EXCEED = "limit_set: fixed points exceed"
 
 
 def branch_edge_matrices():
@@ -414,7 +409,7 @@ def branch_edge_matrices():
                           [[complex(2.0, height), 0.5], [0.0, complex(2.0, -height * ratio)]],
                           None))
     a, d = 2.0 + 0.5j, 0.3 - 0.2j
-    z = eigenvalue_of(a, d) - d
+    z = attracting_eigenvalue(a + d) - d
     for turn in (1.0, 1.0j, -1.0, z.conjugate() / z):
         for ratio in EDGES:
             cases.append((f"|z| = |w| {ratio!r} turned {turn}",
@@ -423,39 +418,36 @@ def branch_edge_matrices():
     past = complex(1.5e308, 1.5e308)    # and this one's modulus
     return cases + [
         ("tr^2 near the largest float", [[1.2e154, 1.0], [1.0, 0.1]], None),
-        ("|b|^2 overflows, c = 0", [[3.0, 2e154], [1.0, 1.0 / 3.0]], None),
-        ("|b|^2 overflows, c not 0", [[3.0, 2e154], [3e140, 1.0 / 3.0]], None),
-        ("|b|^2 overflows, |c| at the edge", [[3.0, 2e154], [2e140, 1.0 / 3.0]], None),
-        ("|c|^2 overflows", [[3.0, 1.0], [huge, 1.0 / 3.0]], None),
-        ("|c| overflows, so c = 0", [[3.0, 1.0], [past, 1.0 / 3.0]], None),
+        ("|b|^2 overflows, c = 0", [[3.0, 2e154], [1.0, 1.0 / 3.0]], EXCEED),
+        ("|b|^2 overflows, c not 0", [[3.0, 2e154], [3e140, 1.0 / 3.0]], EXCEED),
+        ("|b|^2 overflows, |c| at the edge", [[3.0, 2e154], [2e140, 1.0 / 3.0]], EXCEED),
+        ("|c|^2 overflows", [[3.0, 1.0], [huge, 1.0 / 3.0]], EXCEED),
+        ("|c| overflows, so c = 0", [[3.0, 1.0], [past, 1.0 / 3.0]], EXCEED),
         ("|a|^2 and tr^2 overflow", [[huge, 1.0], [1.0, 0.0]], "limit_set: a trace square"),
         ("tr^2 overflows", [[1.4e154, 1.0], [1.0, 1.4e154]], "limit_set: a trace square"),
-        ("|b| overflows, z = b", [[1.0 / 3.0, past], [1.0, 3.0]],
-         "limit_set: fixed points exceed"),
+        ("|b| overflows, z = b", [[1.0 / 3.0, past], [1.0, 3.0]], EXCEED),
+        ("|d - a|^2 overflows, c = 0, z = b", [[-0.9e154, 1.0], [0.0, 1e154]], EXCEED),
         ("NaN in a", [[complex(np.nan, 0.0), 1.0], [1.0, 1.0 / 3.0]],
          "limit_set: a trace square"),
-        ("NaN in c", [[3.0, 1.0], [complex(np.nan, 1.0), 1.0 / 3.0]], None),
+        ("NaN in c", [[3.0, 1.0], [complex(np.nan, 1.0), 1.0 / 3.0]], EXCEED),
         ("tiny entries", [[3e-160, 1e-170], [2e-170, 4e-160]], None),
     ]
 
 
 def kernel_points(matrices):
-    """(z, w) parts of each kept fixed point of the kernel, as int64 bits."""
+    """(z, w) of each kept fixed point of the kernel, as complex arrays."""
     entries = np.array(matrices, dtype=complex).reshape(-1, 4)
     parts = np.stack([f(entries[:, k]) for k in range(4) for f in (np.real, np.imag)])
     with np.errstate(over="ignore", invalid="ignore"):
         z_r, z_i, w_r, w_i, _vectors = _fixed_points(*parts)
-    return np.stack([z_r, z_i, w_r, w_i], axis=1).view(np.int64)
-
-
-def oracle_bits(point):
-    return np.array([point.z.real, point.z.imag, point.w.real, point.w.imag]).view(np.int64)
+    return z_r + 1j * z_i, w_r + 1j * w_i
 
 
 def test_fixed_point_branches_match_the_oracle_at_their_edges():
-    # each word's normalised (z, w) has the oracle's bits, or the word fails
-    # with the typed error of an overflowing or NaN entry
-    expected, matrices = [], []
+    # each word takes the oracle's branch, to a point within chordal 1e-15
+    # of the oracle's, or fails with the typed error of an entry past
+    # complex128 or NaN
+    points, matrices = [], []
     for label, matrix, error in branch_edge_matrices():
         if error is not None:
             with pytest.raises(DegenerateFN, match="^" + error):
@@ -463,42 +455,16 @@ def test_fixed_point_branches_match_the_oracle_at_their_edges():
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             point = attracting_fixed_point(np.array(matrix, dtype=complex))
-        got = kernel_points([matrix])
+        z, w = kernel_points([matrix])
         if point is None:
-            assert len(got) == 0, label
+            assert len(z) == 0, label
             continue
-        assert np.array_equal(got, oracle_bits(point)[None, :]), label
-        expected.append(oracle_bits(point))
+        assert chordal(z, w, point.z, point.w)[0] <= 1e-15, label
+        points.append((z[0], w[0]))
         matrices.append(matrix)
-    # one batch of all of them: the words the margins leave to hypot are
-    # picked out and put back in place
-    assert np.array_equal(kernel_points(matrices), np.array(expected))
-
-
-def test_underflowed_squares_decide_nothing():
-    # |x|^2 = 4.5e-324 > |y|^2 = 2.5e-324, but x's squared parts round to 0
-    # and y's up to the smallest subnormal
-    x2 = limitset._squared(np.array([1.5e-162]), np.array([1.5e-162]))
-    y2 = limitset._squared(np.array([1.58e-162]), np.array([0.0]))
-    assert x2[0] < y2[0]
-    assert not limitset._surely_less(x2, y2)[0] and not limitset._surely_less(y2, x2)[0]
-
-
-def test_fixed_points_leave_three_hypot_values_per_word(monkeypatch):
-    # the scale and the two sphere norms; every other modulus test is
-    # decided from squares on these words
-    rep = bundled_rep("genus2_quasifuchsian")
-    loxodromic = sum(point is not None for _, point in word_points(rep, 4))
-    seen = []
-    hypot = np.hypot
-
-    def counted(x, y, *args, **kwargs):
-        seen.append(np.size(x))
-        return hypot(x, y, *args, **kwargs)
-
-    monkeypatch.setattr(np, "hypot", counted)
-    limit_set(rep, 4)
-    assert sum(seen) <= 3 * loxodromic
+    # one batch of all of them: the same bits as one word at a time
+    z, w = kernel_points(matrices)
+    assert np.array_equal(np.stack([z, w], 1).view(np.int64), np.array(points).view(np.int64))
 
 
 # traces on both sides of the edges of the band the trace test drops
