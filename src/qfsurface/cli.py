@@ -45,15 +45,18 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     return parse_config(text)
 
 
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -83,9 +83,7 @@ class SurfaceConfig:
     def graph(self):
         """The gluing graph, built once: the one parse_config validates."""
         if self._graph is None:
-            self._graph = PantsDecompositionGraph(
-                len(self.pants_ids), self.gluings, pants_ids=self.pants_ids
-            )
+            self._graph = PantsDecompositionGraph(len(self.pants_ids), self.gluings)
         return self._graph
 
     def fn(self, graph=None):

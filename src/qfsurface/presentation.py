@@ -32,7 +32,7 @@ normalization done as tracked changes of free basis:
 from __future__ import annotations
 
 import functools
-from collections import deque
+from collections import deque, namedtuple
 
 from .words import cyclic_reduce, expand, invert_word, multiply, reduce_word, rotate
 
@@ -53,44 +53,26 @@ class UnknownGenerator(Exception):
     """A word refers to a generator the presentation does not have."""
 
 
-class GluingEdge:
-    """A decomposition curve joining two distinct cuffs (same pants allowed)."""
-
-    __slots__ = ("label", "end_a", "end_b")
-
-    def __init__(self, label, end_a, end_b):
-        self.label = str(label)
-        self.end_a = (int(end_a[0]), int(end_a[1]))
-        self.end_b = (int(end_b[0]), int(end_b[1]))
-        if self.end_a == self.end_b:
-            raise MalformedGraph(f"edge {label!r} glues a cuff to itself")
-
-    def ends(self):
-        return self.end_a, self.end_b
-
-    def __repr__(self):
-        return f"GluingEdge({self.label!r}, {self.end_a!r}, {self.end_b!r})"
+# A decomposition curve joining two distinct cuffs (the same pants allowed);
+# each end is (pants, cuff).
+GluingEdge = namedtuple("GluingEdge", "label end_a end_b")
 
 
 class PantsDecompositionGraph:
-    """Validated trivalent gluing graph of a genus-g pants decomposition."""
+    """Validated trivalent gluing graph of a genus-g pants decomposition.
 
-    def __init__(self, num_pants, gluings, pants_ids=None):
+    ``edges`` holds the gluings as :class:`GluingEdge` tuples, in the order
+    given; ``curve_labels`` their labels sorted, which is the order of the
+    coordinates; ``pants_cuffs[v]`` the index in ``curve_labels`` of the
+    curve glued to each cuff 0, 1, 2 of pants v.
+    """
+
+    def __init__(self, num_pants, gluings):
         self.num_pants = int(num_pants)
-        self.pants_ids = list(pants_ids) if pants_ids is not None else [
-            f"P{k}" for k in range(self.num_pants)
-        ]
-        if len(self.pants_ids) != self.num_pants:
-            raise MalformedGraph("pants id list does not match pants count")
-        self.edges = []
-        for item in gluings:
-            if isinstance(item, GluingEdge):
-                self.edges.append(item)
-            else:
-                label, end_a, end_b = item
-                self.edges.append(GluingEdge(label, end_a, end_b))
-        self._validate()
+        self.edges = [GluingEdge(str(label), (int(va), int(ca)), (int(vb), int(cb)))
+                      for label, (va, ca), (vb, cb) in gluings]
         self.curve_labels = sorted(edge.label for edge in self.edges)
+        self._validate()
 
     @property
     def genus(self):
@@ -106,7 +88,7 @@ class PantsDecompositionGraph:
             raise MalformedGraph("duplicate curve labels")
         seen = {}
         for edge in self.edges:
-            for end in edge.ends():
+            for end in (edge.end_a, edge.end_b):
                 vertex, cuff = end
                 if not (0 <= vertex < self.num_pants):
                     raise MalformedGraph(f"edge {edge.label!r} references pants {vertex}")
@@ -126,6 +108,9 @@ class PantsDecompositionGraph:
                 if (v, c) not in seen
             ]
             raise MalformedGraph(f"unglued cuffs: {missing}")
+        index = {label: k for k, label in enumerate(self.curve_labels)}
+        self.pants_cuffs = [tuple(index[seen[v, c]] for c in (0, 1, 2))
+                            for v in range(self.num_pants)]
         genus = self.genus
         if genus < 2:
             raise MalformedGraph(f"graph has genus {genus}, need at least 2")
@@ -134,7 +119,7 @@ class PantsDecompositionGraph:
                 f"counts ({self.num_pants} pants, {len(self.edges)} curves) do not "
                 f"match a closed genus-{genus} surface"
             )
-        if len(_distances(self, 0)) != self.num_pants:
+        if len(_spanning_tree(self, 0)[2]) != self.num_pants:
             raise MalformedGraph("gluing graph is not connected")
 
     # -- assembly symbols ------------------------------------------------
@@ -149,8 +134,7 @@ class PantsDecompositionGraph:
 
     def plan(self):
         """The assembly plan, built once per distinct graph (:func:`_plan_of`)."""
-        gluings = tuple((edge.label, edge.end_a, edge.end_b) for edge in self.edges)
-        return _plan_of(self.num_pants, gluings)
+        return _plan_of(self.num_pants, tuple(self.edges))
 
 
 class SurfaceGroupPresentation:
@@ -213,36 +197,15 @@ class _Node:
         self.c_index = None
 
 
-class AssemblyPlan:
-    """Everything the holonomy builder needs, computed once per graph.
-
-    Plans are shared between equal graphs (see :func:`_plan_of`), so neither
-    a plan nor its presentation is ever mutated.
-    """
-
-    def __init__(self, root, tree_gluings, nontree_gluings, presentation):
-        self.root = root
-        self.tree_gluings = tree_gluings        # (label, parent_end, child_end)
-        self.nontree_gluings = nontree_gluings  # (label, s_end, t_end, z_symbol)
-        self.presentation = presentation
-
-
-def _distances(graph, start):
-    """Breadth-first distance from start to every pants it reaches."""
-    adjacency = {v: set() for v in range(graph.num_pants)}
-    for edge in graph.edges:
-        (va, _), (vb, _) = edge.ends()
-        adjacency[va].add(vb)
-        adjacency[vb].add(va)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+# Everything the holonomy builder needs, computed once per graph.  Plans are
+# shared between equal graphs (see :func:`_plan_of`), so neither a plan nor
+# its presentation is ever mutated.
+AssemblyPlan = namedtuple("AssemblyPlan", [
+    "root",
+    "tree_gluings",     # (label, parent_end, child_end)
+    "nontree_gluings",  # (label, s_end, t_end, z_symbol)
+    "presentation",
+])
 
 
 def _graph_center(graph):
@@ -251,35 +214,34 @@ def _graph_center(graph):
     Rooting the spanning tree at a center keeps conjugator words short,
     which keeps holonomy matrix entries as small as the geometry allows.
     """
-    return min(range(graph.num_pants), key=lambda v: max(_distances(graph, v).values()))
+    return min(range(graph.num_pants),
+               key=lambda v: max(_spanning_tree(graph, v)[2].values()))
 
 
 def _spanning_tree(graph, root):
-    """Breadth-first tree from the root, edges tried in label order."""
+    """Breadth-first tree from the root, edges tried in label order.
+
+    Returns the tree gluings (label, parent end, child end), the other edges
+    in label order, and the distance from the root to every pants reached.
+    """
+    edges = sorted(graph.edges)
     incident = {v: [] for v in range(graph.num_pants)}
-    for edge in sorted(graph.edges, key=lambda e: e.label):
-        (va, ca), (vb, cb) = edge.ends()
-        incident[va].append((edge, (va, ca), (vb, cb)))
-        if va != vb:
-            incident[vb].append((edge, (vb, cb), (va, ca)))
-    visited = {root}
+    for label, end_a, end_b in edges:
+        incident[end_a[0]].append((label, end_a, end_b))
+        incident[end_b[0]].append((label, end_b, end_a))
+    dist = {root: 0}
     queue = deque([root])
     tree = []
-    tree_labels = set()
     while queue:
         v = queue.popleft()
-        for edge, my_end, other_end in incident[v]:
-            if edge.label in tree_labels:
-                continue
+        for label, my_end, other_end in incident[v]:
             w = other_end[0]
-            if w not in visited:
-                tree.append((edge.label, my_end, other_end))
-                tree_labels.add(edge.label)
-                visited.add(w)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                tree.append((label, my_end, other_end))
                 queue.append(w)
-    nontree = [e for e in sorted(graph.edges, key=lambda e: e.label)
-               if e.label not in tree_labels]
-    return tree, nontree
+    tree_labels = {label for label, _, _ in tree}
+    return tree, [edge for edge in edges if edge.label not in tree_labels], dist
 
 
 @functools.lru_cache(maxsize=32)
@@ -293,7 +255,7 @@ def _plan_of(num_pants, gluings):
 def _build_plan(graph):
     genus = graph.genus
     root = _graph_center(graph)
-    tree, nontree = _spanning_tree(graph, root)
+    tree, nontree, _ = _spanning_tree(graph, root)
 
     # ---- stage 1: glue pants along the tree, tracking boundary loops ----
     sym_a, sym_b = graph.symbol_a, graph.symbol_b
@@ -354,7 +316,8 @@ def _build_plan(graph):
     c_to_p1 = {}          # boundary-loop index -> P1 word
     p1_to_assembly = {}   # P1 generator -> assembly word
     for k, edge in enumerate(nontree):
-        s_end, t_end = sorted(edge.ends(), key=lambda end: tag_to_node[end].c_index)
+        s_end, t_end = sorted((edge.end_a, edge.end_b),
+                              key=lambda end: tag_to_node[end].c_index)
         s_node, t_node = tag_to_node[s_end], tag_to_node[t_end]
         c, z = 2 * k + 1, 2 * k + 2
         c_to_p1[s_node.c_index] = (c,)

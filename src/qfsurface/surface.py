@@ -280,14 +280,7 @@ def assemble(graph, fn, differentiate):
                 f"where exp(-|Re tau|/2) floors to 0 at 2^-{m2.FRAC_BITS}")
     plan = graph.plan()
     label_index = {label: k for k, label in enumerate(graph.curve_labels)}
-    cuff_index = {}
-    for edge in graph.edges:
-        for end in edge.ends():
-            cuff_index[end] = label_index[edge.label]
-
-    pants_cuffs = [tuple(cuff_index[(v, c)] for c in (0, 1, 2))
-                   for v in range(graph.num_pants)]
-    for cuffs in pants_cuffs:
+    for cuffs in graph.pants_cuffs:
         try:
             validate_pants(tuple(complex(fn.lengths[k]) / 2 for k in cuffs))
         except (ReduciblePants, ValueError, OverflowError) as exc:
@@ -316,11 +309,11 @@ def assemble(graph, fn, differentiate):
     # have the same three cuffs)
     halves = [m2.exp(l / 4) for l in lengths]
     leaves = {}
-    for cuffs in pants_cuffs:
+    for cuffs in graph.pants_cuffs:
         if cuffs not in leaves:
             (c1, c2), cuff_frames = leaf_entries(tuple(halves[k] for k in cuffs))
             leaves[cuffs] = (leaf(c1), leaf(c2)), cuff_frames
-    matrices, frames = zip(*(leaves[cuffs] for cuffs in pants_cuffs))
+    matrices, frames = zip(*(leaves[cuffs] for cuffs in graph.pants_cuffs))
 
     def gluing_map(label, from_end, to_end):
         # Frame determinants on both sides equal -2 sinh(length/2) of the

@@ -5,6 +5,7 @@ A word is a tuple of nonzero ints; the letter -k is the inverse of k.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 __all__ = [
@@ -36,14 +37,7 @@ def invert_word(word):
 
 
 def multiply(*words):
-    out = []
-    for word in words:
-        for letter in word:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-    return tuple(out)
+    return reduce_word(itertools.chain.from_iterable(words))
 
 
 def cyclic_reduce(word):
@@ -65,18 +59,11 @@ def expand(word, image):
 
     A generator with no image is a KeyError.
     """
-    out = []
-    for letter in word:
-        if letter > 0:
-            chunk = image[letter]
-        else:
-            chunk = [-piece for piece in reversed(image[-letter])]
-        for piece in chunk:
-            if out and out[-1] == -piece:
-                out.pop()
-            else:
-                out.append(piece)
-    return tuple(out)
+    return reduce_word(
+        piece
+        for letter in word
+        for piece in (image[letter] if letter > 0 else invert_word(image[-letter]))
+    )
 
 
 def reduced_words_up_to(num_generators, max_length):

@@ -284,19 +284,12 @@ def fixed_assemble(graph, fn, lift):
     n = len(fn)
     plan = graph.plan()
     label_index = {label: k for k, label in enumerate(graph.curve_labels)}
-    cuff_index = {}
-    for edge in graph.edges:
-        for end in edge.ends():
-            cuff_index[end] = label_index[edge.label]
-
-    pants_cuffs = [tuple(cuff_index[(v, c)] for c in (0, 1, 2))
-                   for v in range(graph.num_pants)]
     lengths = [lift(l, k) for k, l in enumerate(fn.lengths)]
     twists = [lift(tau, n + k) for k, tau in enumerate(fn.twists)]
     halves = [m2.exp(l / 4) for l in lengths]
     matrices = {}
     frames = {}
-    for v, cuffs in enumerate(pants_cuffs):
+    for v, cuffs in enumerate(graph.pants_cuffs):
         cuff_halves = tuple(halves[k] for k in cuffs)
         matrices[v] = pants_entries(cuff_halves)
         frames[v] = frame_entries(cuff_halves)

@@ -158,10 +158,7 @@ def test_criterion_6_construction_residuals():
             got = complex_length_of_curve(rep, rep.curve_word(label))
             worst_round_trip = max(worst_round_trip, abs(got - fn.lengths[k]))
         for v in range(GRAPH.num_pants):
-            sigmas = []
-            for c in (0, 1, 2):
-                label = next(e.label for e in GRAPH.edges if (v, c) in e.ends())
-                sigmas.append(fn.lengths[GRAPH.curve_labels.index(label)] / 2.0)
+            sigmas = [fn.lengths[k] / 2.0 for k in GRAPH.pants_cuffs[v]]
             for mat, sigma in zip(rounded(pants_entries, sigmas), sigmas):
                 trace = mat[0, 0] + mat[1, 1]
                 worst_trace = max(worst_trace, abs(trace + 2.0 * cmath.cosh(sigma)))

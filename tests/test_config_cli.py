@@ -339,6 +339,23 @@ def test_cli_input_error_exit_code(tmp_path, capsys, monkeypatch):
     bad.write_text("{\"genus\": 2}")
     assert cli_main(["holonomy", str(bad)]) == 2
     assert cli_main(["holonomy", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    # a config that is not UTF-8, and an output file in no directory
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(bundled("genus2_fuchsian.json").replace("P0", "P\xc4").encode("latin-1"))
+    good = bundled_path("genus2_fuchsian.json", tmp_path)
+    for argv, message in (
+        (["holonomy", str(latin1)], f"cannot read {latin1}: "),
+        (["lengths", good, "--output", str(tmp_path / "none" / "x.json")],
+         f"cannot write {tmp_path / 'none' / 'x.json'}: "),
+        (["twist", good, "--curve", "alpha1", "--t", "1,0", "--output", str(tmp_path)],
+         f"cannot write {tmp_path}: "),
+    ):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: " + message)
+        assert "Traceback" not in captured.err
 
     def broken_plan(graph):
         raise MalformedGraph("collection did not reach commutator form")

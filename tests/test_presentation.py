@@ -138,12 +138,10 @@ def test_plan_built_once_per_distinct_graph(monkeypatch):
     monkeypatch.setattr(presentation_module, "_build_plan", counted)
     presentation_module._plan_of.cache_clear()
     first = standard_genus2_graph().plan()
-    renamed = PantsDecompositionGraph(2, standard_genus2_graph().edges,
-                                      pants_ids=["left", "right"])
-    assert standard_genus2_graph().plan() is first and renamed.plan() is first
+    assert standard_genus2_graph().plan() is first
     assert len(builds) == 1
     # labels, ends and edge order all go into the plan
-    edges = [(e.label, e.end_a, e.end_b) for e in standard_genus2_graph().edges]
+    edges = standard_genus2_graph().edges
     variants = [
         [("beta" + label[-1], a, b) for label, a, b in edges],
         [(label, b, a) for label, a, b in edges],
@@ -159,6 +157,9 @@ def test_random_graphs_all_reach_standard_form():
     for genus in (2, 3, 4):
         for _ in range(8):
             graph = random_trivalent_graph(rng, genus)
+            for label, *ends in graph.edges:
+                for v, c in ends:
+                    assert graph.curve_labels[graph.pants_cuffs[v][c]] == label
             pres = graph.plan().presentation
             assert_standard_relator(pres)
             assert len(pres.marking) == 3 * genus - 3
@@ -247,6 +248,12 @@ def test_malformed_graphs_rejected():
             ("a", (0, 0), (1, 0)),
             ("b", (0, 1), (1, 1)),
             ("c", (0, 1), (1, 2)),  # cuff (0,1) used twice
+        ])
+    with pytest.raises(MalformedGraph, match="cuff \\(0, 0\\) used by both 'a' and 'a'"):
+        PantsDecompositionGraph(2, [
+            ("a", (0, 0), (0, 0)),  # a cuff glued to itself
+            ("b", (0, 1), (1, 1)),
+            ("c", (0, 2), (1, 2)),
         ])
     with pytest.raises(MalformedGraph):
         PantsDecompositionGraph(4, [

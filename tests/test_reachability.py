@@ -65,7 +65,6 @@ ALLOWED = {
     "matrix2:Jet.__radd__": ORACLE,
     "matrix2:Fixed.__repr__": DEBUG,
     "hexagon:Hexagon.__repr__": DEBUG,
-    "presentation:GluingEdge.__repr__": DEBUG,
     # collection flips a generator whose inner occurrence is inverted
     "presentation:_flip_generator": BRANCH,
 }
