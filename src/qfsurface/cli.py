@@ -9,20 +9,25 @@ Property-test subcommands seed their RNG from the QFS_SEED environment
 variable (default 0).  The limit-set and Schwarzian modules, and numpy, are
 loaded by the commands that use them, so ``holonomy``, ``lengths``,
 ``twist``, ``gram`` and ``darboux-check`` start without them.
+
+A command's cost outside the arithmetic is kept small: configs with equal
+gluings share one validated graph and its plan (see
+:meth:`SurfaceConfig.graph`), and JSON is written by
+:func:`qfsurface.config.to_json`, which gives the bytes of
+``json.dumps(payload, indent=2)`` without its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 
 from . import matrix2 as m2
 from .cocycles import PrecisionExhausted, darboux_residual, symplectic_gram
-from .config import SchemaError, config_to_json, parse_config
+from .config import SchemaError, config_to_json, parse_config, to_json
 from .presentation import MalformedGraph
 from .surface import (
     BranchFailure,
@@ -43,8 +48,8 @@ def _complex_json(z):
 
 def _load_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     return parse_config(text)
@@ -90,7 +95,7 @@ def _cmd_holonomy(args):
             for label, word in sorted(rep.presentation.marking.items())
         },
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(to_json(payload), args.output)
     return 0
 
 
@@ -110,7 +115,7 @@ def _cmd_lengths(args):
             word = rep.curve_word(label)
             lengths[label] = _complex_json(complex_length_of_curve(rep, word))
     payload = {"lengths": lengths, "relator_residual": _relator_residual(rep, config)}
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(to_json(payload), args.output)
     return 0
 
 
@@ -138,7 +143,7 @@ def _gram_payload(config):
 def _cmd_gram(args):
     config = _load_config(args.config)
     payload = _gram_payload(config)
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(to_json(payload), args.output)
     return 0
 
 

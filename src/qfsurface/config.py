@@ -23,8 +23,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from json.encoder import encode_basestring_ascii as _json_string
 
-from .presentation import MalformedGraph, PantsDecompositionGraph
+from .presentation import MalformedGraph, _graph_of
 from .surface import FNCoordinates
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "SurfaceConfig",
     "parse_config",
     "config_to_json",
+    "to_json",
 ]
 
 DEFAULT_OPTIONS = {"tol": 1e-4, "word_length": 6}
@@ -78,13 +80,12 @@ class SurfaceConfig:
         self.gluings = gluings            # list of (curve, (p, c), (p, c))
         self.fn_table = fn_table          # curve -> (l, tau) complex pair
         self.options = options
-        self._graph = None
 
     def graph(self):
-        """The gluing graph, built once: the one parse_config validates."""
-        if self._graph is None:
-            self._graph = PantsDecompositionGraph(len(self.pants_ids), self.gluings)
-        return self._graph
+        """The gluing graph.  Configs with equal pants counts and gluings
+        share one graph, validated on first sight (when parse_config checks
+        it) and never mutated."""
+        return _graph_of(len(self.pants_ids), tuple(self.gluings))
 
     def fn(self, graph=None):
         if graph is None:
@@ -238,4 +239,48 @@ def parse_config(text):
 
 
 def config_to_json(config):
-    return json.dumps(config.as_dict(), indent=2, sort_keys=False) + "\n"
+    return to_json(config.as_dict())
+
+
+def to_json(value):
+    """``json.dumps(value, indent=2) + "\\n"``, byte for byte, for values made
+    of dicts with string keys, lists, tuples, strings, floats, ints, bools and
+    None.  With ``indent`` json.dumps takes its pure-Python encoder; this
+    writes the same layout in one pass."""
+    return _json_text(value, "\n") + "\n"
+
+
+def _json_text(value, newline):
+    # floats first: they are most of every payload; bools before ints, as
+    # json.dumps tests them
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_string(key) + ": " + _json_text(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

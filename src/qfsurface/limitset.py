@@ -72,7 +72,7 @@ def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
 
     The three modulus tests compare squared moduli, each summed from the
     squares of the real and imaginary parts, with no tie rule: lam is
-    (tr - disc) / 2 where |tr + disc|^2 < 4; c counts as 0 where
+    (tr - disc) / 2 where Re(conj(tr) disc) < 0; c counts as 0 where
     |c|^2 <= 1e-28 max |entry|^2; and then the point is infinity where
     |lam - a|^2 <= |lam - d|^2.  A word whose entry squares or point are not
     finite raises DegenerateFN.
@@ -88,11 +88,13 @@ def _fixed_points(ar, ai, br, bi, cr, ci, dr, di):
     disc = _complex(square_r, square_i)
     finite_square = np.isfinite(disc)
     np.sqrt(disc, out=disc)
-    # lam = (tr + disc) / 2, or (tr - disc) / 2 where the first has |lam| < 1
-    plus_r, plus_i = tr_r + disc.real, tr_i + disc.imag
-    swap = plus_r * plus_r + plus_i * plus_i < 4.0
-    lam_r = 0.5 * np.where(swap, tr_r - disc.real, plus_r)
-    lam_i = 0.5 * np.where(swap, tr_i - disc.imag, plus_i)
+    # lam is the root of larger modulus, (tr + disc) / 2 or (tr - disc) / 2:
+    # |tr + disc|^2 - |tr - disc|^2 = 4 Re(conj(tr) disc), so its sign picks
+    # the sum without cancellation (testing |tr + disc|^2 < 4 reads the
+    # rounding noise of a cancelled sum past |tr| ~ 1e16)
+    swap = tr_r * disc.real + tr_i * disc.imag < 0.0
+    lam_r = 0.5 * np.where(swap, tr_r - disc.real, tr_r + disc.real)
+    lam_i = 0.5 * np.where(swap, tr_i - disc.imag, tr_i + disc.imag)
     # identity-like and parabolic/elliptic-like words have none
     lox = ~((np.abs(tr_i) <= _TRACE_TOL) & (np.abs(tr_r) <= 2.0 + _TRACE_TOL))
     # past complex128 the eigenvalue is NaN, and the c = 0 branch below

@@ -133,7 +133,8 @@ class PantsDecompositionGraph:
         return 2 * self.num_pants + nontree_index + 1
 
     def plan(self):
-        """The assembly plan, built once per distinct graph (:func:`_plan_of`)."""
+        """The assembly plan, built once per distinct graph (:func:`_plan_of`),
+        from the shared graph of these gluings (:func:`_graph_of`)."""
         return _plan_of(self.num_pants, tuple(self.edges))
 
 
@@ -247,9 +248,19 @@ def _spanning_tree(graph, root):
 @functools.lru_cache(maxsize=32)
 def _plan_of(num_pants, gluings):
     """The plan of the graph with these pants and ordered (label, end, end)
-    gluings, built once per distinct graph: it reads nothing else, and every
-    config parse makes a new graph object."""
-    return _build_plan(PantsDecompositionGraph(num_pants, gluings))
+    gluings, built once per distinct graph: it reads nothing else.  It is
+    built from :func:`_graph_of`'s graph, so a graph first seen here is
+    validated once."""
+    return _build_plan(_graph_of(num_pants, gluings))
+
+
+@functools.lru_cache(maxsize=_plan_of.cache_parameters()["maxsize"])
+def _graph_of(num_pants, gluings):
+    """The validated graph with these pants and ordered (label, end, end)
+    gluings, built once per distinct gluing and shared by every config parse
+    that names it, so nothing mutates it.  A malformed graph raises on every
+    call: the cache keeps no exception."""
+    return PantsDecompositionGraph(num_pants, gluings)
 
 
 def _build_plan(graph):

@@ -44,7 +44,6 @@ half the trace, taken as in Kahan's formula (see
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 
@@ -150,16 +149,23 @@ def twist_flow(fn, index, t):
     return fn.shifted(index, "tau", t)
 
 
-@contextlib.contextmanager
-def complex128_stage(stage):
-    """Working-precision values past 2^1024 (long curves or large twists) as
-    DegenerateFN."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise DegenerateFN(
-            f"{stage}: entries exceed complex128 (a length or twist is too large)"
-        ) from exc
+class complex128_stage:
+    """``with complex128_stage(stage):`` turns working-precision values past
+    2^1024 (long curves or large twists) into DegenerateFN naming the stage."""
+
+    __slots__ = ("stage",)
+
+    def __init__(self, stage):
+        self.stage = stage
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, _traceback):
+        if kind is not None and issubclass(kind, OverflowError):
+            raise DegenerateFN(f"{self.stage}: entries exceed complex128 "
+                               f"(a length or twist is too large)") from exc
+        return False
 
 
 class Representation:

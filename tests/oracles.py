@@ -555,12 +555,13 @@ def _squared(z):
 
 
 def attracting_eigenvalue(tr):
-    """The eigenvalue of modulus at least 1 of an SL2 matrix with trace tr."""
+    """The eigenvalue of modulus at least 1 of an SL2 matrix with trace tr:
+    the sign of Re(conj(tr) disc) picks the root of larger modulus, with no
+    cancelled sum."""
     disc = cmath.sqrt(tr * tr - 4.0)
-    lam = (tr + disc) / 2.0
-    if _squared(lam) < 1.0:
-        lam = (tr - disc) / 2.0
-    return lam
+    if tr.real * disc.real + tr.imag * disc.imag < 0.0:
+        return (tr - disc) / 2.0
+    return (tr + disc) / 2.0
 
 
 def attracting_fixed_point(matrix):

@@ -14,6 +14,7 @@ import pytest
 import qfsurface
 from qfsurface import cli
 from qfsurface import matrix2 as m2
+from qfsurface import config as config_module
 from qfsurface import presentation
 from qfsurface.config import (
     CountMismatch,
@@ -21,6 +22,7 @@ from qfsurface.config import (
     SchemaError,
     config_to_json,
     parse_config,
+    to_json,
 )
 from qfsurface.cli import main as cli_main
 from qfsurface.presentation import MalformedGraph
@@ -256,6 +258,100 @@ def test_cli_twist_round_trip(tmp_path, capsys):
     assert cli_main(["twist", path, "--curve", "alpha2", "--t", "0.5,-0.25"]) == 0
     moved = parse_config(capsys.readouterr().out)
     assert moved.fn_table["alpha2"][1] == -0.4 + 0.5 - 0.25j
+
+
+def json_dumps_text(value):
+    return json.dumps(value, indent=2) + "\n"
+
+
+def json_command_lines(path, curve):
+    return [["holonomy", path], ["lengths", path], ["lengths", path, "--curve", curve],
+            ["lengths", path, "--word", "a1*B2"], ["gram", path],
+            ["twist", path, "--curve", curve, "--t", "0.5,-0.25"]]
+
+
+def outputs_of(argv_list, capsys):
+    out = []
+    for argv in argv_list:
+        assert cli_main(argv) == 0
+        out.append(capsys.readouterr().out)
+    return out
+
+
+def assert_json_dumps_bytes(argv_list, capsys, monkeypatch):
+    """The commands' stdout, checked against a rerun that writes each payload
+    with json.dumps itself."""
+    written = outputs_of(argv_list, capsys)
+    monkeypatch.setattr(cli, "to_json", json_dumps_text)
+    monkeypatch.setattr(config_module, "to_json", json_dumps_text)
+    assert outputs_of(argv_list, capsys) == written
+    return written
+
+
+def test_json_writer_matches_json_dumps_on_every_command(tmp_path, capsys, monkeypatch):
+    lines = []
+    for name in BUNDLED:
+        path = bundled_path(name, tmp_path)
+        lines += json_command_lines(path, sorted(json.loads(bundled(name))["fn"])[0])
+    assert_json_dumps_bytes(lines, capsys, monkeypatch)
+
+
+def test_json_writer_matches_json_dumps_on_every_value_kind(tmp_path, capsys, monkeypatch):
+    payload = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, 0.1, -2.5e-300],
+        "ints": [0, -7, 2 ** 70],
+        "bools": [True, False, None],
+        "empty": {"dict": {}, "list": [], "tuple": (), "string": ""},
+        "nested": [[[1.0, [2]], {"a": [{}]}], (3, "x")],
+        'quote " backslash \\ \u00e9 \u2603 \U0001f600': "\t\n\x00",
+    }
+    assert to_json(payload) == json_dumps_text(payload)
+    for value in (1.5, math.nan, -0.0, 3, True, None, "\u00e9", [], {}):
+        assert to_json(value) == json_dumps_text(value)
+    with pytest.raises(TypeError):
+        to_json({"z": 1j})
+    # a curve label with a quote, a backslash and a non-ASCII letter, through
+    # the config writer and the commands that print labels
+    label = 'c"\\\u00e9'
+    text = bundled("genus2_fuchsian.json").replace('"alpha1"', json.dumps(label))
+    config = parse_config(text)
+    assert config_to_json(config) == json_dumps_text(config.as_dict())
+    path = tmp_path / "label.json"
+    path.write_text(text, encoding="utf-8")
+    written = assert_json_dumps_bytes(json_command_lines(str(path), label), capsys,
+                                      monkeypatch)
+    assert json.loads(written[1])["lengths"][label][0] == pytest.approx(2.0)
+
+
+def test_equal_gluings_share_one_validated_graph(monkeypatch):
+    validated = []
+    validate = presentation.PantsDecompositionGraph._validate
+
+    def counted(graph):
+        validated.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(presentation.PantsDecompositionGraph, "_validate", counted)
+    presentation._graph_of.cache_clear()
+    presentation._plan_of.cache_clear()
+    first = parse_config(bundled("genus2_fuchsian.json"))
+    second = parse_config(bundled("genus2_fuchsian.json").replace("2.5", "2.75"))
+    assert first.graph() is second.graph()
+    # the plan reads the same graph, so the first sight validates once
+    assert first.graph().plan() is second.graph().plan()
+    assert len(validated) == 1
+    other = parse_config(bundled("genus2_separating.json"))
+    assert other.graph() is not first.graph()
+    assert len(validated) == 2
+
+
+def test_malformed_gluings_raise_on_every_parse():
+    # the graph cache keeps no exception: each parse checks the gluings again
+    presentation._graph_of.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CountMismatch, match="gluing graph is not connected"):
+            parse_config(disconnected_genus3())
+    assert presentation._graph_of.cache_info().currsize == 0
 
 
 def test_cli_twist_to_infinity_is_input_error(tmp_path, capsys):

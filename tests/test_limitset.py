@@ -1,9 +1,11 @@
 import cmath
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -484,6 +486,46 @@ def test_kept_traces_have_eigenvalues_off_the_unit_circle(re, im):
     # every such word, and the fixed points need no near-unit test after it
     assume(not (abs(im) <= _TRACE_TOL and abs(re) <= 2.0 + _TRACE_TOL))
     assert abs(abs(attracting_eigenvalue(complex(re, im))) - 1.0) > 1e-12
+
+
+def large_trace_matrices():
+    """(label, matrix) with |tr| from 1e8 to 1e30 in all four quadrants.
+    c = tr u puts the attracting fixed point near 1/u and the repelling one
+    near 0, so taking one for the other moves the point by about 1."""
+    u, d = 0.8 - 0.6j, 0.7 - 0.2j
+    cases = []
+    for exponent in (8, 12, 15, 16, 17, 20, 25, 30):
+        for angle in (0.3, math.pi - 0.3, math.pi + 0.3, -0.3):
+            tr = 10.0 ** exponent * cmath.exp(1j * angle)
+            a, c = tr - d, tr * u
+            cases.append((f"|tr| 1e{exponent} at {angle:.2f}",
+                          [[a, (a * d - 1.0) / c], [c, d]]))
+    return cases
+
+
+def mpmath_attracting_point(matrix):
+    """(z, w) of the eigenvector of the eigenvalue of larger modulus, at 400
+    bits from the complex128 entries, which mpmath takes exactly."""
+    with mp.workprec(400):
+        (a, b), (c, d) = [[mp.mpc(x) for x in row] for row in matrix]
+        tr, det = a + d, a * d - b * c
+        disc = mp.sqrt(tr * tr - 4 * det)
+        lam = max((tr + disc) / 2, (tr - disc) / 2, key=abs)
+        return complex(lam - d), complex(c)
+
+
+def test_fixed_points_past_large_traces_match_mpmath():
+    # the root of larger modulus is picked without forming a cancelled sum:
+    # where Re tr < 0 and |tr| passes about 1e16, a rule that tests
+    # |tr + disc|^2 < 4 reads rounding noise and lands on the repelling point
+    cases = large_trace_matrices()
+    z, w = kernel_points([matrix for _label, matrix in cases])
+    assert len(z) == len(cases)
+    for k, (label, matrix) in enumerate(cases):
+        ref_z, ref_w = mpmath_attracting_point(matrix)
+        assert chordal(z[k], w[k], ref_z, ref_w) <= 1e-15, label
+        point = attracting_fixed_point(np.array(matrix, dtype=complex))
+        assert chordal(point.z, point.w, ref_z, ref_w) <= 1e-15, label
 
 
 def test_csv_matches_fstring_formatter():

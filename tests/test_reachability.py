@@ -110,6 +110,7 @@ def entered_by_commands(tmp_path):
     # cached per process: a warm cache would hide the builders behind it
     cli._parser.cache_clear()
     presentation._plan_of.cache_clear()
+    presentation._graph_of.cache_clear()
     entered = set()
 
     def hook(frame, event, _arg):
