@@ -29,7 +29,13 @@ distance.
 
 The point at infinity is a legitimate member of the cloud (the
 representations built here usually have a cuff axis through infinity);
-flat-file emission drops non-finite points.
+flat-file emission drops non-finite points.  The CSV has the bytes of
+``'%.17g'`` and is written a chunk of points at a time: each float's 17
+significant digits and decimal exponent come exactly from a double-double
+product with a power of ten, its text is laid out in fixed byte slots, and
+the empty slots are dropped once.  A float the arithmetic leaves undecided,
+within 1e-9 of a rounding half, outside [1e-280, 1e280] or not finite, goes
+through ``'%.17g'`` itself (see :func:`cloud_to_csv`).
 """
 
 from __future__ import annotations
@@ -54,6 +60,14 @@ _BLOCK = 1 << 16            # words per batch
 # the arithmetic done in them.
 _CHUNK = 1 << 14
 _SVG_WIDTH = 800            # pixels
+# The CSV writer (see cloud_to_csv): magnitudes it decides itself, the
+# decimal exponents its powers of ten serve, and its margin on rounding
+_EXACT_MIN, _EXACT_MAX = 1e-280, 1e280
+_K_LIMIT = 282
+_MARGIN = 1e-9
+_SIG_LOW, _SIG_HIGH = 10**16, 10**17    # the 17-digit significands
+_SPLITTER = 2.0**27 + 1.0
+_FIELD = 29                 # bytes of one float field: "-0.000", 18, "e+308"
 
 
 def _complex(re, im):
@@ -385,14 +399,192 @@ def limit_set(rep, depth):
                          np.concatenate(length_parts), dedup.vectors)
 
 
+def _split(v):
+    """Dekker's split of doubles into halves of at most 26 significant bits,
+    whose pairwise products are exact."""
+    scaled = v * _SPLITTER
+    high = scaled - (scaled - v)
+    return high, v - high
+
+
+# 10^p = t / u for p = 16 - k and |k| <= _K_LIMIT, row _K_LIMIT + k, as
+# hi + lo: int / int rounds correctly, so hi is 10^p rounded and lo is
+# 10^p - hi rounded, from exact integers
+_TEN_RATIOS = [(10**p, 1) if p >= 0 else (1, 10**-p)
+               for p in range(16 + _K_LIMIT, 15 - _K_LIMIT, -1)]
+_TEN_HI = [t / u for t, u in _TEN_RATIOS]
+_TEN_LO = np.array([(t * den - num * u) / (u * den) for (t, u), (num, den)
+                    in zip(_TEN_RATIOS, map(float.as_integer_ratio, _TEN_HI))])
+_TEN_HI_HIGH, _TEN_HI_LOW = _split(np.array(_TEN_HI))
+# the four ASCII digits of 0 to 9999, one row per digit place
+_QUADS = np.array(np.meshgrid(*[np.frombuffer(b"0123456789", dtype=np.uint8)] * 4,
+                              indexing="ij")).reshape(4, -1)
+_PLACE = np.arange(18, dtype=np.int8)[:, None]     # the slots of the digits and point
+_RANK = np.arange(1, 18, dtype=np.int8)[:, None]
+_LEAD = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+
+
+def _digits(n, groups, out):
+    """ASCII digits of the nonnegative int64 n, zero-padded to 4 * groups
+    places, into out[place, row]: one lookup of _QUADS per 4 digits."""
+    for group in range(groups - 1, -1, -1):
+        high = n // 10000
+        np.take(_QUADS, n - 10000 * high, axis=1, out=out[4 * group:4 * group + 4])
+        n = high
+    return out
+
+
+def _scaled(a, k):
+    """floor(y) and y - floor(y) of y = a 10^(16 - k), to within 1e-14 for
+    y < 1e17: a (hi + lo) as a double-double, hi's product exact."""
+    row = _K_LIMIT + k
+    hi_high, hi_low = _TEN_HI_HIGH[row], _TEN_HI_LOW[row]
+    a_high, a_low = _split(a)
+    head = a * (hi_high + hi_low)
+    tail = ((a_high * hi_high - head) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    tail += a * _TEN_LO[row]
+    y = head + tail
+    tail -= y - head                # y + tail is head + tail exactly
+    whole = np.floor(y)
+    y -= whole
+    y += tail
+    carry = np.floor(y)
+    y -= carry
+    return whole.astype(np.int64) + carry.astype(np.int64), y
+
+
+def _decimals(a):
+    """(D, k, decided) for magnitudes a in [1e-280, 1e280]: '%.17g' writes
+    a as the 17 digits of D times 10^(k - 16), wherever decided."""
+    k = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, k)
+    # log10 rounds: k is one off where y left [1e16, 1e17)
+    shift = (whole >= _SIG_HIGH).astype(np.int64) - (whole < _SIG_LOW)
+    moved = np.flatnonzero(shift)
+    if len(moved):
+        k[moved] += shift[moved]
+        whole[moved], frac[moved] = _scaled(a[moved], k[moved])
+    decided = (np.abs(frac - 0.5) > _MARGIN) & (whole >= _SIG_LOW) & (whole < _SIG_HIGH)
+    decided &= ~((whole == _SIG_LOW) & (frac > 0.0) & (frac <= _MARGIN))
+    decided &= ~((whole == _SIG_HIGH - 1) & (frac >= 1.0 - _MARGIN))
+    whole += frac > 0.5
+    # a y just below 1e17 rounds up to 18 digits: one digit, one exponent up
+    top = whole == _SIG_HIGH
+    whole[top] = _SIG_LOW
+    k += top
+    return whole, k, decided
+
+
+def _float_column(x, out):
+    """'%.17g' % v for each float of x into out[slot, row], _FIELD slots,
+    with zero bytes where a slot is empty.
+
+    The slots are a sign, "0.000" (fixed notation below 1), 17 digits with
+    a point among them, and "e+308" (exponent notation).
+    """
+    a = np.abs(x)
+    zero = a == 0.0
+    inside = (a >= _EXACT_MIN) & (a <= _EXACT_MAX)
+    whole, k, decided = _decimals(np.where(inside, a, 1.0))
+    whole[zero] = 0
+    k[zero] = 0
+    decided = decided & inside | zero
+    chars = _digits(whole, 5, np.empty((20, len(x)), dtype=np.uint8))[3:]
+    significant = ((chars != ord("0")) * _RANK).max(0)    # digits without trailing zeros
+    k = k.astype(np.int16)
+    fixed = (k >= -4) & (k < 17)
+    below_one = fixed & (k < 0)
+    # the point follows digit k, or the first in exponent notation; below 1
+    # it is in "0.000" and none is left among the digits
+    point = np.where(fixed, np.maximum(k, 0) + 1, 1).astype(np.int8)
+    point[below_one] = 17
+    kept = np.where(fixed, np.maximum(significant, k + 1), significant).astype(np.int8)
+    out[0] = np.where(np.signbit(x), ord("-"), 0)
+    out[1:6] = np.where(below_one & (_PLACE[:5] < 1 - k), _LEAD, 0)
+    body = out[6:24]
+    body[:17] = chars
+    body[17] = 0
+    after = _PLACE > point
+    np.copyto(body[1:], chars, where=after[1:])
+    np.copyto(body, ord("."), where=_PLACE == point)
+    np.copyto(body, 0, where=_PLACE - after >= kept)
+    out[24:29] = 0
+    wide = np.flatnonzero(~fixed)
+    k = k[wide]
+    out[24, wide] = ord("e")
+    out[25, wide] = np.where(k < 0, ord("-"), ord("+"))
+    k = np.abs(k)
+    out[26:29, wide] = _QUADS[1:, k]
+    out[26, wide[k < 100]] = 0
+    for row in np.flatnonzero(~decided):
+        text = b"%.17g" % x[row]
+        out[:, row] = 0
+        out[:len(text), row] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
 def cloud_to_csv(cloud):
-    """CSV with columns re,im,word_length (finite points only)."""
+    """CSV with columns re,im,word_length (finite points only), each row the
+    bytes of ``'%.17g,%.17g,%d'``.
+
+    For a float x with 1e-280 <= |x| <= 1e280, ``'%.17g'`` writes the 17
+    digits of D = round(y), y = |x| 10^(16 - k), where the decimal exponent
+    k puts y in [1e16, 1e17), halves rounding to even.  k starts as
+    floor(log10 |x|), which is one off next to a power of ten, and moves by
+    one where y falls outside that range; a D that rounds up to 1e17 is
+    1e16 with k one higher.  y is a double-double, an unevaluated sum of two
+    doubles: 10^(16 - k) is hi + lo, both rounded from exact integers, and
+    |x| hi is exact as the sum of Dekker's products of halves.  Below 1e17,
+    the rounding of lo (2^-106 of y), of |x| lo and of the two sums of
+    small terms each add at most 2e-15, so y is off by less than 1e-14.
+
+    A row is therefore decided where y's fraction is more than 1e-9 from
+    1/2, and y is more than 1e-9 from 1e16 and 1e17 or exactly 1e16; zeros
+    are written as 0 or -0.  Every other float goes through ``'%.17g'``
+    itself, and so do magnitudes out of the range and non-finite values.
+    Exact ties exist, and the fallback is what rounds them to even: y is
+    D + 1/2 for |x| = n / 2^(17 - k) with n odd and n 5^(16 - k) = 2D + 1,
+    which has solutions n < 2^53 for -8 <= k <= 15 (1 + 2^-17 and 2^-25
+    are ties).  For k >= 16 the odd part of |x| would be (2D + 1)
+    5^(k - 16) > 2^53, and for k <= -9, 5^(16 - k) > 2D + 1.  The bounds:
+
+    - the range keeps |k| <= 281, and k's first guess within one of it, so
+      the table of 10^p, p = 16 - k in [-266, 298], stays finite times
+      Dekker's splitter 2^27 + 1, and its lo parts stay normal;
+    - the margin 1e-9 is far above the error, and a y lands within it of
+      a half with chance 2e-9: no float of the bundled clouds reaches the
+      fallback;
+    - the digits come four at a time from a table of the 10,000 four-digit
+      strings, five lookups for a 17-digit significand and one per four
+      digits of a word length: the table is 40 kB, where one of five digits
+      would be 500 kB to save one lookup in five.
+
+    ``%g`` writes fixed notation for -4 <= k < 17 and d.ddde+XX otherwise,
+    without trailing zeros, and without the point when no digit follows
+    it.  Each float takes _FIELD slots, one byte per character and a zero
+    byte where a slot is empty (see _float_column), the rows of a chunk are
+    laid out one slot after another, and the slots empty on every row, then
+    the zero bytes, are dropped.
+    """
     z, lengths = cloud.finite_points()
-    fields = [None] * (3 * len(z))
-    fields[0::3] = z.real.tolist()
-    fields[1::3] = z.imag.tolist()
-    fields[2::3] = lengths.tolist()
-    return "re,im,word_length\n" + "%.17g,%.17g,%d\n" * len(z) % tuple(fields)
+    groups = -(-len(str(lengths.max(initial=0))) // 4)
+    # a length below 10^j has no digit in the place j + 1 from the right
+    tens = 10.0 ** np.arange(4 * groups - 1, 0, -1)[:, None]
+    ends = np.cumsum([_FIELD, 1, _FIELD, 1, 4 * groups, 1])
+    parts = [b"re,im,word_length\n"]
+    for start in range(0, len(z), _CHUNK):
+        chunk, length = z[start:start + _CHUNK], lengths[start:start + _CHUNK]
+        rows = np.empty((ends[-1], len(chunk)), dtype=np.uint8)
+        _float_column(chunk.real, rows[:ends[0]])
+        rows[ends[0]] = rows[ends[2]] = ord(",")
+        _float_column(chunk.imag, rows[ends[1]:ends[2]])
+        digits = _digits(length, groups, rows[ends[3]:ends[4]])
+        np.copyto(digits[:-1], 0, where=length < tens)
+        rows[-1] = ord("\n")
+        # the slots empty on every row go first, then the empty bytes
+        text = rows[rows.any(axis=1)].T.ravel()
+        parts.append(text[text != 0].tobytes())
+    return b"".join(parts).decode("ascii")
 
 
 def cloud_to_svg(cloud):
@@ -403,11 +595,13 @@ def cloud_to_svg(cloud):
     xs, ys = z.real.tolist(), z.imag.tolist()
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    span_x = max(x1 - x0, 1e-9)
-    span_y = max(y1 - y0, 1e-9)
-    margin_x = 0.05 * span_x
-    margin_y = 0.05 * span_y
-    view = (x0 - margin_x, y0 - margin_y, span_x + 2 * margin_x, span_y + 2 * margin_y)
+    span_x, span_y = x1 - x0, y1 - y0
+    if not (span_x or span_y):                  # a single point
+        span_x = span_y = 1e-9
+    # both margins from the larger span, so that a cloud on a line is drawn
+    # in a band as tall as its circles need
+    margin = 0.05 * max(span_x, span_y)
+    view = (x0 - margin, y0 - margin, span_x + 2 * margin, span_y + 2 * margin)
     radius = 0.5 * max(view[2], view[3]) / _SVG_WIDTH
     circle = f'<circle cx="%.9g" cy="%.9g" r="{radius:.3g}"/>'
     parts = [

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -416,11 +417,20 @@ def test_cli_limitset_rejects_depth_below_one(tmp_path, capsys, depth):
 
 
 def test_cli_limitset_svg(tmp_path, capsys):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
-    assert cli_main(["limitset", path, "--depth", "3", "--format", "svg"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("<svg")
-    assert "<circle" in out
+    # a Fuchsian cloud lies on the real line: its picture still has room
+    # for its circles, and every circle is in it
+    for name in BUNDLED:
+        path = bundled_path(name, tmp_path)
+        assert cli_main(["limitset", path, "--depth", "3", "--format", "svg"]) == 0
+        header, *circles, end = capsys.readouterr().out.splitlines()
+        assert header.startswith("<svg") and end == "</svg>" and circles
+        x, y, width, height = map(float, re.search(r'viewBox="([^"]*)"', header)[1].split())
+        for circle in circles:
+            cx, cy, r = (float(re.search(rf'{key}="([^"]*)"', circle)[1])
+                         for key in ("cx", "cy", "r"))
+            assert width >= 2 * r and height >= 2 * r, name
+            assert x <= cx - r and cx + r <= x + width, name
+            assert y <= cy - r and cy + r <= y + height, name
 
 
 def test_cli_schwarzian_selftest(capsys, monkeypatch):

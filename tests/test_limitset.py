@@ -255,6 +255,14 @@ def test_cloud_is_the_same_in_small_batches(monkeypatch):
                                   getattr(cloud, field).view(np.int64)), field
 
 
+def test_csv_is_the_same_in_small_chunks(monkeypatch):
+    # chunks of 29 rows in place of 16,384, each with its own empty slots
+    cloud = limit_set(bundled_rep("genus2_quasifuchsian"), 4)
+    text = cloud_to_csv(cloud)
+    monkeypatch.setattr(limitset, "_CHUNK", 29)
+    assert cloud_to_csv(cloud) == text
+
+
 def greedy_by_all_pairs(vectors):
     """Keep mask of the greedy pass in order, by every pair's distance."""
     kept = np.zeros(len(vectors), dtype=bool)
@@ -529,10 +537,68 @@ def test_fixed_points_past_large_traces_match_mpmath():
 
 
 def test_csv_matches_fstring_formatter():
-    cloud = limit_set(bundled_rep("genus2_quasifuchsian"), 4)
-    assert cloud.is_infinity.sum() == 1
-    z, lengths = cloud.finite_points()
-    assert len(z) == len(cloud.z) - 1
+    for stem in BUNDLED:
+        cloud = limit_set(bundled_rep(stem), 5 if stem == "genus3" else 6)
+        z, lengths = cloud.finite_points()
+        # the point at infinity is not written
+        assert cloud.is_infinity.sum() == (stem != "genus2_separating")
+        assert len(z) == len(cloud.z) - cloud.is_infinity.sum()
+        if stem == "genus3":
+            # a Fuchsian cloud has imaginary parts 0 and -0
+            assert {str(v) for v in z.imag} == {"0.0", "-0.0"}
+        pairs = [(complex(v), int(n)) for v, n in zip(z, lengths)]
+        assert cloud_to_csv(cloud) == csv_by_word_walk(pairs), stem
+
+
+def float_column_text(values):
+    """The text _float_column lays out for each float, padding dropped."""
+    values = np.asarray(values, dtype=float)
+    out = limitset._float_column(values, np.empty((limitset._FIELD, len(values)), np.uint8))
+    return [row[row != 0].tobytes().decode("ascii") for row in out.T]
+
+
+def with_neighbours(values):
+    return [u for v in values for w in (v, -v) for u in
+            (w, math.nextafter(w, -math.inf), math.nextafter(w, math.inf))]
+
+
+EDGE_FLOATS = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-4, 1e-5, 1e16, 1e17, 1e23, 1e-280, 1e280, 0.1, 0.5, 1.0, 9.5,
+    1 + 2**-17, 1 + 3 * 2**-17, 2**-25,         # halfway between 17-digit decimals
+]
+
+
+def test_float_column_edges():
+    values = with_neighbours(EDGE_FLOATS)
+    assert float_column_text(values) == ["%.17g" % v for v in values]
+    assert float_column_text([1e16, 1e17, 1e23, 0.0, -0.0, 1e-4, 1e-5]) == [
+        "10000000000000000", "1e+17", "9.9999999999999992e+22", "0", "-0",
+        "0.0001", "1.0000000000000001e-05"]
+
+
+def test_float_column_falls_back_off_its_range():
+    # non-finite values, magnitudes out of its range and exact ties are not
+    # decided by the arithmetic; '%.17g' writes them
+    values = [math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e300, 1 + 2**-17, 2**-25]
+    assert float_column_text(values) == ["%.17g" % v for v in values]
+    _whole, _k, decided = limitset._decimals(np.array([1 + 2**-17, 2**-25, 1.5, 1e16]))
+    assert decided.tolist() == [False, False, True, True]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_float_column_matches_percent_g(values):
+    assert float_column_text(values) == ["%.17g" % v for v in values]
+
+
+def test_csv_of_an_empty_cloud_and_of_long_words():
+    empty = limitset.LimitSetCloud(np.zeros(0, complex), np.zeros(0, complex),
+                                   np.zeros(0, int), np.zeros((0, 3)))
+    assert cloud_to_csv(empty) == "re,im,word_length\n"
+    lengths = np.array([1, 22, 333, 4444, 55555, 7, 10000, 9999, 100])
+    z = np.linspace(-2.0, 3.0, len(lengths)) + 1j * np.linspace(1e-5, -1e20, len(lengths))
+    cloud = limitset.LimitSetCloud(z, np.ones(len(z), complex), lengths, np.zeros((len(z), 3)))
     pairs = [(complex(v), int(n)) for v, n in zip(z, lengths)]
     assert cloud_to_csv(cloud) == csv_by_word_walk(pairs)
 
