@@ -11,8 +11,8 @@ loaded by the commands that use them, so ``holonomy``, ``lengths``,
 ``twist``, ``gram`` and ``darboux-check`` start without them.
 
 A command's cost outside the arithmetic is kept small: configs with equal
-gluings share one validated graph and its plan (see
-:meth:`SurfaceConfig.graph`), and JSON is written by
+gluings share one validated graph, which builds its plan once and keeps
+it (see :meth:`SurfaceConfig.graph`), and JSON is written by
 :func:`qfsurface.config.to_json`, which gives the bytes of
 ``json.dumps(payload, indent=2)`` without its pure-Python encoder.
 """

@@ -150,7 +150,7 @@ def fd_basis_cocycles(graph, fn):
         for table, derivative in zip(tables, grads):
             table[gen] = (m2.FZERO if derivative is None
                           else m2.ftraceless(m2.fmul(derivative, inverse)))
-    rep = Representation(graph, presentation, fn, images)
+    rep = Representation(presentation, images)
     return rep, [TangentCocycle(rep, table) for table in tables]
 
 

@@ -84,7 +84,7 @@ class SurfaceConfig:
     def graph(self):
         """The gluing graph.  Configs with equal pants counts and gluings
         share one graph, validated on first sight (when parse_config checks
-        it) and never mutated."""
+        it); it builds its plan on first use and keeps it."""
         return _graph_of(len(self.pants_ids), tuple(self.gluings))
 
     def fn(self, graph=None):

@@ -73,6 +73,7 @@ class PantsDecompositionGraph:
                       for label, (va, ca), (vb, cb) in gluings]
         self.curve_labels = sorted(edge.label for edge in self.edges)
         self._validate()
+        self._plan = None
 
     @property
     def genus(self):
@@ -133,9 +134,12 @@ class PantsDecompositionGraph:
         return 2 * self.num_pants + nontree_index + 1
 
     def plan(self):
-        """The assembly plan, built once per distinct graph (:func:`_plan_of`),
-        from the shared graph of these gluings (:func:`_graph_of`)."""
-        return _plan_of(self.num_pants, tuple(self.edges))
+        """The assembly plan, built on the first call and kept on the graph.
+        Configs with equal gluings share one graph (:func:`_graph_of`), so
+        each distinct gluing builds one plan."""
+        if self._plan is None:
+            self._plan = _build_plan(self)
+        return self._plan
 
 
 class SurfaceGroupPresentation:
@@ -198,9 +202,9 @@ class _Node:
         self.c_index = None
 
 
-# Everything the holonomy builder needs, computed once per graph.  Plans are
-# shared between equal graphs (see :func:`_plan_of`), so neither a plan nor
-# its presentation is ever mutated.
+# Everything the holonomy builder needs, computed once per graph.  A graph is
+# shared by every config with its gluings (see :func:`_graph_of`), so neither
+# a plan nor its presentation is ever mutated.
 AssemblyPlan = namedtuple("AssemblyPlan", [
     "root",
     "tree_gluings",     # (label, parent_end, child_end)
@@ -246,20 +250,12 @@ def _spanning_tree(graph, root):
 
 
 @functools.lru_cache(maxsize=32)
-def _plan_of(num_pants, gluings):
-    """The plan of the graph with these pants and ordered (label, end, end)
-    gluings, built once per distinct graph: it reads nothing else.  It is
-    built from :func:`_graph_of`'s graph, so a graph first seen here is
-    validated once."""
-    return _build_plan(_graph_of(num_pants, gluings))
-
-
-@functools.lru_cache(maxsize=_plan_of.cache_parameters()["maxsize"])
 def _graph_of(num_pants, gluings):
     """The validated graph with these pants and ordered (label, end, end)
     gluings, built once per distinct gluing and shared by every config parse
-    that names it, so nothing mutates it.  A malformed graph raises on every
-    call: the cache keeps no exception."""
+    that names it, so nothing changes it but the plan it builds once and
+    keeps.  A malformed graph raises on every call: the cache keeps no
+    exception."""
     return PantsDecompositionGraph(num_pants, gluings)
 
 

@@ -32,12 +32,11 @@ class HolomorphicSample:
     come from fourth-order central stencils with step 1e-3 * radius.
     """
 
-    def __init__(self, f, df=None, d2f=None, d3f=None, center=0.0, radius=1.0):
+    def __init__(self, f, df=None, d2f=None, d3f=None, radius=1.0):
         self.f = f
         self.df = df
         self.d2f = d2f
         self.d3f = d3f
-        self.center = complex(center)
         self.radius = float(radius)
 
     @property
@@ -113,9 +112,8 @@ def _compose_samples(g, f):
                     + g.df(u) * d3u)
 
         return HolomorphicSample(lambda z: g.f(f.f(z)), df, d2f, d3f,
-                                 center=f.center, radius=f.radius)
-    return HolomorphicSample(lambda z: g.f(f.f(z)), center=f.center,
-                             radius=f.radius)
+                                 radius=f.radius)
+    return HolomorphicSample(lambda z: g.f(f.f(z)), radius=f.radius)
 
 
 def moebius_sample(a, b, c, d):

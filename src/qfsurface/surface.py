@@ -191,10 +191,8 @@ class Representation:
     image means a new Representation.
     """
 
-    def __init__(self, graph, presentation, fn, mp_images):
-        self.graph = graph
+    def __init__(self, presentation, mp_images):
         self.presentation = presentation
-        self.fn = fn
         self.mp_images = mp_images
         # letter -> (prefix image, subtrie of the words that continue it)
         self._prefix_trie = {}
@@ -255,7 +253,7 @@ def holonomy(graph, fn):
     The images are the flat matrices of one value-only assembly: no jets.
     """
     presentation, images = assemble(graph, fn, False)
-    return Representation(graph, presentation, fn, images)
+    return Representation(presentation, images)
 
 
 def assemble(graph, fn, differentiate):

@@ -31,7 +31,8 @@ IEEE operations the engine's kernel does, so the two agree on every tie.
 
 The measures are what the tests read off a representation, a word or a
 point cloud, and no command prints: the imaginary parts of the generating
-traces (zero iff conjugate into SL2(R)), abelianized words, cross ratios of
+traces (zero iff conjugate into SL2(R)), the Euler number of a real
+representation, abelianized words, cross ratios of
 cloud points (real iff the points lie on a circle), cloud membership, and
 linear combinations of cocycles by table sums.
 
@@ -646,6 +647,38 @@ def fuchsian_residual(rep):
     return max(abs(m2.ftrace(rep.flat_of_word(word)).imag) for word in words)
 
 
+def euler_number(rep, base_angles=(0.1, 1.3, 2.9)):
+    """Euler number of a real representation, once from each base angle.
+
+    A matrix A of positive trace turns the direction v = (cos t, sin t) by
+    atan2(v x Av, v . Av), which never reaches +-pi (Av = -cv would need a
+    negative eigenvalue), so t -> t + that angle is a continuous lift of A's
+    action on the circle of directions, the lift of least displacement.
+    Each generator image is taken with the sign that makes its trace
+    positive and its inverse as the adjugate, so the lifts folded along the
+    relator, last letter first, lift the identity: they translate every t
+    by the same multiple of pi, and that multiple is the Euler number
+    (Milnor 1958, Wood 1971).
+    """
+    images = {}
+    for gen in rep.mp_images:
+        matrix = rep.matrix_of_word((gen,))
+        if matrix.imag.any():
+            raise ValueError(f"generator {gen} has a non-real image")
+        a = matrix.real if np.trace(matrix.real) > 0 else -matrix.real
+        images[gen] = a
+        images[-gen] = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    turns = []
+    for start in base_angles:
+        angle = start
+        for letter in reversed(rep.presentation.relator):
+            v = np.array([math.cos(angle), math.sin(angle)])
+            w = images[letter] @ v
+            angle += math.atan2(v[0] * w[1] - v[1] * w[0], v @ w)
+        turns.append((angle - start) / math.pi)
+    return turns
+
+
 def exponent_sums(word, num_generators):
     """Image in the abelianization Z^num_generators."""
     sums = [0] * num_generators
@@ -812,7 +845,7 @@ def conjugated(rep, matrix):
     leaf = tuple(m2.lift(z) for z in np.ravel(matrix))
     m, inverse = m2.flat(leaf), m2.flat(m2.inverse_entries(leaf))
     images = {gen: m2.fmul(m2.fmul(m, x), inverse) for gen, x in rep.mp_images.items()}
-    return Representation(rep.graph, rep.presentation, rep.fn, images)
+    return Representation(rep.presentation, images)
 
 
 # -- the half-turn complex distance ---------------------------------------

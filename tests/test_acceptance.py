@@ -21,7 +21,6 @@ from qfsurface.cocycles import (
 )
 from qfsurface.hexagon import hexagon_residuals, solve_hexagon
 from qfsurface.limitset import limit_set
-from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.schwarzian import SELFTEST_DRAWS, selftest
 from qfsurface.surface import (
     FNCoordinates,
@@ -32,6 +31,7 @@ from qfsurface.surface import (
 from qfsurface.cocycles import TangentCocycle
 from qfsurface import matrix2 as m2
 
+import surfaces
 from oracles import (
     cocycle_scale,
     conjugated,
@@ -46,16 +46,9 @@ from oracles import (
     rounded,
 )
 
-GRAPH = PantsDecompositionGraph(2, [
-    ("alpha1", (0, 0), (1, 0)),
-    ("alpha2", (0, 1), (1, 1)),
-    ("alpha3", (0, 2), (1, 2)),
-])
-FN_FUCHSIAN = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
-FN_COMPLEX = FNCoordinates(
-    [2.0 + 0.1j, 2.5 - 0.05j, 3.0 + 0.08j],
-    [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.15j],
-)
+GRAPH = surfaces.graph("genus2_fuchsian")
+FN_FUCHSIAN = surfaces.fn("genus2_fuchsian")
+FN_COMPLEX = surfaces.fn("genus2_quasifuchsian")
 FD_STEP = 1e-4
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
+import surfaces
 from qfsurface import cocycles as cocycles_module
 from qfsurface import matrix2 as m2
 from qfsurface import surface
@@ -37,36 +38,23 @@ from qfsurface.cocycles import (
     symplectic_gram,
 )
 from qfsurface.cli import main as cli_main
-from qfsurface.config import SurfaceConfig, config_to_json, parse_config
+from qfsurface.config import SurfaceConfig, config_to_json
 from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import FNCoordinates, holonomy
 
 
-def standard_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (1, 0)),
-        ("alpha2", (0, 1), (1, 1)),
-        ("alpha3", (0, 2), (1, 2)),
-    ])
+GRAPH = surfaces.graph("genus2_fuchsian")
+FN = surfaces.fn("genus2_fuchsian")
+GENUS3 = surfaces.config("genus3")
+GENUS3_CHAIN = GENUS3.graph()
 
 
-def separating_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (0, 1)),
-        ("alpha2", (0, 2), (1, 0)),
-        ("alpha3", (1, 1), (1, 2)),
-    ])
+def genus3_at(length, tol=1e-4):
+    """genus3.json with every curve at this length."""
+    return SurfaceConfig(GENUS3.genus, GENUS3.pants_ids, GENUS3.gluings,
+                         {label: (length, tau) for label, (_l, tau) in GENUS3.fn_table.items()},
+                         {"tol": tol, "word_length": 6})
 
-
-GRAPH = standard_graph()
-FN = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
-
-GENUS3_CHAIN_EDGES = [
-    ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
-    ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (3, 2)),
-]
-GENUS3_CHAIN = PantsDecompositionGraph(4, GENUS3_CHAIN_EDGES)
-TWISTS3 = [0.1, -0.2, 0.3, 0.0, 0.2, -0.1]
 
 # the genus-3 chain extended by two pants
 GENUS4_CHAIN = PantsDecompositionGraph(6, [
@@ -217,10 +205,8 @@ def test_goldman_product_formula_pins_sign_and_scale():
     # (tr(a_i b_i) - tr a_i tr b_i / 2) / 2, and the traces of a_1, a_2
     # (disjoint curves) commute; a flipped PAIRING_SIGN or another
     # COEFFICIENT_SCALE breaks the first
-    for name in ("genus2_quasifuchsian.json", "genus2_separating.json", "genus3.json"):
-        config = parse_config(resources.files("qfsurface.data").joinpath(name).read_text())
-        graph = config.graph()
-        rep, cocycles = fd_basis_cocycles(graph, config.fn(graph))
+    for stem in ("genus2_quasifuchsian", "genus2_separating", "genus3"):
+        rep, cocycles = fd_basis_cocycles(surfaces.graph(stem), surfaces.fn(stem))
         poisson = np.linalg.inv(np.asarray(cocycle_gram(rep, cocycles).matrix))
 
         def trace(word):
@@ -240,13 +226,7 @@ def test_goldman_product_formula_pins_sign_and_scale():
 
 
 def test_gram_canonical_fuchsian_and_complex():
-    for fn in (
-        FN,
-        FNCoordinates(
-            [2.0 + 0.1j, 2.5 - 0.05j, 3.0 + 0.08j],
-            [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.15j],
-        ),
-    ):
+    for fn in (FN, surfaces.fn("genus2_quasifuchsian")):
         for gram in (symplectic_gram(GRAPH, fn), fd_symplectic_gram(GRAPH, fn, h=1e-4)):
             assert darboux_residual(gram) <= 1e-4
             n = gram.size // 2
@@ -319,10 +299,9 @@ def test_darboux_residual_random_box():
 
 
 def test_gram_other_graphs():
-    gram = symplectic_gram(separating_graph(), FN)
+    gram = symplectic_gram(surfaces.graph("genus2_separating"), FN)
     assert darboux_residual(gram) <= 1e-10
-    fn3 = FNCoordinates([2.0, 2.1, 2.2, 2.3, 2.4, 2.5], TWISTS3)
-    gram3 = symplectic_gram(GENUS3_CHAIN, fn3)
+    gram3 = symplectic_gram(GENUS3_CHAIN, GENUS3.fn())
     assert darboux_residual(gram3) <= 1e-10
     gram4 = symplectic_gram(GENUS4_CHAIN, FN4)
     assert darboux_residual(gram4) <= 1e-10
@@ -340,12 +319,8 @@ def oracle_raw(cocycles):
 
 
 def oracle_cases():
-    for name in ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
-                 "genus2_separating.json", "genus3.json"):
-        config = parse_config(
-            resources.files("qfsurface.data").joinpath(name).read_text())
-        graph = config.graph()
-        yield graph, config.fn(graph)
+    for stem in surfaces.BUNDLED:
+        yield surfaces.graph(stem), surfaces.fn(stem)
     yield GENUS4_CHAIN, FN4
 
 
@@ -443,7 +418,7 @@ def bit_identity_cases():
         if graph is not GENUS4_CHAIN:
             yield graph, fn
     for length in (16.0, 20.0):
-        yield GENUS3_CHAIN, FNCoordinates([length] * 6, TWISTS3)
+        yield GENUS3_CHAIN, genus3_at(length).fn()
 
 
 def exact_step(prefix, value, letter):
@@ -509,7 +484,7 @@ BASIS_DIGEST = "1c2f20fe07fb4d6f9a0b01182528eb1570ad7aef8929d94fd791e11a6b4417a7
 def digest_cases():
     yield from bit_identity_cases()
     rng = np.random.RandomState(2006)
-    for graph in (standard_graph(), separating_graph(), GENUS3_CHAIN, GENUS4_CHAIN):
+    for graph in (GRAPH, surfaces.graph("genus2_separating"), GENUS3_CHAIN, GENUS4_CHAIN):
         for _ in range(2):
             n = graph.num_curves
             lengths = rng.uniform(1.0, 8.0, n) + 1j * rng.uniform(-0.3, 0.3, n)
@@ -577,10 +552,7 @@ def test_jet_gram_matches_fd_oracle():
 
 
 def test_gram_runs_one_holonomy_assembly(monkeypatch):
-    config = parse_config(
-        resources.files("qfsurface.data").joinpath("genus3.json").read_text())
-    graph = config.graph()
-    fn = config.fn(graph)
+    graph, fn = GENUS3_CHAIN, GENUS3.fn()
     calls = []
     assemble = surface.assemble
 
@@ -633,7 +605,7 @@ def test_health_numbers_past_complex128_fail_typed():
     # at lengths 100 the relator sum of a basis cocycle exceeds complex128:
     # it raises the typed error that the Gram and the pairing raise there,
     # not OverflowError
-    rep, basis = fd_basis_cocycles(GENUS3_CHAIN, FNCoordinates([100.0] * 6, TWISTS3))
+    rep, basis = fd_basis_cocycles(GENUS3_CHAIN, genus3_at(100.0).fn())
     with pytest.raises(surface.DegenerateFN, match="cocycle_residual"):
         cocycle_residual(basis[0])
     with pytest.raises(surface.DegenerateFN, match="cocycle_gram"):
@@ -646,14 +618,9 @@ def test_darboux_at_genus3_lengths_12(tmp_path):
     # 34-digit mpmath held the FD oracle to 2.4e-4 at lengths 12, and its
     # exact-derivative Gram to 5.5e-5 at lengths 16 and 2.7e4 at lengths 20;
     # an absolute 2^-192 leaves room to spare at all three
-    labels = [label for label, _end_a, _end_b in GENUS3_CHAIN_EDGES]
     for length in (12.0, 16.0, 20.0):
-        fn = FNCoordinates([length] * 6, TWISTS3)
-        assert darboux_residual(symplectic_gram(GENUS3_CHAIN, fn)) <= 1e-12
-        config = SurfaceConfig(
-            3, [f"P{k}" for k in range(4)], GENUS3_CHAIN_EDGES,
-            {label: (length, tau) for label, tau in zip(labels, TWISTS3)},
-            {"tol": 1e-12, "word_length": 6})
+        config = genus3_at(length, tol=1e-12)
+        assert darboux_residual(symplectic_gram(GENUS3_CHAIN, config.fn())) <= 1e-12
         path = tmp_path / f"chain_{length:g}.json"
         path.write_text(config_to_json(config))
         assert cli_main(["darboux-check", str(path)]) == 0
@@ -665,14 +632,10 @@ def test_gram_past_its_precision_fails_typed(tmp_path, capsys):
     # walk); at lengths 40 the basis cocycles miss the relator by about 0.1,
     # so their Gram is garbage: both commands name the stage and the
     # quantity and exit 1 instead of printing it; at lengths 20 they pass
-    at_30 = symplectic_gram(GENUS3_CHAIN, FNCoordinates([30.0] * 6, TWISTS3))
+    at_30 = symplectic_gram(GENUS3_CHAIN, genus3_at(30.0).fn())
     assert darboux_residual(at_30) <= 2e-15
-    labels = [label for label, _end_a, _end_b in GENUS3_CHAIN_EDGES]
     for length, code in ((20.0, 0), (40.0, 1)):
-        config = SurfaceConfig(
-            3, [f"P{k}" for k in range(4)], GENUS3_CHAIN_EDGES,
-            {label: (length, tau) for label, tau in zip(labels, TWISTS3)},
-            {"tol": 1e-4, "word_length": 6})
+        config = genus3_at(length)
         path = tmp_path / f"chain_{length:g}.json"
         path.write_text(config_to_json(config))
         for command in ("gram", "darboux-check"):
@@ -708,10 +671,7 @@ def test_gram_makes_no_mpmath_arithmetic(monkeypatch):
     assert len(calls) == 3
     calls.clear()
 
-    config = parse_config(
-        resources.files("qfsurface.data").joinpath("genus3.json").read_text())
-    graph = config.graph()
-    gram = symplectic_gram(graph, config.fn(graph))
+    gram = symplectic_gram(GENUS3_CHAIN, GENUS3.fn())
     assert darboux_residual(gram) <= 1e-40
     assert calls == []
 
@@ -732,10 +692,7 @@ def test_gram_multiplies_jets_only_in_leaf_formulas(monkeypatch):
 
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(m2.Jet, name, counted(vars(m2.Jet)[name]))
-    config = parse_config(
-        resources.files("qfsurface.data").joinpath("genus3.json").read_text())
-    graph = config.graph()
-    gram = symplectic_gram(graph, config.fn(graph))
+    gram = symplectic_gram(GENUS3_CHAIN, GENUS3.fn())
     assert darboux_residual(gram) <= 1e-40
     assert set(calls) <= {"leaf_entries", "inverse_entries"}
     assert 0 < sum(calls.values()) <= 36
@@ -764,22 +721,18 @@ def test_commands_form_each_flat_product_once(monkeypatch, capsys, command, name
     assert 0 < sum(calls.values()) <= bound, calls
 
 
-def complex_coordinate(real_lo, real_hi):
-    return st.builds(complex, st.floats(real_lo, real_hi), st.floats(-0.3, 0.3))
-
-
 # no shrink phase: the FD oracle costs about 0.1 s per draw, and shrinking a
 # failure would take minutes; the failing draw is reported as drawn
 @settings(max_examples=12, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
-@given(graph=st.sampled_from([standard_graph, separating_graph]),
-       lengths=st.lists(complex_coordinate(1.0, 4.0), min_size=3, max_size=3),
-       twists=st.lists(complex_coordinate(-1.0, 1.0), min_size=3, max_size=3))
-def test_jet_gram_over_genus2_box(graph, lengths, twists):
+@given(stem=st.sampled_from(["genus2_fuchsian", "genus2_separating"]),
+       lengths=st.lists(surfaces.complex_coordinate(1.0, 4.0), min_size=3, max_size=3),
+       twists=st.lists(surfaces.complex_coordinate(-1.0, 1.0), min_size=3, max_size=3))
+def test_jet_gram_over_genus2_box(stem, lengths, twists):
     fn = FNCoordinates(lengths, twists)
-    gram = symplectic_gram(graph(), fn)
+    gram = symplectic_gram(surfaces.graph(stem), fn)
     assert darboux_residual(gram) <= 1e-18
-    fd = fd_symplectic_gram(graph(), fn)
+    fd = fd_symplectic_gram(surfaces.graph(stem), fn)
     assert np.max(np.abs(np.asarray(gram.matrix) - np.asarray(fd.matrix))) <= 1e-12
 
 

@@ -6,13 +6,13 @@ import re
 import subprocess
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qfsurface
+import surfaces
 from qfsurface import cli
 from qfsurface import matrix2 as m2
 from qfsurface import config as config_module
@@ -29,23 +29,16 @@ from qfsurface.cli import main as cli_main
 from qfsurface.presentation import MalformedGraph
 from qfsurface.surface import holonomy
 
-BUNDLED = ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
-           "genus2_separating.json", "genus3.json")
 
-
-def bundled(name):
-    return resources.files("qfsurface.data").joinpath(name).read_text()
-
-
-def bundled_path(name, tmp_path):
-    path = tmp_path / name
-    path.write_text(bundled(name))
+def bundled_path(stem, tmp_path):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(surfaces.text(stem))
     return str(path)
 
 
 def test_bundled_configs_parse():
-    for name in BUNDLED:
-        config = parse_config(bundled(name))
+    for stem in surfaces.BUNDLED:
+        config = parse_config(surfaces.text(stem))
         graph = config.graph()
         assert graph.num_curves == 3 * config.genus - 3
         assert graph.num_pants == 2 * config.genus - 2
@@ -61,27 +54,27 @@ def test_bundled_configs_parse():
 
 
 def test_count_mismatch_detected():
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["gluings"].append({"curve": "alpha4", "ends": [[0, 0], [1, 1]]})
     with pytest.raises(CountMismatch):
         parse_config(json.dumps(doc))
 
 
 def test_duplicate_cuff_detected():
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["gluings"][2]["ends"] = [[0, 1], [1, 2]]  # cuff (0,1) used twice
     with pytest.raises(DanglingCuff):
         parse_config(json.dumps(doc))
 
 
 def test_schema_errors_have_pointer_paths():
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["fn"]["alpha2"]["l"] = [2.0]
     with pytest.raises(SchemaError) as err:
         parse_config(json.dumps(doc))
     assert "/fn/alpha2/l" in str(err.value)
 
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["gluings"][1]["ends"][0] = [0, 7]
     with pytest.raises(SchemaError) as err:
         parse_config(json.dumps(doc))
@@ -89,14 +82,14 @@ def test_schema_errors_have_pointer_paths():
 
 
 def mutated(edit):
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     edit(doc)
     return json.dumps(doc)
 
 
 def disconnected_genus3():
     # two genus-2 halves: the counts of genus 3, but two components
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["genus"] = 3
     doc["pants"] = [{"id": f"P{k}"} for k in range(4)]
     doc["gluings"] += [{"curve": f"beta{k}", "ends": [[2, k], [3, k]]} for k in range(3)]
@@ -105,7 +98,7 @@ def disconnected_genus3():
 
 
 def nan_text():
-    return bundled("genus2_fuchsian.json").replace('"l": [2.5, 0.0]', '"l": [NaN, 0.0]')
+    return surfaces.text("genus2_fuchsian").replace('"l": [2.5, 0.0]', '"l": [NaN, 0.0]')
 
 
 # (document, error type, message): every error parse_config raises, one row
@@ -182,13 +175,13 @@ def test_config_errors_keep_their_messages(text, error, message):
 
 
 def test_config_round_trip():
-    config = parse_config(bundled("genus2_fuchsian.json"))
+    config = parse_config(surfaces.text("genus2_fuchsian"))
     again = parse_config(config_to_json(config))
     assert again.as_dict() == config.as_dict()
 
 
 def test_twist_emission():
-    config = parse_config(bundled("genus2_fuchsian.json"))
+    config = parse_config(surfaces.text("genus2_fuchsian"))
     moved = config.with_twist("alpha1", 0.25 + 0.5j)
     l, tau = moved.fn_table["alpha1"]
     assert tau == 0.3 + 0.25 + 0.5j
@@ -198,7 +191,7 @@ def test_twist_emission():
 
 
 def test_cli_holonomy_and_lengths(tmp_path, capsys):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     assert cli_main(["holonomy", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["relator_residual"] <= 1e-9
@@ -226,7 +219,7 @@ def test_cli_holonomy_and_lengths(tmp_path, capsys):
 ])
 def test_cli_lengths_rejects_bad_words(tmp_path, capsys, extra, message):
     # an empty --word or --curve names nothing, not every curve
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     assert cli_main(["lengths", path, *extra]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -234,15 +227,15 @@ def test_cli_lengths_rejects_bad_words(tmp_path, capsys, extra, message):
 
 
 def test_cli_darboux_check(tmp_path, capsys):
-    for name in BUNDLED:
-        assert cli_main(["darboux-check", bundled_path(name, tmp_path)]) == 0
+    for stem in surfaces.BUNDLED:
+        assert cli_main(["darboux-check", bundled_path(stem, tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS darboux residual ")
         assert float(out.split()[3]) <= 1e-15
 
 
 def test_cli_gram_payload(tmp_path, capsys):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     assert cli_main(["gram", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["darboux_residual"] <= 1e-4
@@ -255,7 +248,7 @@ def test_cli_gram_payload(tmp_path, capsys):
 
 
 def test_cli_twist_round_trip(tmp_path, capsys):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     assert cli_main(["twist", path, "--curve", "alpha2", "--t", "0.5,-0.25"]) == 0
     moved = parse_config(capsys.readouterr().out)
     assert moved.fn_table["alpha2"][1] == -0.4 + 0.5 - 0.25j
@@ -291,9 +284,9 @@ def assert_json_dumps_bytes(argv_list, capsys, monkeypatch):
 
 def test_json_writer_matches_json_dumps_on_every_command(tmp_path, capsys, monkeypatch):
     lines = []
-    for name in BUNDLED:
-        path = bundled_path(name, tmp_path)
-        lines += json_command_lines(path, sorted(json.loads(bundled(name))["fn"])[0])
+    for stem in surfaces.BUNDLED:
+        path = bundled_path(stem, tmp_path)
+        lines += json_command_lines(path, sorted(json.loads(surfaces.text(stem))["fn"])[0])
     assert_json_dumps_bytes(lines, capsys, monkeypatch)
 
 
@@ -314,7 +307,7 @@ def test_json_writer_matches_json_dumps_on_every_value_kind(tmp_path, capsys, mo
     # a curve label with a quote, a backslash and a non-ASCII letter, through
     # the config writer and the commands that print labels
     label = 'c"\\\u00e9'
-    text = bundled("genus2_fuchsian.json").replace('"alpha1"', json.dumps(label))
+    text = surfaces.text("genus2_fuchsian").replace('"alpha1"', json.dumps(label))
     config = parse_config(text)
     assert config_to_json(config) == json_dumps_text(config.as_dict())
     path = tmp_path / "label.json"
@@ -334,14 +327,13 @@ def test_equal_gluings_share_one_validated_graph(monkeypatch):
 
     monkeypatch.setattr(presentation.PantsDecompositionGraph, "_validate", counted)
     presentation._graph_of.cache_clear()
-    presentation._plan_of.cache_clear()
-    first = parse_config(bundled("genus2_fuchsian.json"))
-    second = parse_config(bundled("genus2_fuchsian.json").replace("2.5", "2.75"))
+    first = parse_config(surfaces.text("genus2_fuchsian"))
+    second = parse_config(surfaces.text("genus2_fuchsian").replace("2.5", "2.75"))
     assert first.graph() is second.graph()
-    # the plan reads the same graph, so the first sight validates once
+    # the plan is kept on the graph, so the first sight validates once
     assert first.graph().plan() is second.graph().plan()
     assert len(validated) == 1
-    other = parse_config(bundled("genus2_separating.json"))
+    other = parse_config(surfaces.text("genus2_separating"))
     assert other.graph() is not first.graph()
     assert len(validated) == 2
 
@@ -360,7 +352,7 @@ def test_cli_twist_to_infinity_is_input_error(tmp_path, capsys):
     # config would hold an Infinity that parse_config rejects
     once = tmp_path / "once.json"
     argv = ["--curve", "alpha1", "--t", "1.7e308,0"]
-    assert cli_main(["twist", bundled_path("genus2_fuchsian.json", tmp_path), *argv,
+    assert cli_main(["twist", bundled_path("genus2_fuchsian", tmp_path), *argv,
                      "--output", str(once)]) == 0
     assert cli_main(["twist", str(once), *argv]) == 2
     out, err = capsys.readouterr()
@@ -372,7 +364,7 @@ def test_cli_large_twist_is_input_error(tmp_path, capsys, tau):
     # past |Re tau| = 2 FRAC_BITS log 2 the small entry exp(-|Re tau|/2) of
     # the twist leaf floors to 0, and past 2^(1024 - FRAC_BITS) the twist
     # does not lift: each fails at once, naming the twist
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["fn"]["alpha1"]["tau"] = tau
     path = tmp_path / "twisted.json"
     path.write_text(json.dumps(doc))
@@ -385,7 +377,7 @@ def test_cli_large_twist_is_input_error(tmp_path, capsys, tau):
 
 
 def test_cli_limitset_csv(tmp_path, capsys):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     assert cli_main(["limitset", path, "--depth", "4", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
@@ -397,7 +389,7 @@ def test_cli_limitset_csv(tmp_path, capsys):
 
 
 def test_cli_limitset_depth_defaults_to_word_length(tmp_path, capsys):
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["options"]["word_length"] = 2
     path = tmp_path / "short.json"
     path.write_text(json.dumps(doc))
@@ -409,7 +401,7 @@ def test_cli_limitset_depth_defaults_to_word_length(tmp_path, capsys):
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_cli_limitset_rejects_depth_below_one(tmp_path, capsys, depth):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     assert cli_main(["limitset", path, "--depth", depth]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -419,8 +411,8 @@ def test_cli_limitset_rejects_depth_below_one(tmp_path, capsys, depth):
 def test_cli_limitset_svg(tmp_path, capsys):
     # a Fuchsian cloud lies on the real line: its picture still has room
     # for its circles, and every circle is in it
-    for name in BUNDLED:
-        path = bundled_path(name, tmp_path)
+    for stem in surfaces.BUNDLED:
+        path = bundled_path(stem, tmp_path)
         assert cli_main(["limitset", path, "--depth", "3", "--format", "svg"]) == 0
         header, *circles, end = capsys.readouterr().out.splitlines()
         assert header.startswith("<svg") and end == "</svg>" and circles
@@ -428,9 +420,9 @@ def test_cli_limitset_svg(tmp_path, capsys):
         for circle in circles:
             cx, cy, r = (float(re.search(rf'{key}="([^"]*)"', circle)[1])
                          for key in ("cx", "cy", "r"))
-            assert width >= 2 * r and height >= 2 * r, name
-            assert x <= cx - r and cx + r <= x + width, name
-            assert y <= cy - r and cy + r <= y + height, name
+            assert width >= 2 * r and height >= 2 * r, stem
+            assert x <= cx - r and cx + r <= x + width, stem
+            assert y <= cy - r and cy + r <= y + height, stem
 
 
 def test_cli_schwarzian_selftest(capsys, monkeypatch):
@@ -448,8 +440,8 @@ def test_cli_input_error_exit_code(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     # a config that is not UTF-8, and an output file in no directory
     latin1 = tmp_path / "latin1.json"
-    latin1.write_bytes(bundled("genus2_fuchsian.json").replace("P0", "P\xc4").encode("latin-1"))
-    good = bundled_path("genus2_fuchsian.json", tmp_path)
+    latin1.write_bytes(surfaces.text("genus2_fuchsian").replace("P0", "P\xc4").encode("latin-1"))
+    good = bundled_path("genus2_fuchsian", tmp_path)
     for argv, message in (
         (["holonomy", str(latin1)], f"cannot read {latin1}: "),
         (["lengths", good, "--output", str(tmp_path / "none" / "x.json")],
@@ -467,9 +459,9 @@ def test_cli_input_error_exit_code(tmp_path, capsys, monkeypatch):
         raise MalformedGraph("collection did not reach commutator form")
 
     monkeypatch.setattr(presentation, "_build_plan", broken_plan)
-    # plans are cached per graph; the broken builder runs on a miss
-    presentation._plan_of.cache_clear()
-    assert cli_main(["holonomy", bundled_path("genus2_fuchsian.json", tmp_path)]) == 2
+    # a graph keeps its plan; the broken builder runs on a fresh graph
+    presentation._graph_of.cache_clear()
+    assert cli_main(["holonomy", bundled_path("genus2_fuchsian", tmp_path)]) == 2
     assert "commutator form" in capsys.readouterr().err
 
 
@@ -494,7 +486,7 @@ def _set_tol(doc):
 ], ids=["lengths-nan-l", "gram-inf-l", "gram-inf-tau", "gram-bool-tau",
         "darboux-check-inf-tol", "twist-nan"])
 def test_cli_rejects_non_finite_and_boolean_input(tmp_path, capsys, command, mutate, path):
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     if mutate is not None:
         mutate(doc)
     config = tmp_path / "input.json"
@@ -507,7 +499,7 @@ def test_cli_rejects_non_finite_and_boolean_input(tmp_path, capsys, command, mut
 
 
 def test_cli_residual_failure_exit_code(tmp_path, capsys):
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["options"]["tol"] = 1e-300  # unreachably tight tolerance
     path = tmp_path / "tight.json"
     path.write_text(json.dumps(doc))
@@ -516,7 +508,7 @@ def test_cli_residual_failure_exit_code(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     result = subprocess.run(
         [sys.executable, "-m", "qfsurface.cli", "lengths", path],
         capture_output=True, text=True,
@@ -528,7 +520,7 @@ def test_console_entry_point(tmp_path):
 def test_cli_overflow_past_complex128_is_input_error(tmp_path, capsys):
     # at Re l = 1000 the working-precision values pass 2^1024, the range of
     # complex128; each command names the stage where they are rounded
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["fn"]["alpha1"]["l"] = [1000.0, 0.0]
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
@@ -547,7 +539,7 @@ def test_cli_overflow_past_complex128_is_input_error(tmp_path, capsys):
 def long_alpha1_path(tmp_path):
     # at Re l = 60 the working precision no longer holds the relator:
     # its residual reads about 1e9
-    doc = json.loads(bundled("genus2_fuchsian.json"))
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["fn"]["alpha1"]["l"] = [60.0, 0.0]
     path = tmp_path / "long60.json"
     path.write_text(json.dumps(doc))
@@ -564,8 +556,8 @@ def test_cli_relator_residual_gate(tmp_path, capsys):
         assert cli_main([command, path, "--output", str(output), *extra]) == 1
         assert capsys.readouterr().out.startswith("FAIL holonomy: relator_residual ")
         assert not output.exists()
-    for name in BUNDLED:
-        path = bundled_path(name, tmp_path)
+    for stem in surfaces.BUNDLED:
+        path = bundled_path(stem, tmp_path)
         for command, *extra in GATED:
             assert cli_main([command, path, "--output", str(output), *extra]) == 0
             assert capsys.readouterr().out == ""
@@ -581,7 +573,7 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counted)
     cli._parser.cache_clear()
-    path = bundled_path("genus2_fuchsian.json", tmp_path)
+    path = bundled_path("genus2_fuchsian", tmp_path)
     for k in range(2):
         argv = ["twist", path, "--curve", "alpha1", "--t", f"0.{k},0",
                 "--output", str(tmp_path / f"twisted{k}.json")]
@@ -591,7 +583,7 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
 
 def test_cli_checks_hold_under_optimize(tmp_path):
     # the checks are computations, not asserts: -O strips nothing they need
-    path = bundled_path("genus3.json", tmp_path)
+    path = bundled_path("genus3", tmp_path)
     src = Path(qfsurface.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
 
@@ -669,7 +661,7 @@ def test_commands_do_not_import_mpmath(tmp_path):
     # darboux-check start without it.  Importing the CLI still loads every
     # module a Gram runs, and the package gives the other modules' names on
     # first access.
-    path = bundled_path("genus3.json", tmp_path)
+    path = bundled_path("genus3", tmp_path)
     src = Path(qfsurface.__file__).resolve().parent.parent
     script = """
 import contextlib, io, json, sys

@@ -3,13 +3,13 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
+import surfaces
 from oracles import (
     ProjectivePoint,
     attracting_eigenvalue,
@@ -34,35 +34,8 @@ from qfsurface.limitset import (
     cloud_to_csv,
     limit_set,
 )
-from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import DegenerateFN, FNCoordinates, holonomy, twist_flow
 from qfsurface.words import reduce_word, reduced_words_up_to
-
-
-def standard_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (1, 0)),
-        ("alpha2", (0, 1), (1, 1)),
-        ("alpha3", (0, 2), (1, 2)),
-    ])
-
-
-def separating_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (0, 1)),
-        ("alpha2", (0, 2), (1, 0)),
-        ("alpha3", (1, 1), (1, 2)),
-    ])
-
-
-FN = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
-
-
-def bundled_rep(stem):
-    config = parse_config(
-        resources.files("qfsurface.data").joinpath(f"{stem}.json").read_text())
-    graph = config.graph()
-    return holonomy(graph, config.fn(graph))
 
 
 def chordal(z1, w1, z2, w2):
@@ -93,13 +66,13 @@ def test_reduced_word_count():
 
 
 def test_depth_one_point_count():
-    rep = holonomy(standard_graph(), FN)
+    rep = surfaces.representation("genus2_fuchsian")
     cloud = limit_set(rep, 1)
     assert len(cloud.z) <= 2 * 4  # at most one point per generator letter
 
 
 def test_fuchsian_cloud_is_round():
-    rep = holonomy(standard_graph(), FN)
+    rep = surfaces.representation("genus2_fuchsian")
     cloud = limit_set(rep, 6)
     assert len(cloud.z) > 500
     rng = np.random.RandomState(8801)
@@ -107,14 +80,13 @@ def test_fuchsian_cloud_is_round():
 
 
 def test_bent_cloud_is_not_round_but_traces_fixed():
-    graph = standard_graph()
-    bent_fn = twist_flow(FN, 0, 0.2j)
-    rep = holonomy(graph, bent_fn)
+    graph, fn = surfaces.graph("genus2_fuchsian"), surfaces.fn("genus2_fuchsian")
+    rep = holonomy(graph, twist_flow(fn, 0, 0.2j))
     cloud = limit_set(rep, 6)
     rng = np.random.RandomState(8802)
     assert cross_ratio_imag_spread(cloud, 200, rng) >= 1e-3
 
-    base = holonomy(graph, FN)
+    base = holonomy(graph, fn)
     for label in graph.curve_labels:
         tr_base = np.trace(base.matrix_of_word(base.curve_word(label)))
         tr_bent = np.trace(rep.matrix_of_word(rep.curve_word(label)))
@@ -125,7 +97,7 @@ def test_cloud_drops_rounding_noise_fixed_point():
     # g4 g3 g4^-1 of the bundled QF config fixes infinity: its lower-left
     # entry is rounding noise at the working precision but 1e-14 in
     # complex128, where (lambda - d) / c divides noise by noise
-    rep = bundled_rep("genus2_quasifuchsian")
+    rep = surfaces.representation("genus2_quasifuchsian")
     exact = m2.FEYE
     for letter in (4, 3, -4):
         exact = m2.fmul(exact, rep.generator_flat(letter))
@@ -154,7 +126,7 @@ def test_cloud_drops_rounding_noise_fixed_point():
 
 
 def test_cloud_group_invariance():
-    rep = holonomy(standard_graph(), FN)
+    rep = surfaces.representation("genus2_fuchsian")
     depth = 5
     cloud = limit_set(rep, depth)
 
@@ -180,7 +152,7 @@ def test_cloud_group_invariance():
 
 
 def test_cloud_deduplication_and_csv():
-    rep = holonomy(standard_graph(), FN)
+    rep = surfaces.representation("genus2_fuchsian")
     cloud = limit_set(rep, 5)
     assert len(cloud.z) > 2000
     assert min_pair_chordal(cloud) > 1e-10
@@ -190,17 +162,18 @@ def test_cloud_deduplication_and_csv():
     assert len(lines) >= len(cloud.finite_points()[0])
 
 
+# case -> (bundled config, depth)
 ORACLE_CASES = {
-    "genus2_quasifuchsian": (lambda: bundled_rep("genus2_quasifuchsian"), 6),
-    "genus3": (lambda: bundled_rep("genus3"), 5),
-    "FN": (lambda: holonomy(standard_graph(), FN), 6),
+    "genus2_quasifuchsian": ("genus2_quasifuchsian", 6),
+    "genus3": ("genus3", 5),
+    "FN": ("genus2_fuchsian", 6),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_cloud_matches_word_walk_oracle(case):
-    build, depth = ORACLE_CASES[case]
-    rep = build()
+    stem, depth = ORACLE_CASES[case]
+    rep = surfaces.representation(stem)
     cloud = limit_set(rep, depth)
     walk = limit_set_by_word_walk(rep, depth)
     lengths = np.array([length for _, length in walk])
@@ -213,15 +186,12 @@ def test_cloud_matches_word_walk_oracle(case):
     assert gap[lengths == 1].max() <= 1e-15
 
 
-BUNDLED = ("genus2_fuchsian", "genus2_quasifuchsian", "genus2_separating", "genus3")
-
-
-@pytest.mark.parametrize("stem", BUNDLED)
+@pytest.mark.parametrize("stem", surfaces.BUNDLED)
 def test_children_round_as_per_word_products(stem):
     # the oracle match rests on this: the product of a whole level by one
     # letter rounds each word as that word's own 2x2 product does, and the
     # real parts gathered for the fixed-point kernel are those products'
-    letters = _letter_matrices(bundled_rep(stem))
+    letters = _letter_matrices(surfaces.representation(stem))
     level, last = letters, np.arange(len(letters))
     for _length in (2, 3):
         expected, expected_last = [], []
@@ -245,7 +215,7 @@ def test_children_round_as_per_word_products(stem):
 def test_cloud_is_the_same_in_small_batches(monkeypatch):
     # over 600 batches and their run merges in place of five; then also
     # kernel and distance chunks of 29 words or pairs in place of 16,384
-    rep = bundled_rep("genus2_quasifuchsian")
+    rep = surfaces.representation("genus2_quasifuchsian")
     cloud = limit_set(rep, 5)
     for name, value in (("_BLOCK", 37), ("_CHUNK", 29)):
         monkeypatch.setattr(limitset, name, value)
@@ -257,7 +227,7 @@ def test_cloud_is_the_same_in_small_batches(monkeypatch):
 
 def test_csv_is_the_same_in_small_chunks(monkeypatch):
     # chunks of 29 rows in place of 16,384, each with its own empty slots
-    cloud = limit_set(bundled_rep("genus2_quasifuchsian"), 4)
+    cloud = limit_set(surfaces.representation("genus2_quasifuchsian"), 4)
     text = cloud_to_csv(cloud)
     monkeypatch.setattr(limitset, "_CHUNK", 29)
     assert cloud_to_csv(cloud) == text
@@ -341,7 +311,8 @@ def sphere_rotations():
 def test_dedup_sweep_axis_follows_the_cloud(index, monkeypatch):
     # in a plane across a fixed sweep axis every pair of points is a candidate
     depth = 3
-    rep = conjugated(bundled_rep("genus2_fuchsian"), unit_determinant(sphere_rotations()[index]))
+    rep = conjugated(surfaces.representation("genus2_fuchsian"),
+                     unit_determinant(sphere_rotations()[index]))
     candidates = []
     within = limitset._within
 
@@ -364,8 +335,7 @@ def test_overflowing_products_are_degenerate():
     # pair of them a candidate, and the candidate pairs grow as n^2.
     # At depth 2 a trace square overflows: its eigenvalue is NaN, and the
     # c = 0 branch would give the word its repelling fixed point
-    doc = json.loads(
-        resources.files("qfsurface.data").joinpath("genus2_fuchsian.json").read_text())
+    doc = json.loads(surfaces.text("genus2_fuchsian"))
     doc["fn"]["alpha1"]["l"] = [150.0, 0.0]
     config = parse_config(json.dumps(doc))
     graph = config.graph()
@@ -537,8 +507,8 @@ def test_fixed_points_past_large_traces_match_mpmath():
 
 
 def test_csv_matches_fstring_formatter():
-    for stem in BUNDLED:
-        cloud = limit_set(bundled_rep(stem), 5 if stem == "genus3" else 6)
+    for stem in surfaces.BUNDLED:
+        cloud = limit_set(surfaces.representation(stem), 5 if stem == "genus3" else 6)
         z, lengths = cloud.finite_points()
         # the point at infinity is not written
         assert cloud.is_infinity.sum() == (stem != "genus2_separating")
@@ -618,20 +588,18 @@ def word_points(rep, depth):
     return out
 
 
-def complex_coordinate(real_lo, real_hi):
-    return st.builds(complex, st.floats(real_lo, real_hi), st.floats(-0.2, 0.2))
-
-
 # no shrink phase: one example costs about 0.3 s, and shrinking a failure
 # would take minutes; the failing draw is reported as drawn
 @settings(max_examples=12, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
-@given(graph=st.sampled_from([standard_graph, separating_graph]),
-       lengths=st.lists(complex_coordinate(1.5, 4.0), min_size=3, max_size=3),
-       twists=st.lists(complex_coordinate(-1.0, 1.0), min_size=3, max_size=3))
-def test_cloud_is_greedy_in_word_order(graph, lengths, twists):
+@given(stem=st.sampled_from(["genus2_fuchsian", "genus2_separating"]),
+       lengths=st.lists(surfaces.complex_coordinate(1.5, 4.0, imag=0.2),
+                        min_size=3, max_size=3),
+       twists=st.lists(surfaces.complex_coordinate(-1.0, 1.0, imag=0.2),
+                       min_size=3, max_size=3))
+def test_cloud_is_greedy_in_word_order(stem, lengths, twists):
     depth = 4
-    rep = holonomy(graph(), FNCoordinates(lengths, twists))
+    rep = holonomy(surfaces.graph(stem), FNCoordinates(lengths, twists))
     cloud = limit_set(rep, depth)
     walk = limit_set_by_word_walk(rep, depth)
     assert Counter(cloud.word_length.tolist()) == Counter(n for _, n in walk)

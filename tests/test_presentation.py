@@ -2,7 +2,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -11,38 +10,11 @@ import pytest
 import qfsurface
 
 from qfsurface import presentation as presentation_module
-from qfsurface.config import parse_config
+import surfaces
 from oracles import exponent_sums
 from qfsurface.presentation import MalformedGraph, PantsDecompositionGraph
 from qfsurface.words import cyclic_reduce, expand, reduce_word, rotate
 
-
-
-def standard_genus2_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (1, 0)),
-        ("alpha2", (0, 1), (1, 1)),
-        ("alpha3", (0, 2), (1, 2)),
-    ])
-
-
-def separating_genus2_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (0, 1)),
-        ("alpha2", (0, 2), (1, 0)),
-        ("alpha3", (1, 1), (1, 2)),
-    ])
-
-
-def genus3_graph():
-    return PantsDecompositionGraph(4, [
-        ("c1", (0, 0), (0, 1)),
-        ("c2", (0, 2), (1, 0)),
-        ("c3", (1, 1), (2, 0)),
-        ("c4", (1, 2), (2, 1)),
-        ("c5", (2, 2), (3, 0)),
-        ("c6", (3, 1), (3, 2)),
-    ])
 
 
 def random_trivalent_graph(rng, genus):
@@ -76,7 +48,7 @@ def assert_standard_relator(pres):
 
 
 def test_genus2_counts():
-    pres = standard_genus2_graph().plan().presentation
+    pres = surfaces.graph("genus2_fuchsian").plan().presentation
     assert pres.genus == 2
     assert pres.num_generators == 4
     assert len(pres.relator) == 8
@@ -87,7 +59,7 @@ def test_genus2_counts():
 
 
 def test_genus3_counts():
-    pres = genus3_graph().plan().presentation
+    pres = surfaces.graph("genus3").plan().presentation
     assert pres.genus == 3
     assert pres.num_generators == 6
     assert len(pres.relator) == 12
@@ -96,7 +68,7 @@ def test_genus3_counts():
 
 
 def test_separating_curve_abelianization():
-    pres = separating_genus2_graph().plan().presentation
+    pres = surfaces.graph("genus2_separating").plan().presentation
     assert_standard_relator(pres)
     sums = {
         label: exponent_sums(word, pres.num_generators)
@@ -109,7 +81,7 @@ def test_separating_curve_abelianization():
 
 
 def test_nonseparating_curves_standard_graph():
-    pres = standard_genus2_graph().plan().presentation
+    pres = surfaces.graph("genus2_fuchsian").plan().presentation
     nontrivial = [
         label for label, word in pres.marking.items()
         if exponent_sums(word, 4) != (0, 0, 0, 0)
@@ -119,9 +91,10 @@ def test_nonseparating_curves_standard_graph():
 
 
 def test_determinism():
-    # two builds, past the plan cache that would hand both the same object
-    p1 = presentation_module._build_plan(standard_genus2_graph()).presentation
-    p2 = presentation_module._build_plan(standard_genus2_graph()).presentation
+    # two builds, past the plan the graph keeps, which would be one object
+    graph = surfaces.graph("genus2_fuchsian")
+    p1 = presentation_module._build_plan(graph).presentation
+    p2 = presentation_module._build_plan(graph).presentation
     assert p1.relator == p2.relator
     assert p1.marking == p2.marking
     assert p1.generator_assembly_words == p2.generator_assembly_words
@@ -136,18 +109,19 @@ def test_plan_built_once_per_distinct_graph(monkeypatch):
         return build(graph)
 
     monkeypatch.setattr(presentation_module, "_build_plan", counted)
-    presentation_module._plan_of.cache_clear()
-    first = standard_genus2_graph().plan()
-    assert standard_genus2_graph().plan() is first
+    presentation_module._graph_of.cache_clear()
+    first = surfaces.graph("genus2_fuchsian").plan()
+    # genus2_quasifuchsian.json has the same gluings, so the same graph
+    assert surfaces.graph("genus2_quasifuchsian").plan() is first
     assert len(builds) == 1
     # labels, ends and edge order all go into the plan
-    edges = standard_genus2_graph().edges
+    edges = surfaces.graph("genus2_fuchsian").edges
     variants = [
         [("beta" + label[-1], a, b) for label, a, b in edges],
         [(label, b, a) for label, a, b in edges],
         edges[::-1],
     ]
-    plans = [PantsDecompositionGraph(2, variant).plan() for variant in variants]
+    plans = [presentation_module._graph_of(2, tuple(variant)).plan() for variant in variants]
     assert len(builds) == 4
     assert all(plan is not first for plan in plans)
 
@@ -215,11 +189,9 @@ def plan_digest(graphs):
 
 
 def test_plans_match_pinned_digest():
-    data = resources.files("qfsurface.data")
-    graphs = [parse_config(data.joinpath(name).read_text()).graph()
-              for name in ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
-                           "genus2_separating.json", "genus3.json")]
-    graphs += [standard_genus2_graph(), separating_genus2_graph(), genus3_graph()]
+    graphs = [surfaces.graph(stem) for stem in surfaces.BUNDLED]
+    graphs += [surfaces.graph(stem)
+               for stem in ("genus2_fuchsian", "genus2_separating", "genus3")]
     rng = np.random.RandomState(1406)
     graphs += [random_trivalent_graph(rng, genus)
                for genus in (2, 3, 4, 5, 6) for _ in range(8)]
@@ -227,7 +199,7 @@ def test_plans_match_pinned_digest():
 
 
 def test_word_string_round_trip():
-    pres = standard_genus2_graph().plan().presentation
+    pres = surfaces.graph("genus2_fuchsian").plan().presentation
     word = (1, -2, 3, 4, -1)
     assert pres.word_from_string(pres.word_to_string(word)) == word
     assert pres.word_from_string("a1*B1*a2") == (1, -2, 3)

@@ -13,14 +13,11 @@ import inspect
 import io
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 import qfsurface
+import surfaces
 from qfsurface import cli, presentation
-
-BUNDLED = ("genus2_fuchsian.json", "genus2_quasifuchsian.json",
-           "genus2_separating.json", "genus3.json")
 
 OPEN_ITEM = "open item"
 PUBLIC_API = "public API"
@@ -88,12 +85,11 @@ def package_functions():
 
 
 def command_lines(tmp_path):
-    data = resources.files("qfsurface.data")
     lines = [["schwarzian-selftest"]]
-    for name in BUNDLED:
-        path = tmp_path / name
-        path.write_text(data.joinpath(name).read_text())
-        config, curve = str(path), "alpha1" if name.startswith("genus2") else "c1"
+    for stem in surfaces.BUNDLED:
+        path = tmp_path / f"{stem}.json"
+        path.write_text(surfaces.text(stem))
+        config, curve = str(path), "alpha1" if stem.startswith("genus2") else "c1"
         lines += [
             ["holonomy", config], ["lengths", config],
             ["lengths", config, "--curve", curve], ["lengths", config, "--word", "a1*B2"],
@@ -109,7 +105,6 @@ def entered_by_commands(tmp_path):
     lines = command_lines(tmp_path)
     # cached per process: a warm cache would hide the builders behind it
     cli._parser.cache_clear()
-    presentation._plan_of.cache_clear()
     presentation._graph_of.cache_clear()
     entered = set()
 

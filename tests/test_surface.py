@@ -1,17 +1,14 @@
 import cmath
-import functools
 import itertools
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import conjugated, fuchsian_residual, random_sl2
+import surfaces
+from oracles import conjugated, euler_number, fuchsian_residual, random_sl2
 from qfsurface import matrix2 as m2
-from qfsurface.config import parse_config
-from qfsurface.presentation import PantsDecompositionGraph
 from qfsurface.surface import (
     BranchFailure,
     DegenerateFN,
@@ -26,29 +23,6 @@ from qfsurface.surface import (
 
 
 
-def standard_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (1, 0)),
-        ("alpha2", (0, 1), (1, 1)),
-        ("alpha3", (0, 2), (1, 2)),
-    ])
-
-
-def separating_graph():
-    return PantsDecompositionGraph(2, [
-        ("alpha1", (0, 0), (0, 1)),
-        ("alpha2", (0, 2), (1, 0)),
-        ("alpha3", (1, 1), (1, 2)),
-    ])
-
-
-def genus3_graph():
-    return PantsDecompositionGraph(4, [
-        ("c1", (0, 0), (0, 1)), ("c2", (0, 2), (1, 0)), ("c3", (1, 1), (2, 0)),
-        ("c4", (1, 2), (2, 1)), ("c5", (2, 2), (3, 0)), ("c6", (3, 1), (3, 2)),
-    ])
-
-
 def random_fn(rng, n, lmax=4.0, imag=0.3):
     lengths = [rng.uniform(1.0, lmax) + 1j * rng.uniform(-imag, imag) for _ in range(n)]
     twists = [rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-imag, imag) for _ in range(n)]
@@ -56,7 +30,8 @@ def random_fn(rng, n, lmax=4.0, imag=0.3):
 
 
 def test_fuchsian_point_real_matrices():
-    rep = holonomy(standard_graph(), FNCoordinates([2.0, 2.0, 2.0], [0.0, 0.0, 0.0]))
+    rep = holonomy(surfaces.graph("genus2_fuchsian"),
+                   FNCoordinates([2.0, 2.0, 2.0], [0.0, 0.0, 0.0]))
     for g in rep.mp_images:
         m = rep.matrix_of_word((g,))
         assert float(np.max(np.abs(m.imag))) <= 1e-9
@@ -65,7 +40,7 @@ def test_fuchsian_point_real_matrices():
 
 def test_relator_and_round_trip_over_box():
     rng = np.random.RandomState(2300 + 1)
-    graph = standard_graph()
+    graph = surfaces.graph("genus2_fuchsian")
     for _ in range(20):
         fn = random_fn(rng, 3)
         rep = holonomy(graph, fn)
@@ -79,7 +54,8 @@ def test_relator_and_round_trip_other_graphs():
     rng = np.random.RandomState(2300 + 2)
     # genus 3 gets a slightly tamer box: residuals scale with the largest
     # holonomy entries, which grow exponentially in length times tree depth
-    for graph, lmax in ((separating_graph(), 4.0), (genus3_graph(), 3.0)):
+    for stem, lmax in (("genus2_separating", 4.0), ("genus3", 3.0)):
+        graph = surfaces.graph(stem)
         for _ in range(8):
             fn = random_fn(rng, graph.num_curves, lmax=lmax)
             rep = holonomy(graph, fn)
@@ -90,7 +66,7 @@ def test_relator_and_round_trip_other_graphs():
 
 
 def test_bending_keeps_trace_identities():
-    graph = standard_graph()
+    graph = surfaces.graph("genus2_fuchsian")
     fn = FNCoordinates([2.0, 2.0, 2.0], [0.0, 0.0, 0.0])
     bent = twist_flow(fn, 0, 0.1j)
     rep = holonomy(graph, bent)
@@ -103,18 +79,14 @@ def test_bending_keeps_trace_identities():
         assert abs(got - bent.lengths[k]) <= 1e-9
 
 
-def complex_coordinate(real_lo, real_hi):
-    return st.builds(complex, st.floats(real_lo, real_hi), st.floats(-0.3, 0.3))
-
-
 # up to lengths 20 the entries reach about 1e11 and their cancellations in
 # the relator and the curve traces still hold at the working precision
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(graph=st.sampled_from([standard_graph, separating_graph, genus3_graph]),
-       lengths=st.lists(complex_coordinate(1.0, 20.0), min_size=6, max_size=6),
-       twists=st.lists(complex_coordinate(-1.0, 1.0), min_size=6, max_size=6))
-def test_relator_and_round_trip_up_to_lengths_20(graph, lengths, twists):
-    graph = graph()
+@given(stem=st.sampled_from(["genus2_fuchsian", "genus2_separating", "genus3"]),
+       lengths=st.lists(surfaces.complex_coordinate(1.0, 20.0), min_size=6, max_size=6),
+       twists=st.lists(surfaces.complex_coordinate(-1.0, 1.0), min_size=6, max_size=6))
+def test_relator_and_round_trip_up_to_lengths_20(stem, lengths, twists):
+    graph = surfaces.graph(stem)
     n = graph.num_curves
     try:
         fn = FNCoordinates(lengths[:n], twists[:n])
@@ -129,7 +101,7 @@ def test_relator_and_round_trip_up_to_lengths_20(graph, lengths, twists):
 
 
 def test_twist_flow_additivity_and_identity():
-    fn = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
+    fn = surfaces.fn("genus2_fuchsian")
     assert twist_flow(fn, 1, 0.0).twists == fn.twists
     once = twist_flow(twist_flow(fn, 1, 0.2 + 0.1j), 1, -0.5j)
     direct = twist_flow(fn, 1, 0.2 + 0.1j - 0.5j)
@@ -137,8 +109,8 @@ def test_twist_flow_additivity_and_identity():
 
 
 def test_twist_invariance_of_all_curve_traces():
-    graph = standard_graph()
-    fn = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
+    graph = surfaces.graph("genus2_fuchsian")
+    fn = surfaces.fn("genus2_fuchsian")
     base = holonomy(graph, fn)
     base_traces = [np.trace(base.matrix_of_word(base.curve_word(l)))
                    for l in graph.curve_labels]
@@ -151,8 +123,8 @@ def test_twist_invariance_of_all_curve_traces():
 
 
 def test_twist_periodicity():
-    graph = standard_graph()
-    fn = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
+    graph = surfaces.graph("genus2_fuchsian")
+    fn = surfaces.fn("genus2_fuchsian")
     rep0 = holonomy(graph, fn)
     rep1 = holonomy(graph, twist_flow(fn, 0, 2j * math.pi))
     for gen in rep0.mp_images:
@@ -162,7 +134,7 @@ def test_twist_periodicity():
 
 
 def test_matrix_of_word_basics():
-    rep = holonomy(standard_graph(), FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1]))
+    rep = surfaces.representation("genus2_fuchsian")
 
     def distance_to_identity(word):
         m, eye = rep.matrix_of_word(word), np.eye(2)
@@ -176,21 +148,14 @@ def test_matrix_of_word_basics():
         rep.matrix_of_word((9,))
 
 
-@functools.cache
-def bundled_holonomy(name):
-    config = parse_config(resources.files("qfsurface.data").joinpath(name).read_text())
-    graph = config.graph()
-    return holonomy(graph, config.fn(graph))
-
-
 @pytest.mark.parametrize("name", ["genus2_fuchsian.json", "genus3.json"])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_memoized_prefixes_match_the_plain_fold(name, data):
     # a fresh memo per draw; words drawn in any order, each later one
     # continuing a cut of an earlier word or of the relator
-    base = bundled_holonomy(name)
-    rep = Representation(base.graph, base.presentation, base.fn, base.mp_images)
+    base = surfaces.representation(name.removesuffix(".json"))
+    rep = Representation(base.presentation, base.mp_images)
     generators = sorted(rep.mp_images)
     letter = st.sampled_from(generators + [-g for g in generators])
     words = []
@@ -207,8 +172,7 @@ def test_memoized_prefixes_match_the_plain_fold(name, data):
 
 
 def test_length_is_class_function():
-    graph = standard_graph()
-    rep = holonomy(graph, FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1]))
+    rep = surfaces.representation("genus2_fuchsian")
     word = rep.curve_word("alpha2")
     for v in ((1,), (-2,), (3,)):
         conj = v + word + tuple(-x for x in reversed(v))
@@ -217,8 +181,8 @@ def test_length_is_class_function():
 
 
 def test_fuchsian_residual_behaviour():
-    graph = standard_graph()
-    real_fn = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
+    graph = surfaces.graph("genus2_fuchsian")
+    real_fn = surfaces.fn("genus2_fuchsian")
     assert fuchsian_residual(holonomy(graph, real_fn)) <= 1e-9
     bent = holonomy(graph, twist_flow(real_fn, 0, 0.1j))
     assert fuchsian_residual(bent) >= 1e-3
@@ -226,10 +190,18 @@ def test_fuchsian_residual_behaviour():
     assert fuchsian_residual(long_bent) >= 1e-3
 
 
+def test_real_bundled_configs_are_discrete_and_faithful():
+    # Goldman 1988: a representation into PSL2(R) is discrete and faithful
+    # iff its Euler number is +-(2g - 2)
+    for stem in ("genus2_fuchsian", "genus2_separating", "genus3"):
+        rep = surfaces.representation(stem)
+        for euler in euler_number(rep):
+            assert abs(euler + 2 * rep.presentation.genus - 2) <= 1e-9, stem
+
+
 def test_fuchsian_residual_conjugation_stable():
     rng = np.random.RandomState(2300 + 3)
-    graph = standard_graph()
-    rep = holonomy(graph, FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1]))
+    rep = surfaces.representation("genus2_fuchsian")
     assert fuchsian_residual(conjugated(rep, random_sl2(rng))) <= 1e-8
 
 
@@ -238,7 +210,7 @@ def test_fuchsian_residual_is_exact_on_real_long_points():
     # residual is exactly zero however large the entries grow
     for length in (40.0, 100.0):
         fn = FNCoordinates([length] * 3, [0.0] * 3)
-        assert fuchsian_residual(holonomy(standard_graph(), fn)) == 0.0
+        assert fuchsian_residual(holonomy(surfaces.graph("genus2_fuchsian"), fn)) == 0.0
 
 
 def test_fn_validation_and_branch_guard():
@@ -250,7 +222,7 @@ def test_fn_validation_and_branch_guard():
             FNCoordinates([2.0, bad, 2.0], [0.0, 0.0, 0.0])
         with pytest.raises(DegenerateFN):
             FNCoordinates([2.0, 2.0, 2.0], [0.0, 0.0, bad])
-    graph = standard_graph()
+    graph = surfaces.graph("genus2_fuchsian")
     with pytest.raises(BranchFailure):
         holonomy(graph, FNCoordinates([2.0 + 3.14j, 2.0, 2.0], [0.0, 0.0, 0.0]))
     with pytest.raises(DegenerateFN):
@@ -262,8 +234,8 @@ def test_fn_validation_and_branch_guard():
 
 def test_entries_entire_in_coordinates():
     # central second difference of an entry stays bounded: no branch jumps
-    graph = standard_graph()
-    fn = FNCoordinates([2.0, 2.5, 3.0], [0.3, -0.4, 0.1])
+    graph = surfaces.graph("genus2_fuchsian")
+    fn = surfaces.fn("genus2_fuchsian")
     h = 1e-4
     for kind in ("l", "tau"):
         for direction in (1.0, 1j):
